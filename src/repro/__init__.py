@@ -3,7 +3,7 @@ Shortest Paths" (GRADES'17).
 
 A from-scratch columnar SQL engine extended with the paper's REACHES
 reachability predicate, CHEAPEST SUM shortest-path function, nested-table
-paths, and UNNEST, together with the CSR/BFS/Dijkstra(radix queue) graph
+paths, and UNNEST, together with the CSR/BFS/Dijkstra (Δ-stepping) graph
 runtime, an LDBC-SNB-like workload generator, and the benchmark harness
 that regenerates the paper's tables and figures.
 """

@@ -143,11 +143,10 @@ def _prepare_libraries(
     libraries share its vertex domain and CSR ordering.
     """
     src, dst, valid = _edge_keys(edge_batch, spec)
-    src_keys = src[valid]
-    dst_keys = dst[valid]
     base = _library_from_cache(ctx, edge_plan, spec)
     if base is None:
-        base = GraphLibrary(src_keys, dst_keys)
+        # only a graph-index miss needs the filtered key copies
+        base = GraphLibrary(src[valid], dst[valid])
     weighted: list[tuple[lp.CheapestSpec, GraphLibrary]] = []
     for cheapest in spec.cheapest:
         weights = _materialize_weights(ctx, edge_batch, cheapest, valid)
@@ -161,8 +160,11 @@ def _prepare_libraries(
 
 
 def _attach_weights(base: GraphLibrary, weights: np.ndarray) -> GraphLibrary:
-    """A weighted view sharing the base library's domain and CSR order."""
-    if len(weights) and weights.min() <= 0:
+    """A weighted view sharing the base library's domain and CSR order.
+
+    Weights must be strictly positive; NaN fails that test as well.
+    """
+    if not (weights > 0).all():
         raise GraphRuntimeError(
             "CHEAPEST SUM weights must be strictly greater than 0"
         )

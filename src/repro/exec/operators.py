@@ -134,7 +134,6 @@ class ExecContext:
         #: probe-side execution by the hash-join operator
         #: (``id(PScan) -> list[ZonePredicate]``).
         self.dynamic_zones: dict[int, list] = {}
-        self._eval = EvalContext(params, self.run)
 
     def kernel_hit(self, op: str) -> None:
         if self.kernel_counters is not None:
@@ -148,7 +147,10 @@ class ExecContext:
         return execute_plan(plan, self)
 
     def eval(self, expr: bx.BoundExpr, batch: Batch) -> Column:
-        return evaluate(expr, batch, self._eval)
+        # built per call: an EvalContext kept on ``self`` holds the bound
+        # ``self.run``, a reference cycle that would leave every
+        # statement's context to the cyclic garbage collector
+        return evaluate(expr, batch, EvalContext(self.params, self.run))
 
 
 def execute_plan(plan: pp.PhysicalNode, ctx: ExecContext) -> Batch:

@@ -1,5 +1,16 @@
-"""Graph runtime: vertex-domain encoding, CSR, BFS, Dijkstra (radix queue
-and binary heap) and the many-to-many shortest-path library facade."""
+"""Graph runtime: vertex-domain encoding, CSR, BFS, Dijkstra and the
+many-to-many shortest-path library facade.
+
+Both traversals are numpy frontier kernels with no per-edge Python loop.
+BFS is level-synchronous; Dijkstra is bucket-synchronous Δ-stepping
+(Meyer & Sanders 2003), with Δ derived from the graph as
+``max(w_min, w_max·|V|/|E|)`` and one kernel for integer and float
+weights.  Where several edges reach a vertex at the same cost, the
+earliest relaxation round that reaches that cost wins, then the
+smallest CSR slot within the round, so predecessor trees and paths are
+deterministic.  This replaces the paper's "Dijkstra combined with the
+Radix Queue" (Section 3.2), which settles one vertex per step.
+"""
 
 from .bfs import UNREACHED, TraversalResult, bfs, reconstruct_path
 from .bidirectional import bidirectional_distance, reverse_csr
@@ -13,7 +24,6 @@ from .library import (
     resolve_workers,
 )
 from .overlay import GraphOverlayState, OverlayDomain, edge_valid_mask
-from .radix_queue import RadixQueue
 
 __all__ = [
     "UNREACHED",
@@ -33,7 +43,6 @@ __all__ = [
     "GraphOverlayState",
     "OverlayDomain",
     "edge_valid_mask",
-    "RadixQueue",
     "PARALLEL_MIN_PAIRS",
     "resolve_workers",
 ]

@@ -2,7 +2,8 @@
 
 Implements the unweighted shortest-path runtime of Section 3.2.  The
 search is level-synchronous and vectorized: each step expands the whole
-frontier with one gather (:func:`~repro.graph.csr.expand_frontier`)
+frontier with one gather and resolves vertices discovered several times
+in the level with a sort-free scatter (:func:`~repro.graph.csr.expand_level`)
 instead of a per-vertex Python loop.
 
 Besides distances, the search records for every reached vertex the CSR
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRGraph, expand_frontier
+from .csr import CSRGraph, expand_level
 
 UNREACHED = -1
 
@@ -49,38 +50,23 @@ def bfs(
     Returns hop distances (-1 for unreached vertices) and the
     predecessor-edge array.  ``targets`` is a (possibly empty) array of
     vertex ids; the search stops as soon as all of them are settled,
-    matching the paper's per-pair query pattern.
+    matching the paper's per-pair query pattern.  A vertex's predecessor
+    is the smallest CSR slot reaching it from the previous level.
     """
     n = graph.num_vertices
     dist = np.full(n, UNREACHED, dtype=np.int64)
     pred_edge = np.full(n, UNREACHED, dtype=np.int64)
+    scratch = np.empty(n, dtype=np.int64)
     dist[source] = 0
-    pending = None
-    if targets is not None:
-        pending = set(int(t) for t in np.unique(targets) if t != source)
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while len(frontier):
-        if pending is not None and not pending:
+        if targets is not None and (dist[targets] != UNREACHED).all():
             break
         level += 1
-        slots = expand_frontier(graph.indptr, frontier)
-        if len(slots) == 0:
-            break
-        neighbors = graph.dst[slots]
-        fresh = dist[neighbors] == UNREACHED
-        neighbors = neighbors[fresh]
-        slots = slots[fresh]
-        if len(neighbors) == 0:
-            break
-        # several frontier vertices may discover the same neighbor in one
-        # level; keep the first occurrence so the tree stays deterministic
-        unique_neighbors, first_pos = np.unique(neighbors, return_index=True)
-        dist[unique_neighbors] = level
-        pred_edge[unique_neighbors] = slots[first_pos]
-        if pending is not None:
-            pending.difference_update(unique_neighbors.tolist())
-        frontier = unique_neighbors
+        frontier, slots = expand_level(graph, frontier, dist, scratch)
+        dist[frontier] = level
+        pred_edge[frontier] = slots
     return TraversalResult(source, dist, pred_edge)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bfs import UNREACHED
-from .csr import CSRGraph, build_csr, expand_frontier
+from .csr import CSRGraph, build_csr, expand_level
 
 
 def reverse_csr(graph: CSRGraph) -> CSRGraph:
@@ -52,6 +52,7 @@ def bidirectional_distance(
     dist_b = np.full(n, UNREACHED, dtype=np.int64)
     pred_f = np.full(n, UNREACHED, dtype=np.int64)  # forward CSR slots
     pred_b = np.full(n, UNREACHED, dtype=np.int64)  # backward CSR slots
+    scratch = np.empty(n, dtype=np.int64)
     dist_f[source] = 0
     dist_b[target] = 0
     frontier_f = np.array([source], dtype=np.int64)
@@ -66,10 +67,10 @@ def bidirectional_distance(
             break
         # expand the smaller frontier first (classic balancing heuristic)
         if len(frontier_f) <= len(frontier_b):
-            frontier_f, meet = _step(forward, frontier_f, dist_f, pred_f, dist_b)
+            frontier_f, meet = _step(forward, frontier_f, dist_f, pred_f, dist_b, scratch)
             depth_f += 1
         else:
-            frontier_b, meet = _step(backward, frontier_b, dist_b, pred_b, dist_f)
+            frontier_b, meet = _step(backward, frontier_b, dist_b, pred_b, dist_f, scratch)
             depth_b += 1
         if meet is not None:
             total = int(dist_f[meet] + dist_b[meet])
@@ -80,28 +81,18 @@ def bidirectional_distance(
     return _stitch(forward, backward, pred_f, pred_b, dist_f, dist_b, best[1])
 
 
-def _step(graph, frontier, dist, pred, other_dist):
+def _step(graph, frontier, dist, pred, other_dist, scratch):
     """One level expansion; returns (new frontier, best meeting vertex)."""
     level = int(dist[frontier[0]]) + 1
-    slots = expand_frontier(graph.indptr, frontier)
-    if len(slots) == 0:
-        return np.empty(0, dtype=np.int64), None
-    neighbors = graph.dst[slots]
-    fresh = dist[neighbors] == UNREACHED
-    neighbors = neighbors[fresh]
-    slots = slots[fresh]
-    if len(neighbors) == 0:
-        return np.empty(0, dtype=np.int64), None
-    unique_neighbors, first_pos = np.unique(neighbors, return_index=True)
-    dist[unique_neighbors] = level
-    pred[unique_neighbors] = slots[first_pos]
-    touched = unique_neighbors[other_dist[unique_neighbors] != UNREACHED]
-    if len(touched):
-        # pick the meeting vertex minimizing the total distance
-        totals = dist[touched] + other_dist[touched]
-        best = touched[np.argmin(totals)]
-        return unique_neighbors, int(best)
-    return unique_neighbors, None
+    frontier, slots = expand_level(graph, frontier, dist, scratch)
+    dist[frontier] = level
+    pred[frontier] = slots
+    touched = frontier[other_dist[frontier] != UNREACHED]
+    if len(touched) == 0:
+        return frontier, None
+    # the meeting vertex minimizing the total distance, smallest id on ties
+    totals = dist[touched] + other_dist[touched]
+    return frontier, int(touched[totals == totals.min()].min())
 
 
 def _stitch(forward, backward, pred_f, pred_b, dist_f, dist_b, meet):

@@ -41,7 +41,7 @@ class CSRGraph:
     """
 
     __slots__ = ("num_vertices", "indptr", "dst", "src", "weights", "edge_rows",
-                 "integral_weights", "max_weight")
+                 "integral_weights", "bucket_width")
 
     def __init__(
         self,
@@ -58,12 +58,18 @@ class CSRGraph:
         self.src = src
         self.weights = weights
         self.edge_rows = edge_rows
-        if weights is not None:
-            self.integral_weights = weights.dtype.kind in "iu"
-            self.max_weight = int(weights.max()) if self.integral_weights and len(weights) else 0
-        else:
-            self.integral_weights = True
-            self.max_weight = 1
+        self.integral_weights = weights is None or weights.dtype.kind in "iu"
+        # Δ of the Δ-stepping Dijkstra: max(w_min, w_max·|V|/|E|), the
+        # heaviest weight over the mean out-degree but never below the
+        # lightest edge (Meyer & Sanders); integral for integer weights,
+        # so bucket bounds stay exact
+        self.bucket_width = 1
+        if weights is not None and len(weights):
+            w_min, w_max = weights.min().item(), weights.max().item()
+            if self.integral_weights:
+                self.bucket_width = max(w_min, -(-w_max * num_vertices // len(weights)))
+            else:
+                self.bucket_width = max(w_min, w_max * num_vertices / len(weights))
 
     @property
     def num_edges(self) -> int:
@@ -86,7 +92,8 @@ def build_csr(
     """Build a CSR graph from encoded endpoint arrays.
 
     ``weights``, when given, must be strictly positive — the paper
-    specifies a runtime exception otherwise (Section 2).
+    specifies a runtime exception otherwise (Section 2).  NaN is not
+    greater than 0 and is rejected too.
     """
     src_ids = np.asarray(src_ids, dtype=np.int64)
     dst_ids = np.asarray(dst_ids, dtype=np.int64)
@@ -96,7 +103,7 @@ def build_csr(
         weights = np.asarray(weights)
         if len(weights) != len(src_ids):
             raise GraphRuntimeError("weight column length does not match edges")
-        if len(weights) and weights.min() <= 0:
+        if not (weights > 0).all():
             raise GraphRuntimeError(
                 "CHEAPEST SUM weights must be strictly greater than 0"
             )
@@ -133,3 +140,38 @@ def expand_frontier(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     # classic repeat/arange trick for concatenated ranges
     cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
     return np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
+
+
+def min_mask(keys: np.ndarray, values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose value is the minimum among the entries
+    sharing their key — without sorting.
+
+    ``scratch`` is a work array indexed by key (e.g. one slot per
+    vertex) of the values' dtype; its contents are ignored and clobbered.
+    Seeding it with any member of each group and folding the rest in with
+    the unbuffered ``np.minimum.at`` makes the result independent of the
+    order in which repeated keys are written.  With distinct ``values``
+    the mask selects exactly one entry per key.
+    """
+    scratch[keys] = values
+    np.minimum.at(scratch, keys, values)
+    return values == scratch[keys]
+
+
+def expand_level(
+    graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One BFS level: the vertices first reached from ``frontier`` and
+    the CSR slot that discovers each.
+
+    Vertices with ``dist >= 0`` are already reached and skipped.  When
+    several frontier edges reach the same vertex the smallest slot wins,
+    so the tree is deterministic and does not depend on frontier order.
+    ``scratch`` is an int64 work array of ``num_vertices`` entries.
+    """
+    slots = expand_frontier(graph.indptr, frontier)
+    heads = graph.dst[slots]
+    fresh = dist[heads] < 0
+    heads, slots = heads[fresh], slots[fresh]
+    first = min_mask(heads, slots, scratch)
+    return heads[first], slots[first]

@@ -1,140 +1,106 @@
-"""Dijkstra's algorithm for weighted shortest paths.
+"""Dijkstra's algorithm for weighted shortest paths, as a Δ-stepping
+frontier kernel.
 
-Two priority-queue backends, selected automatically by
-:func:`repro.graph.library.GraphLibrary`:
+The paper's runtime pairs Dijkstra with the Radix Queue of Ahuja et al.
+(Section 3.2), a priority queue popped one vertex at a time.  Here the
+same single-source search is bucket-synchronous instead (Meyer &
+Sanders, "Δ-stepping", J. Algorithms 2003), so every step is a numpy
+operation over a whole frontier rather than a Python loop over edges:
 
-* :class:`~repro.graph.radix_queue.RadixQueue` for strictly positive
-  *integer* weights — the configuration the paper's runtime uses
-  ("the Dijkstra algorithm combined with the Radix Queue", Section 3.2);
-* a binary heap (:mod:`heapq`) for floating-point weights, and as the
-  baseline of the radix-vs-binary ablation (A1 in DESIGN.md).
+* the bucket ``[m, m + Δ)`` opens at the smallest tentative distance
+  ``m`` of any unsettled vertex; its vertices are the active frontier;
+* one round gathers the frontier's out-edges
+  (:func:`~repro.graph.csr.expand_frontier`), computes ``tent[src] + w``
+  and keeps strict improvements only;
+* several edges may improve one target in a round: the winner has the
+  minimum cost, then the smallest CSR slot
+  (:func:`~repro.graph.csr.min_mask`); an equal-cost edge found in a
+  later round is not a strict improvement and leaves ``pred_edge`` as
+  it is — so the earliest round reaching the final cost wins, and
+  ``pred_edge`` and the returned paths are deterministic;
+* targets landing back inside the bucket are the next round's frontier;
+  when a round improves nothing inside the bucket, every vertex below
+  ``m + Δ`` is final and the bucket is settled;
+* early termination on ``targets`` is checked when a bucket closes.
 
-Both use lazy deletion: a popped entry whose key exceeds the recorded
-distance is stale and skipped.
+Δ is derived from the graph (``CSRGraph.bucket_width``), not tuned: a Δ
+as small as the lightest weight would open one bucket per distinct
+distance, while ``w_max·|V|/|E|`` keeps buckets few and re-relaxations
+rare.  One kernel serves integer and floating-point weights.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from ..errors import GraphRuntimeError
 from .bfs import TraversalResult, UNREACHED
-from .csr import CSRGraph
-from .radix_queue import RadixQueue
+from .csr import CSRGraph, expand_frontier, min_mask
 
 
 def dijkstra(
     graph: CSRGraph,
     source: int,
     targets: np.ndarray | None = None,
-    *,
-    queue: str = "auto",
 ) -> TraversalResult:
     """Single-source Dijkstra with optional early termination.
 
-    ``queue`` is ``'radix'``, ``'binary'`` or ``'auto'`` (radix when the
-    weights are integral).  Distances of unreached vertices are -1; the
-    distance array dtype follows the weight dtype (int64 or float64).
+    Distances of unreached vertices — and, when the search stops early
+    once ``targets`` are settled, of vertices not yet settled — are -1;
+    the distance array dtype follows the weights (int64 or float64).
     """
     weights = graph.weights
     if weights is None:
         raise GraphRuntimeError("dijkstra requires an edge weight array")
-    if queue == "auto":
-        queue = "radix" if graph.integral_weights else "binary"
-    if queue == "radix" and not graph.integral_weights:
-        raise GraphRuntimeError("the radix queue requires integer weights")
-    if queue == "radix":
-        return _dijkstra_radix(graph, source, targets)
-    if queue == "binary":
-        return _dijkstra_binary(graph, source, targets)
-    raise GraphRuntimeError(f"unknown queue implementation: {queue!r}")
-
-
-def _pending_set(source: int, targets: np.ndarray | None):
-    if targets is None:
-        return None
-    return set(int(t) for t in np.unique(targets) if t != source)
-
-
-def _dijkstra_radix(
-    graph: CSRGraph, source: int, targets: np.ndarray | None
-) -> TraversalResult:
     n = graph.num_vertices
-    dist = np.full(n, UNREACHED, dtype=np.int64)
+    if graph.integral_weights:
+        weights = weights.astype(np.int64, copy=False)
+        unreached = np.iinfo(np.int64).max
+    else:
+        weights = weights.astype(np.float64, copy=False)
+        unreached = np.inf
+    tent = np.full(n, unreached, dtype=weights.dtype)
     pred_edge = np.full(n, UNREACHED, dtype=np.int64)
     settled = np.zeros(n, dtype=np.bool_)
-    pending = _pending_set(source, targets)
-    queue = RadixQueue(max(graph.max_weight, 1))
-    dist[source] = 0
-    queue.push(0, source)
-    indptr, dst, weights = graph.indptr, graph.dst, graph.weights
-    while len(queue):
-        key, vertex = queue.pop_min()
-        if settled[vertex]:
-            continue  # stale lazy-deleted entry
-        settled[vertex] = True
-        if pending is not None:
-            pending.discard(vertex)
-            if not pending:
-                break
-        for slot in range(indptr[vertex], indptr[vertex + 1]):
-            neighbor = dst[slot]
-            candidate = key + int(weights[slot])
-            if dist[neighbor] == UNREACHED or candidate < dist[neighbor]:
-                dist[neighbor] = candidate
-                pred_edge[neighbor] = slot
-                queue.push(candidate, int(neighbor))
-    # vertices relaxed but never settled keep their tentative distance,
-    # which is only final if settled; clear them for early-terminated runs
-    if pending is not None:
-        unsettled = ~settled & (dist != UNREACHED)
-        dist[unsettled] = UNREACHED
-        pred_edge[unsettled] = UNREACHED
-    return TraversalResult(source, dist, pred_edge)
-
-
-def _dijkstra_binary(
-    graph: CSRGraph, source: int, targets: np.ndarray | None
-) -> TraversalResult:
-    n = graph.num_vertices
-    float_weights = not graph.integral_weights
-    dtype = np.float64 if float_weights else np.int64
-    unreached = np.float64("inf") if float_weights else UNREACHED
-    dist = np.full(n, unreached, dtype=dtype)
-    pred_edge = np.full(n, UNREACHED, dtype=np.int64)
-    settled = np.zeros(n, dtype=np.bool_)
-    pending = _pending_set(source, targets)
-    heap: list[tuple[float, int]] = [(0, source)]
-    dist[source] = 0
-    indptr, dst, weights = graph.indptr, graph.dst, graph.weights
-    while heap:
-        key, vertex = heapq.heappop(heap)
-        if settled[vertex]:
-            continue
-        settled[vertex] = True
-        if pending is not None:
-            pending.discard(vertex)
-            if not pending:
-                break
-        for slot in range(indptr[vertex], indptr[vertex + 1]):
-            neighbor = dst[slot]
-            candidate = key + weights[slot]
-            if not settled[neighbor] and (
-                dist[neighbor] == unreached or candidate < dist[neighbor]
-            ):
-                dist[neighbor] = candidate
-                pred_edge[neighbor] = slot
-                heapq.heappush(heap, (candidate, int(neighbor)))
-    if pending is not None:
-        unsettled = ~settled & (dist != unreached)
-        dist[unsettled] = unreached
-        pred_edge[unsettled] = UNREACHED
-    if float_weights:
-        # normalize the unreached marker to -1 to match the BFS contract
-        out = np.full(n, UNREACHED, dtype=np.float64)
-        reached = dist != unreached
-        out[reached] = dist[reached]
-        dist = out
-    return TraversalResult(source, dist, pred_edge)
+    queued = np.zeros(n, dtype=np.bool_)  # listed in `pending`
+    best_cost = np.empty(n, dtype=weights.dtype)
+    best_slot = np.empty(n, dtype=np.int64)
+    delta = graph.bucket_width
+    indptr, src, dst = graph.indptr, graph.src, graph.dst
+    tent[source] = 0
+    pending = np.array([source], dtype=np.int64)  # reached, not yet settled
+    queued[source] = True
+    while len(pending):
+        costs = tent[pending]
+        ceiling = costs.min() + delta
+        inside = costs < ceiling
+        active = pending[inside]
+        pending = pending[~inside]
+        settled[active] = True  # final once the bucket converges
+        while len(active):
+            slots = expand_frontier(indptr, active)
+            heads = dst[slots]
+            cost = tent[src[slots]] + weights[slots]
+            better = cost < tent[heads]
+            slots, heads, cost = slots[better], heads[better], cost[better]
+            cheapest = min_mask(heads, cost, best_cost)
+            slots, heads, cost = slots[cheapest], heads[cheapest], cost[cheapest]
+            first = min_mask(heads, slots, best_slot)
+            heads, cost = heads[first], cost[first]
+            tent[heads] = cost
+            pred_edge[heads] = slots[first]
+            again = cost < ceiling
+            active = heads[again]
+            settled[active] = True
+            later = heads[~again]
+            later = later[~queued[later]]
+            queued[later] = True
+            pending = np.concatenate((pending, later))
+        if targets is not None and settled[targets].all():
+            break
+        pending = pending[~settled[pending]]
+    # vertices relaxed but never settled hold tentative distances only
+    unsettled = ~settled
+    tent[unsettled] = UNREACHED
+    pred_edge[unsettled] = UNREACHED
+    return TraversalResult(source, tent, pred_edge)

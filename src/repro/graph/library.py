@@ -19,7 +19,14 @@ Pairs are grouped by source so that all pairs sharing a source reuse one
 traversal; each traversal terminates early once its targets are settled.
 Reachability-only queries still run the BFS and discard the paths,
 exactly like the prototype ("the library still performs a BFS ...
-discarding the computed shortest paths").
+discarding the computed shortest paths").  Unweighted traversals are
+level-synchronous BFS (:func:`~repro.graph.bfs.bfs`); weighted ones are
+the Δ-stepping kernel (:func:`~repro.graph.dijkstra.dijkstra`) for
+integer and float weights alike, where the paper used Dijkstra with a
+radix queue.  Δ comes from the graph, not from a parameter, and an
+equal-cost tie goes to the earliest relaxation round reaching the final
+cost, then to the smallest CSR slot within that round, so the paths a
+query returns do not depend on the run or the worker count.
 
 Batches large enough to matter are partitioned across a thread pool:
 source groups are dealt round-robin onto ``workers`` shards, and each
@@ -161,7 +168,6 @@ class GraphLibrary:
         *,
         want_cost: bool = False,
         want_path: bool = False,
-        queue: str = "auto",
         workers: int | str | None = 1,
     ) -> ShortestPathResult:
         """Evaluate reachability / shortest paths for aligned raw pairs."""
@@ -173,7 +179,6 @@ class GraphLibrary:
             dst_ids,
             want_cost=want_cost,
             want_path=want_path,
-            queue=queue,
             workers=workers,
         )
 
@@ -184,7 +189,6 @@ class GraphLibrary:
         *,
         want_cost: bool = False,
         want_path: bool = False,
-        queue: str = "auto",
         algorithm: str = "auto",
         workers: int | str | None = 1,
     ) -> ShortestPathResult:
@@ -238,7 +242,7 @@ class GraphLibrary:
         ]
         n_workers = min(resolve_workers(workers), len(groups))
         if n_workers <= 1 or len(valid_positions) < PARALLEL_MIN_PAIRS:
-            self._solve_groups(groups, src_ids, dst_ids, queue, connected, costs, paths)
+            self._solve_groups(groups, src_ids, dst_ids, connected, costs, paths)
         else:
             # deal groups round-robin so one hub source cannot load a
             # single shard with all the heavy traversals
@@ -250,7 +254,6 @@ class GraphLibrary:
                         shard,
                         src_ids,
                         dst_ids,
-                        queue,
                         connected,
                         costs,
                         paths,
@@ -267,7 +270,6 @@ class GraphLibrary:
         groups: list[np.ndarray],
         src_ids: np.ndarray,
         dst_ids: np.ndarray,
-        queue: str,
         connected: np.ndarray,
         costs: np.ndarray | None,
         paths: list[np.ndarray | None] | None,
@@ -277,7 +279,7 @@ class GraphLibrary:
         disjoint slots."""
         for members in groups:
             targets = dst_ids[members]
-            result = self._traverse(int(src_ids[members[0]]), targets, queue)
+            result = self._traverse(int(src_ids[members[0]]), targets)
             for position in members:
                 target = int(dst_ids[position])
                 value = result.cost(target)
@@ -290,9 +292,9 @@ class GraphLibrary:
                     paths[position] = reconstruct_path(self.csr, result, target)
 
     # ------------------------------------------------------------------
-    def _traverse(self, source: int, targets: np.ndarray, queue: str):
+    def _traverse(self, source: int, targets: np.ndarray):
         if self.weighted:
-            return dijkstra(self.csr, source, targets, queue=queue)
+            return dijkstra(self.csr, source, targets)
         return bfs(self.csr, source, targets)
 
     def _solve_bidirectional(

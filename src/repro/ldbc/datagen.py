@@ -19,7 +19,7 @@ run offline, so this module synthesizes graphs with the same *shape*:
   ``weight`` — the Q14 "affinity" between the two friends, which LDBC
   derives from forum interactions and we draw from a matching skewed
   distribution quantized to 0.1 steps (so ``weight * 10`` is an exact
-  integer, letting the radix-queue Dijkstra run on integer costs).
+  integer, letting Dijkstra run on exact integer costs).
 
 Everything is deterministic given ``seed``.
 """

@@ -7,9 +7,8 @@ Two queries over the friendship graph:
 * **Q14 (variant)** — the paper cannot run full Q14 (all shortest paths),
   so it returns *one* weighted shortest path using the precomputed
   affinity weights; here ``CHEAPEST SUM(k: CAST(weight * 10 AS bigint))``
-  keeps costs integral so the runtime uses the radix-queue Dijkstra,
-  exactly like the prototype.  (``q14_variant_float`` exercises the
-  float/binary-heap path instead.)
+  keeps costs integral, exactly like the prototype.
+  (``q14_variant_float`` runs the same Dijkstra on float costs.)
 
 Besides the per-pair form, :func:`q13_batch_sql` evaluates a whole batch
 of pairs in one statement — the Figure 1b experiment — by REACHES-ing

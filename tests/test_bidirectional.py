@@ -15,6 +15,7 @@ from repro.graph import (
     build_csr,
     reverse_csr,
 )
+from repro.graph.bidirectional import _step
 
 edges_strategy = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -105,6 +106,64 @@ class TestBidirectionalDistance:
         except nx.NetworkXNoPath:
             expected = None
         assert distance == expected
+
+
+def unique_bfs_reference(graph, source):
+    """The level expansion BFS used before the sort-free helper: the
+    ``np.unique`` first occurrence over a frontier kept in ascending order
+    (kept here as the oracle for the tree both searches build)."""
+    n = graph.num_vertices
+    dist = np.full(n, -1, dtype=np.int64)
+    pred = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while len(frontier):
+        level += 1
+        slots = np.concatenate(
+            [np.arange(graph.indptr[v], graph.indptr[v + 1]) for v in frontier]
+        ).astype(np.int64)
+        neighbors = graph.dst[slots]
+        fresh = dist[neighbors] == -1
+        neighbors, slots = neighbors[fresh], slots[fresh]
+        unique_neighbors, first_pos = np.unique(neighbors, return_index=True)
+        dist[unique_neighbors] = level
+        pred[unique_neighbors] = slots[first_pos]
+        frontier = unique_neighbors
+    return dist, pred
+
+
+class TestLevelExpansionAgainstUniqueReference:
+    """``bfs`` and the bidirectional search's ``_step`` share one
+    sort-free level expansion; both must build the reference's tree."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pred_arrays_match(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(1, 6 * n))
+        graph = build_csr(rng.integers(0, n, m), rng.integers(0, n, m), n)
+        backward = reverse_csr(graph)
+        for source in range(0, n, max(1, n // 5)):
+            for csr in (graph, backward):
+                dist, pred = unique_bfs_reference(csr, source)
+                result = bfs(csr, source)
+                assert result.dist.tolist() == dist.tolist()
+                assert result.pred_edge.tolist() == pred.tolist()
+                # drive the bidirectional step alone: nothing ever meets
+                step_dist = np.full(n, -1, dtype=np.int64)
+                step_pred = np.full(n, -1, dtype=np.int64)
+                step_dist[source] = 0
+                never = np.full(n, -1, dtype=np.int64)
+                scratch = np.empty(n, dtype=np.int64)
+                frontier = np.array([source], dtype=np.int64)
+                while len(frontier):
+                    frontier, meet = _step(
+                        csr, frontier, step_dist, step_pred, never, scratch
+                    )
+                    assert meet is None
+                assert step_dist.tolist() == dist.tolist()
+                assert step_pred.tolist() == pred.tolist()
 
 
 class TestLibraryIntegration:

@@ -144,6 +144,20 @@ class TestWeightValidation:
                 "SELECT CHEAPEST SUM(k: w) WHERE 1 REACHES 2 OVER e k EDGE (s, d)"
             )
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_nan_weight_rejected(self, db, indexed):
+        # NaN is a storable DOUBLE but not "strictly greater than 0"
+        db.execute("CREATE TABLE e (s INT, d INT, w DOUBLE)")
+        db.execute(
+            "INSERT INTO e VALUES (1, 2, 1.5), (2, 3, CAST('nan' AS DOUBLE))"
+        )
+        if indexed:
+            db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)")
+        with pytest.raises(GraphRuntimeError, match="strictly greater"):
+            db.execute(
+                "SELECT CHEAPEST SUM(k: w) WHERE 1 REACHES 3 OVER e k EDGE (s, d)"
+            )
+
     def test_weight_on_null_endpoint_edge_is_ignored(self, db):
         # edges with NULL endpoints are dropped before weight validation
         db.execute("CREATE TABLE e (s INT, d INT, w INT)")

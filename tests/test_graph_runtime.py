@@ -1,8 +1,10 @@
-"""Unit tests for the graph runtime: domain encoding, CSR, BFS, Dijkstra,
-radix queue and the library facade (the paper's Section 3.2 component)."""
+"""Unit tests for the graph runtime: domain encoding, CSR, BFS, the
+Δ-stepping Dijkstra and the library facade (the paper's Section 3.2
+component)."""
 
 import numpy as np
 import pytest
+from test_path_reference import bellman_ford
 
 from repro.errors import GraphRuntimeError
 from repro.graph import (
@@ -10,7 +12,6 @@ from repro.graph import (
     UNREACHED,
     CSRGraph,
     GraphLibrary,
-    RadixQueue,
     VertexDomain,
     bfs,
     build_csr,
@@ -83,6 +84,10 @@ class TestCSR:
         with pytest.raises(GraphRuntimeError):
             build_csr(np.array([0]), np.array([1]), 2, np.array([-1.5]))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(GraphRuntimeError, match="strictly greater"):
+            build_csr(np.array([0, 1]), np.array([1, 0]), 2, np.array([1.0, np.nan]))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(GraphRuntimeError):
             build_csr(np.array([0]), np.array([1, 2]), 3)
@@ -99,53 +104,6 @@ class TestCSR:
     def test_expand_frontier_empty(self):
         graph = build_csr(np.array([0]), np.array([1]), 2)
         assert len(expand_frontier(graph.indptr, np.array([1]))) == 0
-
-
-class TestRadixQueue:
-    def test_fifo_on_equal_keys(self):
-        q = RadixQueue(4)
-        q.push(0, 1)
-        q.push(0, 2)
-        assert {q.pop_min()[1], q.pop_min()[1]} == {1, 2}
-
-    def test_sorted_pops(self):
-        q = RadixQueue(100)
-        for key in (5, 3, 9, 3, 100, 0):
-            q.push(key, key)
-        popped = [q.pop_min()[0] for _ in range(6)]
-        assert popped == sorted(popped)
-
-    def test_monotone_violation_raises(self):
-        q = RadixQueue(10)
-        q.push(5, 0)
-        q.pop_min()
-        with pytest.raises(GraphRuntimeError, match="monotone"):
-            q.push(4, 0)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(GraphRuntimeError):
-            RadixQueue(1).pop_min()
-
-    def test_interleaved_push_pop(self):
-        q = RadixQueue(16)
-        q.push(1, 1)
-        assert q.pop_min()[0] == 1
-        q.push(3, 3)
-        q.push(17, 17)  # key may exceed last_min + span transiently? no:
-        # 17 - 1 = 16 == span, maximal legal distance
-        assert q.pop_min()[0] == 3
-        q.push(10, 10)
-        assert q.pop_min()[0] == 10
-        assert q.pop_min()[0] == 17
-        assert len(q) == 0
-
-    def test_len_tracks_size(self):
-        q = RadixQueue(4)
-        q.push(0, 0)
-        q.push(1, 1)
-        assert len(q) == 2
-        q.pop_min()
-        assert len(q) == 1
 
 
 def diamond() -> CSRGraph:
@@ -208,7 +166,7 @@ class TestDijkstra:
         # original edge rows: 0->1 is row 0, 1->3 is row 1
         assert path.tolist() == [0, 1]
 
-    def test_radix_and_binary_agree(self):
+    def test_matches_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n, m = 30, 120
@@ -216,21 +174,49 @@ class TestDijkstra:
             dst = rng.integers(0, n, m)
             w = rng.integers(1, 50, m).astype(np.int64)
             graph = build_csr(src, dst, n, w)
-            a = dijkstra(graph, 0, queue="radix")
-            b = dijkstra(graph, 0, queue="binary")
-            assert a.dist.tolist() == b.dist.tolist()
+            expected = bellman_ford(n, list(zip(src, dst, w)), 0)
+            assert dijkstra(graph, 0).dist.tolist() == [
+                UNREACHED if d is None else d for d in expected
+            ]
 
-    def test_float_weights_use_binary(self):
+    def test_float_weights(self):
         graph = build_csr(
             np.array([0, 1]), np.array([1, 2]), 3, np.array([0.5, 0.25])
         )
         result = dijkstra(graph, 0)
         assert result.dist[2] == pytest.approx(0.75)
 
-    def test_radix_on_floats_rejected(self):
-        graph = build_csr(np.array([0]), np.array([1]), 2, np.array([0.5]))
-        with pytest.raises(GraphRuntimeError, match="integer"):
-            dijkstra(graph, 0, queue="radix")
+    def test_equal_cost_tie_takes_smallest_slot(self):
+        # 0 -> 1 -> 3 and 0 -> 2 -> 3 both cost 2; the edge 1 -> 3 holds
+        # the smaller CSR slot, so it is 3's predecessor in every run
+        graph = build_csr(
+            np.array([0, 0, 2, 1]), np.array([1, 2, 3, 3]), 4,
+            np.array([1, 1, 1, 1], dtype=np.int64),
+        )
+        for _ in range(3):
+            result = dijkstra(graph, 0)
+            assert result.dist.tolist() == [0, 1, 1, 2]
+            assert reconstruct_path(graph, result, 3).tolist() == [0, 3]
+
+    def test_equal_cost_tie_takes_earliest_round(self):
+        # 5 -> 3 (slot 2) reaches 3 at cost 3 in the first round; 0 -> 3
+        # (slot 0) ties it one round later and is not a strict improvement
+        graph = build_csr(
+            np.array([0, 5, 5]), np.array([3, 0, 3]), 6,
+            np.array([2, 1, 3], dtype=np.int64),
+        )
+        for _ in range(3):
+            result = dijkstra(graph, 5)
+            assert result.cost(3) == 3
+            assert result.pred_edge[3] == 2
+
+    def test_bucket_width_is_derived_from_the_graph(self):
+        # max(w_min, w_max * |V| / |E|): 4 vertices, 5 edges, weights 1..10
+        assert diamond().bucket_width == 8
+        graph = build_csr(np.array([0, 1]), np.array([1, 0]), 2, np.array([3, 7]))
+        assert graph.bucket_width == 7
+        floats = build_csr(np.array([0, 0]), np.array([1, 1]), 4, np.array([0.5, 2.0]))
+        assert floats.bucket_width == pytest.approx(4.0)
 
     def test_unweighted_graph_rejected(self):
         graph = build_csr(np.array([0]), np.array([1]), 2)
@@ -238,9 +224,10 @@ class TestDijkstra:
             dijkstra(graph, 0)
 
     def test_unknown_queue_rejected(self):
+        # one kernel for every weight type: there is no queue to choose
         graph = build_csr(np.array([0]), np.array([1]), 2, np.array([1]))
-        with pytest.raises(GraphRuntimeError):
-            dijkstra(graph, 0, queue="fibonacci")
+        with pytest.raises(TypeError):
+            dijkstra(graph, 0, queue="radix")
 
     def test_early_exit_target_distance_final(self):
         graph = diamond()

@@ -136,7 +136,7 @@ class TestUnweightedAgainstReference:
 
 
 # ---------------------------------------------------------------------------
-# Dijkstra (weighted): radix (int) and binary heap (float)
+# Dijkstra (weighted): the Δ-stepping kernel on integer and float weights
 # ---------------------------------------------------------------------------
 class TestWeightedAgainstReference:
     @pytest.mark.parametrize("seed", range(12))
@@ -166,15 +166,21 @@ class TestWeightedAgainstReference:
         check_paths(result, edges, sources, dests, costs_are_hops=False)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_radix_and_binary_queues_agree(self, seed):
+    def test_wide_integer_weights_match_reference(self, seed):
+        # weights 1..10^6 spread the search over many Δ-stepping buckets
         rng = random.Random(7000 + seed)
         n, edges = random_graph(rng, integral=True)
+        edges = [(u, v, rng.randint(1, 10**6)) for u, v, _ in edges]
         library = build_library(edges, weighted=True)
         sources, dests = query_pairs(rng, n)
-        radix = library.solve(sources, dests, want_cost=True, queue="radix")
-        binary = library.solve(sources, dests, want_cost=True, queue="binary")
-        assert np.array_equal(radix.connected, binary.connected)
-        assert np.array_equal(radix.costs, binary.costs)
+        result = library.solve(sources, dests, want_cost=True, want_path=True)
+        src_ids, dst_ids, valid = library.encode_endpoints(sources, dests)
+        for i in np.flatnonzero(valid):
+            reference = bellman_ford(n, edges, int(sources[i]))[int(dests[i])]
+            assert result.connected[i] == (reference is not None)
+            if reference is not None:
+                assert result.costs[i] == reference
+        check_paths(result, edges, sources, dests, costs_are_hops=False)
 
 
 # ---------------------------------------------------------------------------
