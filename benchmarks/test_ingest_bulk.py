@@ -17,8 +17,9 @@ Two measurements, each an A/B over the same generated data:
 * **dml_then_path_query** — interleaved single-row DML and CHEAPEST
   path queries over an indexed edge table: ``Database()`` folds each
   write into the CSR overlay and serves queries from the merged view,
-  ``Database(graph_overlay=False)`` drops the CSR on every write and
-  pays a full rebuild (factorize + sort + CSR) per query.
+  ``Database(graph_compact_threshold=1)`` compacts on every lookup
+  after a write, paying a full rebuild (factorize + sort + CSR) per
+  query.
 
 Results land in ``BENCH_ingest.json`` at the repo root (the CI smoke
 job re-runs this at a small scale and uploads the file alongside the
@@ -204,7 +205,7 @@ class TestIngestBenchmarks:
         overlay_stats: dict[str, int] = {}
         for label, kwargs in (
             ("overlay", {}),
-            ("rebuild", {"graph_overlay": False}),
+            ("rebuild", {"graph_compact_threshold": 1}),
         ):
             db = build(**kwargs)
             total = 0.0

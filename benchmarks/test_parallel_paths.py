@@ -3,9 +3,9 @@ batch workload.
 
 The paper runs its batch experiment single-threaded; this benchmark
 measures what the concurrency subsystem adds on top: the batch of
-<source, destination> pairs is partitioned by source group across a
-thread pool (``GraphLibrary.solve_encoded(workers=...)``), so one large
-statement uses several cores for the traversal phase.
+<source, destination> pairs is partitioned by source group across the
+shared exec pool (``GraphLibrary.solve_encoded(par=ExecPool(n).context())``),
+so one large statement uses several cores for the traversal phase.
 
 Two checks:
 
@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.exec.parallel import ExecPool
 from repro.graph import PARALLEL_MIN_PAIRS, GraphLibrary
 from repro.ldbc import random_pairs
 
@@ -62,29 +63,38 @@ def workload(networks, databases):
     return library, src_ids, dst_ids
 
 
-def _run_once(workload, workers: int):
+@pytest.fixture(scope="module")
+def pools():
+    """One exec pool per worker count, shut down after the module."""
+    pools = {workers: ExecPool(workers) for workers in WORKER_COUNTS}
+    yield pools
+    for pool in pools.values():
+        pool.shutdown(wait=True)
+
+
+def _run_once(workload, pools, workers: int):
     library, src_ids, dst_ids = workload
     return library.solve_encoded(
-        src_ids, dst_ids, want_cost=True, workers=workers
+        src_ids, dst_ids, want_cost=True, par=pools[workers].context()
     )
 
 
 class TestParallelPaths:
-    def test_results_identical_across_worker_counts(self, workload):
-        base = _run_once(workload, 1)
+    def test_results_identical_across_worker_counts(self, workload, pools):
+        base = _run_once(workload, pools, 1)
         for workers in WORKER_COUNTS[1:]:
-            result = _run_once(workload, workers)
+            result = _run_once(workload, pools, workers)
             assert np.array_equal(base.connected, result.connected)
             assert np.array_equal(base.costs, result.costs)
 
-    def test_worker_scaling_report(self, workload, capsys):
+    def test_worker_scaling_report(self, workload, pools, capsys):
         throughput: dict[int, float] = {}
         for workers in WORKER_COUNTS:
-            _run_once(workload, workers)  # warm-up (reverse CSR, caches)
+            _run_once(workload, pools, workers)  # warm-up (threads, caches)
             best = float("inf")
             for _ in range(REPEATS):
                 start = time.perf_counter()
-                _run_once(workload, workers)
+                _run_once(workload, pools, workers)
                 best = min(best, time.perf_counter() - start)
             throughput[workers] = BATCH_PAIRS / best
         cpus = _usable_cpus()
@@ -108,10 +118,13 @@ class TestParallelPaths:
     def test_parallel_threshold_keeps_small_batches_serial(self, workload):
         library, src_ids, dst_ids = workload
         few = max(2, PARALLEL_MIN_PAIRS // 4)
+        pool = ExecPool(4)
         result = library.solve_encoded(
-            src_ids[:few], dst_ids[:few], want_cost=True, workers=4
+            src_ids[:few], dst_ids[:few], want_cost=True, par=pool.context()
         )
-        serial = library.solve_encoded(
-            src_ids[:few], dst_ids[:few], want_cost=True, workers=1
-        )
+        serial = library.solve_encoded(src_ids[:few], dst_ids[:few], want_cost=True)
         assert np.array_equal(result.costs, serial.costs)
+        stats = pool.stats.snapshot()
+        assert stats["serial_ops"] == {"paths": 1}
+        assert stats["parallel_ops"] == {}
+        pool.shutdown(wait=True)

@@ -40,15 +40,16 @@ invalidated by DML/DDL on the tables they depend on:
   (``graph_cache_capacity``, default 16) holding prepared domain+CSR
   structures for ``CREATE GRAPH INDEX`` definitions.
 
-``path_workers`` ("auto" by default) controls how many threads the graph
-runtime uses to partition large shortest-path batches; see
-:meth:`repro.graph.GraphLibrary.solve_encoded`.
+Large shortest-path batches share the kernels' worker pool
+(``exec_workers``, "auto" by default): their source groups run as
+morsel-pool tasks, see :meth:`repro.graph.GraphLibrary.solve_encoded`.
+``exec_workers=1`` or ``vectorized=False`` solves them serially.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import nullcontext
 from typing import Any, Iterable, Optional, Sequence
 
@@ -205,24 +206,20 @@ class GraphIndexManager:
 
     The cache of built libraries is thread-safe, capacity-bounded (LRU)
     and *versioned*: every entry records the edge table's version counter
-    at build time.  Without overlays, entries are dropped when DML/DDL
-    touches the underlying table (:meth:`invalidate_table`, wired to the
-    table write listeners by :class:`Database`) and re-validated against
-    the live version on every lookup as a backstop, so a stale CSR is
-    never served.
+    at build time and is re-validated against the requested version on
+    every lookup, so a stale CSR is never served.
 
-    With ``overlay=True`` (the ``Database(graph_overlay=...)`` knob) the
-    manager instead maintains a :class:`~repro.graph.overlay.GraphOverlayState`
-    per cached index: committed appends/deletes/updates fold into a CSR
-    delta (:meth:`apply_write`), lookups serve base+overlay merged
-    libraries, and once the delta crosses ``compact_threshold``
-    operations the index compacts back into a canonical fresh build —
-    on the next lookup (``eager``), in the Database's background
-    compaction thread (``background``), or never (``off``).  Writes the
-    overlay cannot interpret (truncate, whole-table replace, commits of
-    multi-statement transactions, endpoint-column updates) fall back to
-    the historical invalidate-and-rebuild path, so a stale or wrong CSR
-    is still never served.
+    Each cached index carries a :class:`~repro.graph.overlay.GraphOverlayState`:
+    committed appends/deletes/updates fold into a CSR delta
+    (:meth:`apply_write`, wired to the table write listeners by
+    :class:`Database`), lookups serve base+overlay merged libraries, and
+    the first lookup after the delta reaches ``compact_threshold``
+    operations compacts the index back into a canonical fresh build
+    (``compact_threshold=1`` therefore rebuilds after every write — the
+    full-rebuild oracle).  Writes the overlay cannot interpret
+    (truncate, whole-table replace, commits of multi-statement
+    transactions, endpoint-column updates) invalidate the entry instead,
+    and the next lookup rebuilds from scratch.
     """
 
     def __init__(
@@ -230,10 +227,7 @@ class GraphIndexManager:
         catalog: Catalog,
         capacity: int = 16,
         *,
-        overlay: bool = False,
         compact_threshold: int = 8192,
-        compact_mode: str = "eager",
-        compact_callback=None,
     ):
         self._catalog = catalog
         self.capacity = max(1, int(capacity))
@@ -242,12 +236,7 @@ class GraphIndexManager:
         self._cache: "OrderedDict[tuple[str, str, str], tuple[int, GraphLibrary]]" = (
             OrderedDict()
         )
-        self.overlay_enabled = bool(overlay)
         self.compact_threshold = max(1, int(compact_threshold))
-        self.compact_mode = compact_mode
-        #: Background-mode hook: called (outside the mutex) with a spec
-        #: whose delta crossed the threshold; owned by the Database.
-        self._compact_callback = compact_callback
         #: spec -> GraphOverlayState for every cached base build; kept in
         #: lockstep with ``_cache`` (evicting one drops the other).
         self._states: "dict[tuple[str, str, str], GraphOverlayState]" = {}
@@ -339,16 +328,6 @@ class GraphIndexManager:
             self._cache.clear()
             self._states.clear()
 
-    def invalidate_table(self, table: str) -> None:
-        """Drop every cached library built over ``table`` (DML/DDL hook)."""
-        key = table.lower()
-        with self._mutex:
-            stale = [spec for spec in self._cache if spec[0] == key]
-            for spec in stale:
-                del self._cache[spec]
-                self._states.pop(spec, None)
-            self.invalidations += len(stale)
-
     def drop_for_table(self, table: str) -> None:
         """Drop the index *definitions* over ``table`` along with their
         cached libraries (DROP TABLE hook) — an orphaned spec would make
@@ -365,15 +344,15 @@ class GraphIndexManager:
             self.invalidations += len(stale)
 
     # ------------------------------------------------------------------
-    # incremental maintenance (overlay mode)
+    # incremental maintenance
     # ------------------------------------------------------------------
     def apply_write(self, table: Table, info: WriteInfo) -> None:
         """Fold one committed mutation into the overlay state of every
-        index over ``table`` (the overlay-mode write-listener hook).
+        index over ``table`` (the write-listener hook).
 
         A write the overlay cannot interpret — or a table with a cached
         build but no state — degrades to invalidation: the next lookup
-        rebuilds from scratch, exactly like the non-overlay path.
+        rebuilds from scratch.
         """
         key = table.name
         with self._mutex:
@@ -381,7 +360,6 @@ class GraphIndexManager:
             if not specs:
                 return
             version = table.current()
-            over_threshold = []
             for spec in specs:
                 state = self._states.get(spec)
                 if state is None:
@@ -407,10 +385,6 @@ class GraphIndexManager:
                             ok = state.apply_update(
                                 version, info.columns, (spec[1], spec[2])
                             )
-                        if ok:
-                            over_threshold_now = (
-                                state.delta_size >= self.compact_threshold
-                            )
                 except Exception:
                     ok = False
                 if not ok:
@@ -419,36 +393,6 @@ class GraphIndexManager:
                     self.invalidations += 1
                     continue
                 self.overlay_applied += 1
-                if over_threshold_now:
-                    over_threshold.append(spec)
-            callback = self._compact_callback
-        if callback is not None and self.compact_mode == "background":
-            for spec in over_threshold:
-                callback(spec)
-
-    def compact(self, spec: tuple) -> bool:
-        """Merge ``spec``'s overlay into a fresh canonical build (the
-        background-compaction entry point).  Returns True when a new
-        base was installed."""
-        with self._mutex:
-            if spec not in self._specs.values():
-                return False
-            state = self._states.get(spec)
-            if state is None:
-                return False
-        try:
-            version = self._catalog.get(spec[0]).current()
-        except CatalogError:
-            return False
-        with state.lock:
-            if (
-                state.applied_version != version.version_id
-                or state.delta_size == 0
-            ):
-                return False
-        library, valid = self._build_library(version, spec[1], spec[2])
-        self._install_build(spec, version, library, valid, compacted=True)
-        return True
 
     @staticmethod
     def _build_library(
@@ -470,7 +414,7 @@ class GraphIndexManager:
         valid,
         compacted: bool = False,
     ) -> None:
-        """Cache a fresh build (and, in overlay mode, its new state)."""
+        """Cache a fresh build and its new overlay state."""
         with self._mutex:
             self.builds += 1
             cached = self._cache.get(spec)
@@ -483,15 +427,14 @@ class GraphIndexManager:
                 # the slot against current-version queries)
                 self._cache[spec] = (version.version_id, library)
                 self._cache.move_to_end(spec)
-                if self.overlay_enabled:
-                    existing = self._states.get(spec)
-                    if (
-                        existing is None
-                        or existing.applied_version <= version.version_id
-                    ):
-                        self._states[spec] = GraphOverlayState(
-                            library, version.version_id, valid
-                        )
+                existing = self._states.get(spec)
+                if (
+                    existing is None
+                    or existing.applied_version <= version.version_id
+                ):
+                    self._states[spec] = GraphOverlayState(
+                        library, version.version_id, valid
+                    )
                 if compacted:
                     self.overlay_merges += 1
                 self._evict_over_capacity()
@@ -547,9 +490,7 @@ class GraphIndexManager:
                 with state.lock:
                     indices[name] = state.describe()
         return {
-            "enabled": self.overlay_enabled,
             "compact_threshold": self.compact_threshold,
-            "compact_mode": self.compact_mode,
             "overlay_hits": self.overlay_hits,
             "overlay_applied": self.overlay_applied,
             "overlay_merges": self.overlay_merges,
@@ -572,10 +513,9 @@ class GraphIndexManager:
         version is used.  Rebuilds happen lazily whenever the requested
         version differs from the cached build.
 
-        In overlay mode a state tracking the requested version serves
-        its base (zero delta) or the base+overlay merged library — no
-        rebuild after DML; a delta past ``compact_threshold`` compacts
-        here first when ``compact_mode`` is ``eager``.
+        An overlay state tracking the requested version serves its base
+        (zero delta) or the base+overlay merged library — no rebuild
+        after DML; a delta at ``compact_threshold`` compacts here first.
         """
         spec = (table.lower(), src_col.lower(), dst_col.lower())
         seed_library = None
@@ -588,13 +528,13 @@ class GraphIndexManager:
                 if table_version is not None
                 else self._catalog.get(spec[0]).current()
             )
-            state = self._states.get(spec) if self.overlay_enabled else None
+            state = self._states.get(spec)
             if state is not None:
                 with state.lock:
                     library = state.library_for(version.version_id)
                     delta = state.delta_size
                 if library is not None:
-                    if delta < self.compact_threshold or self.compact_mode != "eager":
+                    if delta < self.compact_threshold:
                         self.hits += 1
                         if delta:
                             self.overlay_hits += 1
@@ -607,11 +547,7 @@ class GraphIndexManager:
                 if cached is not None and cached[0] == version.version_id:
                     self._cache.move_to_end(spec)
                     self.hits += 1
-                    if not (
-                        self.overlay_enabled
-                        and state is None
-                        and version.version_id < TXN_VERSION_BASE
-                    ):
+                    if state is not None or version.version_id >= TXN_VERSION_BASE:
                         return cached[1]
                     # a seeded/loaded build with no overlay state yet:
                     # create one so later DML maintains it incrementally
@@ -653,7 +589,6 @@ class GraphIndexManager:
                 "capacity": self.capacity,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "overlay_enabled": self.overlay_enabled,
                 "overlay_states": len(self._states),
                 "overlay_hits": self.overlay_hits,
                 "overlay_applied": self.overlay_applied,
@@ -763,11 +698,6 @@ class Database:
         LRU bound of the prepared-statement plan cache (SQL text → plan).
     graph_cache_capacity:
         LRU bound of the graph-index cache (built domain+CSR libraries).
-    path_workers:
-        Worker threads for large shortest-path batches: a positive int,
-        or ``"auto"`` (respect ``REPRO_PATH_WORKERS`` / the CPU count).
-        Small batches always run serially; see
-        :meth:`repro.graph.GraphLibrary.solve_encoded`.
     optimizer:
         When True (default) statements run through the full cost-based
         optimizer (generalized filter pushdown, statistics-driven join
@@ -787,7 +717,8 @@ class Database:
         row-at-a-time paths automatically (counted, see
         :meth:`kernel_stats`).  When False every operator takes the
         original row-at-a-time path — the correctness oracle for the
-        kernel fuzz tests and the baseline for ``BENCH_exec.json``.
+        kernel fuzz tests and the baseline for ``BENCH_exec.json`` — and
+        shortest-path batches are solved serially.
     exec_workers:
         Kernel worker threads for morsel-driven parallel execution
         (:mod:`repro.exec.parallel`): a positive int, or ``"auto"``
@@ -799,8 +730,10 @@ class Database:
         unchanged serial kernels (the oracle for the
         workers-equivalence suite).  Inputs below
         :data:`repro.exec.parallel.PARALLEL_MIN_ROWS` always run
-        serially, so small queries pay no pool overhead.  Counters:
-        :meth:`parallel_stats` / the shell's ``\\workers``.
+        serially, so small queries pay no pool overhead.  Batched
+        shortest-path queries share the same pool: their source groups
+        run as ``paths`` tasks (:meth:`repro.graph.GraphLibrary.solve_encoded`).
+        Counters: :meth:`parallel_stats` / the shell's ``\\workers``.
     morsel_rows / parallel_min_rows:
         Tuning/testing overrides for the morsel size and the serial
         threshold (default the module constants).
@@ -816,24 +749,15 @@ class Database:
         which preserves the plain-array storage paths wholesale (the
         correctness oracle for ``tests/test_storage_compression.py``).
         Counters: :meth:`storage_stats` / the shell's ``\\storage``.
-    graph_overlay:
-        When True (default) committed DML on an edge table folds into a
-        CSR delta overlay (:mod:`repro.graph.overlay`) instead of
-        invalidating the cached graph index: appends extend the
-        adjacency, deletes tombstone CSR slots, and path queries run on
-        a base+overlay merged library — no full rebuild per write.  When
-        False every committed write drops the cached CSR and the next
-        query rebuilds from scratch, preserved wholesale as the
-        correctness oracle for ``tests/test_graph_overlay.py``.
     graph_compact_threshold:
-        Overlay delta size (appended edges + tombstones) at which an
-        index compacts back into a canonical fresh CSR.
-    graph_compact_mode:
-        ``"eager"`` (default) compacts on the first lookup past the
-        threshold; ``"background"`` compacts in a daemon thread owned by
-        this database (lookups keep serving the merged overlay
-        meanwhile); ``"off"`` never compacts (the overlay grows until a
-        write it cannot interpret forces a rebuild).
+        Committed DML on an edge table folds into a CSR delta overlay
+        (:mod:`repro.graph.overlay`) instead of invalidating the cached
+        graph index: appends extend the adjacency, deletes tombstone CSR
+        slots, and path queries run on a base+overlay merged library.
+        The first lookup after the delta (appended edges + tombstones)
+        reaches this size compacts the index back into a canonical fresh
+        CSR; ``1`` rebuilds after every write (the full-rebuild oracle
+        of ``tests/test_graph_overlay.py``).
     durability:
         ``"off"`` (default) keeps today's behavior exactly: no
         write-ahead log, durability only through explicit :meth:`save`.
@@ -874,7 +798,6 @@ class Database:
         *,
         plan_cache_capacity: int = 128,
         graph_cache_capacity: int = 16,
-        path_workers: int | str | None = "auto",
         optimizer: bool = True,
         parameterize: bool = True,
         vectorized: bool = True,
@@ -882,48 +805,29 @@ class Database:
         morsel_rows: Optional[int] = None,
         parallel_min_rows: Optional[int] = None,
         compression: bool = True,
-        graph_overlay: bool = True,
         graph_compact_threshold: int = 8192,
-        graph_compact_mode: str = "eager",
         durability: str = "off",
         wal_dir: Optional[str] = None,
         faults=None,
         memory_budget: int | str | None = "auto",
     ) -> None:
-        if graph_compact_mode not in ("eager", "background", "off"):
-            raise ValueError(
-                "graph_compact_mode must be 'eager', 'background' or 'off', "
-                f"got {graph_compact_mode!r}"
-            )
         if durability not in ("off", "commit", "batch"):
             raise ValueError(
                 "durability must be 'off', 'commit' or 'batch', "
                 f"got {durability!r}"
             )
         self.catalog = Catalog()
-        self.graph_overlay = bool(graph_overlay)
         self.graph_indices = GraphIndexManager(
             self.catalog,
             capacity=graph_cache_capacity,
-            overlay=self.graph_overlay,
             compact_threshold=graph_compact_threshold,
-            compact_mode=graph_compact_mode,
-            compact_callback=self._schedule_graph_compaction,
         )
-        #: Background graph-compaction worker state (lazily started;
-        #: only used when ``graph_compact_mode="background"``).
-        self._compact_cond = threading.Condition()
-        self._compact_queue: "deque[tuple]" = deque()
-        self._compact_pending: set = set()
-        self._compact_thread: Optional[threading.Thread] = None
-        self._compact_stop = False
         self.stats = StatsManager(self.catalog)
         self.plan_cache = PlanCache(
             self.catalog,
             capacity=plan_cache_capacity,
             stats_marker=lambda name: self.stats.marker(name),
         )
-        self.path_workers = path_workers
         self.optimizer_enabled = bool(optimizer)
         self.parameterize = bool(parameterize)
         self.vectorized = bool(vectorized)
@@ -1003,45 +907,8 @@ class Database:
 
     def _on_table_write(self, table: Table, info: WriteInfo) -> None:
         self.plan_cache.invalidate_writes(table.name)
-        if self.graph_overlay:
-            self.graph_indices.apply_write(table, info)
-        else:
-            self.graph_indices.invalidate_table(table.name)
+        self.graph_indices.apply_write(table, info)
         self.stats.on_table_write(table)
-
-    # ------------------------------------------------------------------
-    # background graph compaction
-    # ------------------------------------------------------------------
-    def _schedule_graph_compaction(self, spec: tuple) -> None:
-        """Queue one index for background compaction (deduplicated);
-        the worker thread starts lazily on the first request."""
-        with self._compact_cond:
-            if self.closed or self._compact_stop or spec in self._compact_pending:
-                return
-            self._compact_pending.add(spec)
-            self._compact_queue.append(spec)
-            if self._compact_thread is None:
-                self._compact_thread = threading.Thread(
-                    target=self._compaction_loop,
-                    name="repro-graph-compact",
-                    daemon=True,
-                )
-                self._compact_thread.start()
-            self._compact_cond.notify()
-
-    def _compaction_loop(self) -> None:
-        while True:
-            with self._compact_cond:
-                while not self._compact_queue and not self._compact_stop:
-                    self._compact_cond.wait()
-                if not self._compact_queue:
-                    return  # stop requested, queue drained
-                spec = self._compact_queue.popleft()
-                self._compact_pending.discard(spec)
-            try:
-                self.graph_indices.compact(spec)
-            except ReproError:  # pragma: no cover - table racing away
-                pass
 
     def _optimize(self, plan):
         """Lower a bound logical plan through the optimizer."""
@@ -1066,14 +933,6 @@ class Database:
             if self.closed:
                 return
             self.closed = True
-        with self._compact_cond:
-            self._compact_stop = True
-            self._compact_queue.clear()
-            self._compact_pending.clear()
-            worker = self._compact_thread
-            self._compact_cond.notify_all()
-        if worker is not None:
-            worker.join(timeout=10.0)
         self.exec_pool.shutdown(wait=True)
         self.plan_cache.clear()
         self.graph_indices.clear_cache()
@@ -1421,13 +1280,12 @@ class Database:
             f"misses={graph['misses']} entries={graph['entries']}/"
             f"{graph['capacity']}"
         )
-        if graph.get("overlay_enabled"):
-            footer += (
-                f"\n-- graph overlay: states={graph['overlay_states']} "
-                f"hits={graph['overlay_hits']} "
-                f"applied={graph['overlay_applied']} "
-                f"merges={graph['overlay_merges']}"
-            )
+        footer += (
+            f"\n-- graph overlay: states={graph['overlay_states']} "
+            f"hits={graph['overlay_hits']} "
+            f"applied={graph['overlay_applied']} "
+            f"merges={graph['overlay_merges']}"
+        )
         if self.memory_budget is not None:
             mem = self.memory_stats()
             footer += (
@@ -1509,10 +1367,11 @@ class Database:
         }
 
     def set_exec_workers(self, workers: int | str | None) -> int:
-        """Resize the shared kernel pool (the ``\\workers exec`` shell
-        surface).  The old pool is shut down without waiting (in-flight
-        morsels finish on their threads); cumulative counters carry
-        over.  Returns the effective worker count."""
+        """Resize the shared worker pool of kernels and path batches
+        (the ``\\workers`` shell surface).  The old pool is shut down
+        without waiting (in-flight morsels finish on their threads);
+        cumulative counters carry over.  Returns the effective worker
+        count."""
         old = self.exec_pool
         fresh = ExecPool(
             workers, morsel_rows=old.morsel_rows, min_rows=old.min_rows
@@ -2123,7 +1982,7 @@ def connect(**kwargs: Any) -> Database:
 
     Keyword arguments are forwarded to :class:`Database`
     (``plan_cache_capacity``, ``graph_cache_capacity``,
-    ``path_workers``).  To share one database between threads, call
+    ``exec_workers`` — which also sizes shortest-path batches).  To share one database between threads, call
     :meth:`Database.connect` on the instance to open per-thread
     :class:`~repro.session.Session` cursors.
     """

@@ -18,10 +18,10 @@ Meta commands:
 * ``\\memory`` — memory budget and spill/stream counters (budgeted
   execution: streaming scans, partitioned spills, external sorts)
 * ``\\graph [index]`` — graph-overlay state per index (base/overlay edge
-  counts, tombstones, compaction config) and overlay hit/merge counters
-* ``\\workers [path|exec] [n|auto]`` — show / set the shortest-path and
-  morsel-execution worker budgets, plus parallel-kernel counters
-  (a bare number keeps the historical meaning: path workers)
+  counts, tombstones), the compaction threshold and overlay hit/merge
+  counters
+* ``\\workers [n|auto]`` — show / resize the one worker pool shared by
+  the morsel kernels and shortest-path batches, plus its counters
 * ``\\save <dir>`` / ``\\open <dir>`` — persist / load the database
 * ``\\q`` — quit
 
@@ -253,11 +253,7 @@ class Shell:
             )
         elif name == "\\graph":
             info = self.db.graph_overlay_info()
-            self.write(
-                f"overlay: {'on' if info['enabled'] else 'off'} "
-                f"(compact threshold {info['compact_threshold']}, "
-                f"mode {info['compact_mode']})"
-            )
+            self.write(f"compact threshold: {info['compact_threshold']}")
             self.write(
                 f"counters: overlay_hits={info['overlay_hits']} "
                 f"applied={info['overlay_applied']} "
@@ -284,29 +280,13 @@ class Shell:
                 self.write("no graph indices")
         elif name == "\\workers":
             if args:
-                kind, values = "path", args
-                if args[0] in ("path", "exec"):
-                    kind, values = args[0], args[1:]
-                if values:
-                    value = values[0]
-                    if value != "auto":
-                        try:
-                            value = int(value)
-                        except ValueError:
-                            self.write(
-                                f"error: expected a number or 'auto', got {value!r}"
-                            )
-                            return
-                    if kind == "path":
-                        self.db.path_workers = value
-                    else:
-                        self.db.set_exec_workers(value)
-            from .graph import resolve_workers
-
-            self.write(
-                f"path workers: {self.db.path_workers} "
-                f"(effective {resolve_workers(self.db.path_workers)})"
-            )
+                if len(args) > 1 or not (args[0] == "auto" or args[0].isdigit()):
+                    self.write(
+                        f"error: expected a number or 'auto', got "
+                        f"{' '.join(args)!r} (usage: \\workers [N|auto])"
+                    )
+                    return
+                self.db.set_exec_workers(args[0])
             stats = self.db.parallel_stats()
             self.write(
                 f"exec workers: {stats['workers']} "

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import GraphRuntimeError, ResourceLimitError
 from ..graph import GraphLibrary
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, check_weights
 from ..nested import NestedTableValue
 from ..plan import logical as lp
 from ..plan import physical as pp
@@ -160,14 +160,9 @@ def _prepare_libraries(
 
 
 def _attach_weights(base: GraphLibrary, weights: np.ndarray) -> GraphLibrary:
-    """A weighted view sharing the base library's domain and CSR order.
-
-    Weights must be strictly positive; NaN fails that test as well.
-    """
-    if not (weights > 0).all():
-        raise GraphRuntimeError(
-            "CHEAPEST SUM weights must be strictly greater than 0"
-        )
+    """A weighted view sharing the base library's domain and CSR order
+    (weights validated by :func:`~repro.graph.csr.check_weights`)."""
+    check_weights(weights)
     if weights.dtype.kind in "iu":
         weights = weights.astype(np.int64)
     else:
@@ -225,7 +220,7 @@ def _exec_graph_select(plan: pp.PGraphSelect, ctx: ExecContext) -> Batch:
     dests = _encode_endpoints(ctx, spec.dest, input_batch, base)
 
     if not spec.cheapest:
-        result = base.solve_encoded(sources, dests, workers=ctx.path_workers)
+        result = base.solve_encoded(sources, dests, par=ctx.parallel)
         return input_batch.filter(result.connected)
 
     keep: Optional[np.ndarray] = None
@@ -238,7 +233,7 @@ def _exec_graph_select(plan: pp.PGraphSelect, ctx: ExecContext) -> Batch:
             dests,
             want_cost=True,
             want_path=want_path,
-            workers=ctx.path_workers,
+            par=ctx.parallel,
         )
         if keep is None:
             keep = result.connected
@@ -282,7 +277,7 @@ def _exec_graph_join(plan: pp.PGraphJoin, ctx: ExecContext) -> Batch:
     solutions = []
     if not spec.cheapest:
         solutions.append(
-            (None, base.solve_encoded(grid_src, grid_dst, workers=ctx.path_workers))
+            (None, base.solve_encoded(grid_src, grid_dst, par=ctx.parallel))
         )
     else:
         for cheapest, library in weighted:
@@ -294,7 +289,7 @@ def _exec_graph_join(plan: pp.PGraphJoin, ctx: ExecContext) -> Batch:
                         grid_dst,
                         want_cost=True,
                         want_path=cheapest.path is not None,
-                        workers=ctx.path_workers,
+                        par=ctx.parallel,
                     ),
                 )
             )

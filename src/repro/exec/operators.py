@@ -99,9 +99,6 @@ class ExecContext:
         self.snapshot = snapshot
         self.cte_tables: dict[str, Batch] = {}
         self.profiler = profiler
-        #: Worker-thread budget for the graph runtime's batch solver
-        #: (the Database's ``path_workers`` knob; 1 = always serial).
-        self.path_workers = getattr(database, "path_workers", 1)
         #: Whether key-driven operators use the vectorized kernels of
         #: :mod:`repro.exec.kernels` (the Database's ``vectorized`` knob;
         #: False preserves the row-at-a-time oracle paths).
@@ -109,8 +106,9 @@ class ExecContext:
         self.kernel_counters = getattr(database, "kernel_counters", None)
         #: Morsel-parallel handle on the database's shared kernel worker
         #: pool (:class:`~repro.exec.parallel.ExecPool`); None when the
-        #: pool has one worker or the kernels are off — kernels then run
-        #: their unchanged serial paths (the ``exec_workers=1`` oracle).
+        #: pool has one worker or the kernels are off — kernels and the
+        #: graph runtime's path batches then run their unchanged serial
+        #: paths (the ``exec_workers=1`` oracle).
         self.parallel = None
         if self.vectorized:
             pool = getattr(database, "exec_pool", None)

@@ -17,12 +17,7 @@ from .bidirectional import bidirectional_distance, reverse_csr
 from .csr import CSRGraph, build_csr, expand_frontier
 from .dijkstra import dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
-from .library import (
-    PARALLEL_MIN_PAIRS,
-    GraphLibrary,
-    ShortestPathResult,
-    resolve_workers,
-)
+from .library import PARALLEL_MIN_PAIRS, GraphLibrary, ShortestPathResult
 from .overlay import GraphOverlayState, OverlayDomain, edge_valid_mask
 
 __all__ = [
@@ -44,5 +39,4 @@ __all__ = [
     "OverlayDomain",
     "edge_valid_mask",
     "PARALLEL_MIN_PAIRS",
-    "resolve_workers",
 ]

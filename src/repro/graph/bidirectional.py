@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import GraphRuntimeError
 from .bfs import UNREACHED
 from .csr import CSRGraph, build_csr, expand_level
 
@@ -43,8 +44,13 @@ def bidirectional_distance(
 ) -> tuple[int | None, np.ndarray | None]:
     """(hop distance, path as original edge row ids) or (None, None).
 
-    ``backward`` must be :func:`reverse_csr` of ``forward``.
+    ``backward`` must be :func:`reverse_csr` of ``forward``; hop counts
+    are no shortest paths on a weighted graph, so one is rejected.
     """
+    if forward.weights is not None:
+        raise GraphRuntimeError(
+            "bidirectional search supports unweighted queries only"
+        )
     if source == target:
         return 0, np.empty(0, dtype=np.int64)
     n = forward.num_vertices

@@ -19,6 +19,9 @@ import numpy as np
 
 from ..errors import GraphRuntimeError
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+
 
 class CSRGraph:
     """An immutable CSR adjacency structure over dense vertex ids.
@@ -38,10 +41,14 @@ class CSRGraph:
         Optional float64/int64 array aligned with ``dst``.
     edge_rows:
         int64 array aligned with ``dst``: original edge-table row ids.
+    may_overflow:
+        Whether a path-cost sum can leave the range of the weight type
+        (``w_max·|V|`` above the int64 / float64 maximum); only then
+        does :func:`~repro.graph.dijkstra.dijkstra` check its sums.
     """
 
     __slots__ = ("num_vertices", "indptr", "dst", "src", "weights", "edge_rows",
-                 "integral_weights", "bucket_width")
+                 "integral_weights", "bucket_width", "may_overflow")
 
     def __init__(
         self,
@@ -64,12 +71,19 @@ class CSRGraph:
         # lightest edge (Meyer & Sanders); integral for integer weights,
         # so bucket bounds stay exact
         self.bucket_width = 1
+        # a relaxed sum extends a simple path (at most |V|-1 edges) by
+        # one edge, so no sum exceeds w_max·|V|
+        self.may_overflow = False
         if weights is not None and len(weights):
             w_min, w_max = weights.min().item(), weights.max().item()
             if self.integral_weights:
-                self.bucket_width = max(w_min, -(-w_max * num_vertices // len(weights)))
+                self.bucket_width = min(
+                    max(w_min, -(-w_max * num_vertices // len(weights))), INT64_MAX
+                )
+                self.may_overflow = w_max * num_vertices > INT64_MAX
             else:
                 self.bucket_width = max(w_min, w_max * num_vertices / len(weights))
+                self.may_overflow = w_max * num_vertices > FLOAT64_MAX
 
     @property
     def num_edges(self) -> int:
@@ -83,6 +97,18 @@ class CSRGraph:
         return int(self.indptr[vertex + 1] - self.indptr[vertex])
 
 
+def check_weights(weights: np.ndarray) -> None:
+    """Weights must be strictly positive — the paper specifies a runtime
+    exception otherwise (Section 2); NaN fails that test too.  Float
+    weights must also be finite: an infinite edge carries no path cost."""
+    if not (weights > 0).all():
+        raise GraphRuntimeError(
+            "CHEAPEST SUM weights must be strictly greater than 0"
+        )
+    if weights.dtype.kind == "f" and not np.isfinite(weights).all():
+        raise GraphRuntimeError("CHEAPEST SUM weights must be finite")
+
+
 def build_csr(
     src_ids: np.ndarray,
     dst_ids: np.ndarray,
@@ -91,9 +117,7 @@ def build_csr(
 ) -> CSRGraph:
     """Build a CSR graph from encoded endpoint arrays.
 
-    ``weights``, when given, must be strictly positive — the paper
-    specifies a runtime exception otherwise (Section 2).  NaN is not
-    greater than 0 and is rejected too.
+    ``weights``, when given, must pass :func:`check_weights`.
     """
     src_ids = np.asarray(src_ids, dtype=np.int64)
     dst_ids = np.asarray(dst_ids, dtype=np.int64)
@@ -103,10 +127,7 @@ def build_csr(
         weights = np.asarray(weights)
         if len(weights) != len(src_ids):
             raise GraphRuntimeError("weight column length does not match edges")
-        if not (weights > 0).all():
-            raise GraphRuntimeError(
-                "CHEAPEST SUM weights must be strictly greater than 0"
-            )
+        check_weights(weights)
     # stable sort keeps the original edge order within one source vertex,
     # making path choice deterministic.
     order = np.argsort(src_ids, kind="stable")

@@ -27,6 +27,14 @@ operation over a whole frontier rather than a Python loop over edges:
 as small as the lightest weight would open one bucket per distinct
 distance, while ``w_max·|V|/|E|`` keeps buckets few and re-relaxations
 rare.  One kernel serves integer and floating-point weights.
+
+Path costs stay exact or fail loudly.  When ``CSRGraph.may_overflow``
+says a sum can leave the weight type's range, each round drops the sums
+that wrapped (int64) or reached infinity (float64): such a path costs
+more than any representable one, so it can never be the shortest.  If a
+target is then left unsettled, it may be reachable only through such a
+path, and the search raises :class:`~repro.errors.GraphRuntimeError`
+rather than report it unreachable.
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ import numpy as np
 
 from ..errors import GraphRuntimeError
 from .bfs import TraversalResult, UNREACHED
-from .csr import CSRGraph, expand_frontier, min_mask
+from .csr import INT64_MAX, CSRGraph, expand_frontier, min_mask
 
 
+@np.errstate(over="ignore")  # overflowed sums are detected, not warned
 def dijkstra(
     graph: CSRGraph,
     source: int,
@@ -55,7 +64,7 @@ def dijkstra(
     n = graph.num_vertices
     if graph.integral_weights:
         weights = weights.astype(np.int64, copy=False)
-        unreached = np.iinfo(np.int64).max
+        unreached = INT64_MAX
     else:
         weights = weights.astype(np.float64, copy=False)
         unreached = np.inf
@@ -66,13 +75,15 @@ def dijkstra(
     best_cost = np.empty(n, dtype=weights.dtype)
     best_slot = np.empty(n, dtype=np.int64)
     delta = graph.bucket_width
+    guard, overflowed = graph.may_overflow, False
     indptr, src, dst = graph.indptr, graph.src, graph.dst
     tent[source] = 0
     pending = np.array([source], dtype=np.int64)  # reached, not yet settled
     queued[source] = True
     while len(pending):
         costs = tent[pending]
-        ceiling = costs.min() + delta
+        # in Python numbers, capped at the sentinel: never wraps
+        ceiling = min(costs.min().item() + delta, unreached)
         inside = costs < ceiling
         active = pending[inside]
         pending = pending[~inside]
@@ -80,7 +91,16 @@ def dijkstra(
         while len(active):
             slots = expand_frontier(indptr, active)
             heads = dst[slots]
-            cost = tent[src[slots]] + weights[slots]
+            base = tent[src[slots]]
+            cost = base + weights[slots]
+            if guard:
+                lost = cost == unreached
+                if graph.integral_weights:
+                    lost |= cost < base  # wrapped around
+                if lost.any():
+                    overflowed = True
+                    kept = ~lost
+                    slots, heads, cost = slots[kept], heads[kept], cost[kept]
             better = cost < tent[heads]
             slots, heads, cost = slots[better], heads[better], cost[better]
             cheapest = min_mask(heads, cost, best_cost)
@@ -99,6 +119,11 @@ def dijkstra(
         if targets is not None and settled[targets].all():
             break
         pending = pending[~settled[pending]]
+    if overflowed and (targets is None or not settled[targets].all()):
+        raise GraphRuntimeError(
+            "CHEAPEST SUM path cost exceeds the range of "
+            + ("BIGINT" if graph.integral_weights else "DOUBLE")
+        )
     # vertices relaxed but never settled hold tentative distances only
     unsettled = ~settled
     tent[unsettled] = UNREACHED

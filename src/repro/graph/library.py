@@ -28,20 +28,19 @@ equal-cost tie goes to the earliest relaxation round reaching the final
 cost, then to the smallest CSR slot within that round, so the paths a
 query returns do not depend on the run or the worker count.
 
-Batches large enough to matter are partitioned across a thread pool:
-source groups are dealt round-robin onto ``workers`` shards, and each
-shard traverses independently (the CSR is immutable and every shard
-writes disjoint slots of the output arrays).  Small batches — below
-:data:`PARALLEL_MIN_PAIRS` pairs or with fewer groups than workers —
-always run serially, so per-pair latency never pays thread overhead.
-Worker count resolution: an explicit argument wins, then the
-``REPRO_PATH_WORKERS`` environment variable, then the CPU count.
+Batches large enough to matter run on the statement's shared exec pool
+(:class:`~repro.exec.parallel.ExecPool`, sized by ``Database(exec_workers=)``):
+source groups are dealt round-robin onto one shard per pool worker and
+handed to ``par.map("paths", ...)`` as leaf tasks; each shard traverses
+independently (the CSR is immutable and every shard writes disjoint
+slots of the output arrays).  Without a parallel context —
+``exec_workers=1`` or ``vectorized=False`` — and for batches below
+:data:`PARALLEL_MIN_PAIRS` pairs, the batch is solved serially, so
+per-pair latency never pays a thread hand-off.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +51,8 @@ from .csr import CSRGraph, build_csr
 from .dijkstra import dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
 
-from ..envutil import env_int as _env_int
-
 #: Below this many valid pairs a batch is always solved serially.
-PARALLEL_MIN_PAIRS = _env_int("REPRO_PARALLEL_MIN_PAIRS", 32)
-
-
-def resolve_workers(workers: int | str | None) -> int:
-    """Effective worker count: explicit > ``REPRO_PATH_WORKERS`` > CPUs."""
-    if workers is None or workers == "auto":
-        env = _env_int("REPRO_PATH_WORKERS", None)
-        if env is not None:
-            return max(1, env)
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux fallback
-            return os.cpu_count() or 1
-    try:
-        return max(1, int(workers))
-    except ValueError:
-        raise GraphRuntimeError(
-            f"workers must be a positive integer or 'auto', got {workers!r}"
-        ) from None
+PARALLEL_MIN_PAIRS = 32
 
 
 @dataclass
@@ -168,18 +147,14 @@ class GraphLibrary:
         *,
         want_cost: bool = False,
         want_path: bool = False,
-        workers: int | str | None = 1,
+        par=None,
     ) -> ShortestPathResult:
         """Evaluate reachability / shortest paths for aligned raw pairs."""
         if len(sources) != len(dests):
             raise GraphRuntimeError("source and destination vectors differ in length")
         src_ids, dst_ids, _ = self.encode_endpoints(sources, dests)
         return self.solve_encoded(
-            src_ids,
-            dst_ids,
-            want_cost=want_cost,
-            want_path=want_path,
-            workers=workers,
+            src_ids, dst_ids, want_cost=want_cost, want_path=want_path, par=par
         )
 
     def solve_encoded(
@@ -189,34 +164,21 @@ class GraphLibrary:
         *,
         want_cost: bool = False,
         want_path: bool = False,
-        algorithm: str = "auto",
-        workers: int | str | None = 1,
+        par=None,
     ) -> ShortestPathResult:
         """Like :meth:`solve` but over pre-encoded dense vertex ids.
 
         Entries equal to :data:`~repro.graph.domain.NOT_A_VERTEX` are
         treated as unconnected (the join-with-V filtering already failed).
 
-        ``algorithm='bidirectional'`` uses two-frontier BFS per pair for
-        unweighted queries (the paper's future-work BFS improvement); it
-        needs the reverse CSR, so it pays off with a prepared/indexed
-        graph queried one pair at a time.
-
-        ``workers`` partitions the source groups of a large batch across
-        a thread pool (``"auto"``/None resolves via
-        :func:`resolve_workers`); results are identical to the serial
-        path regardless of worker count.
+        ``par`` is the statement's
+        :class:`~repro.exec.parallel.ParallelContext` (None solves
+        serially): a batch of at least :data:`PARALLEL_MIN_PAIRS` valid
+        pairs spreads its source groups over the pool's workers.
+        Results are identical for any worker count.
         """
         if len(src_ids) != len(dst_ids):
             raise GraphRuntimeError("source and destination vectors differ in length")
-        if algorithm not in ("auto", "bfs", "bidirectional"):
-            raise GraphRuntimeError(f"unknown algorithm {algorithm!r}")
-        if algorithm == "bidirectional":
-            if self.weighted:
-                raise GraphRuntimeError(
-                    "bidirectional search supports unweighted queries only"
-                )
-            return self._solve_bidirectional(src_ids, dst_ids, want_cost, want_path)
         n_pairs = len(src_ids)
         valid = (src_ids != NOT_A_VERTEX) & (dst_ids != NOT_A_VERTEX)
         connected = np.zeros(n_pairs, dtype=np.bool_)
@@ -240,87 +202,32 @@ class GraphLibrary:
         groups = [
             order[start:end] for start, end in zip(boundaries[:-1], boundaries[1:])
         ]
-        n_workers = min(resolve_workers(workers), len(groups))
-        if n_workers <= 1 or len(valid_positions) < PARALLEL_MIN_PAIRS:
-            self._solve_groups(groups, src_ids, dst_ids, connected, costs, paths)
+
+        traverse = dijkstra if self.weighted else bfs
+
+        def solve_shard(shard: list[np.ndarray]) -> None:
+            # groups never overlap, so concurrent shards write disjoint
+            # slots of the shared output arrays
+            for members in shard:
+                result = traverse(self.csr, int(src_ids[members[0]]), dst_ids[members])
+                for position in members:
+                    target = int(dst_ids[position])
+                    value = result.cost(target)
+                    if value is None:
+                        continue
+                    connected[position] = True
+                    if costs is not None:
+                        costs[position] = value
+                    if paths is not None:
+                        paths[position] = reconstruct_path(self.csr, result, target)
+
+        if par is None or len(valid_positions) < PARALLEL_MIN_PAIRS:
+            if par is not None:
+                par.note_serial("paths")
+            solve_shard(groups)
         else:
             # deal groups round-robin so one hub source cannot load a
             # single shard with all the heavy traversals
-            shards = [groups[i::n_workers] for i in range(n_workers)]
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._solve_groups,
-                        shard,
-                        src_ids,
-                        dst_ids,
-                        connected,
-                        costs,
-                        paths,
-                    )
-                    for shard in shards
-                ]
-                for future in futures:
-                    future.result()  # re-raise worker exceptions
-        return ShortestPathResult(connected, costs, paths)
-
-    # ------------------------------------------------------------------
-    def _solve_groups(
-        self,
-        groups: list[np.ndarray],
-        src_ids: np.ndarray,
-        dst_ids: np.ndarray,
-        connected: np.ndarray,
-        costs: np.ndarray | None,
-        paths: list[np.ndarray | None] | None,
-    ) -> None:
-        """Traverse each source group and scatter into the (shared)
-        output arrays.  Groups never overlap, so concurrent shards write
-        disjoint slots."""
-        for members in groups:
-            targets = dst_ids[members]
-            result = self._traverse(int(src_ids[members[0]]), targets)
-            for position in members:
-                target = int(dst_ids[position])
-                value = result.cost(target)
-                if value is None:
-                    continue
-                connected[position] = True
-                if costs is not None:
-                    costs[position] = value
-                if paths is not None:
-                    paths[position] = reconstruct_path(self.csr, result, target)
-
-    # ------------------------------------------------------------------
-    def _traverse(self, source: int, targets: np.ndarray):
-        if self.weighted:
-            return dijkstra(self.csr, source, targets)
-        return bfs(self.csr, source, targets)
-
-    def _solve_bidirectional(
-        self,
-        src_ids: np.ndarray,
-        dst_ids: np.ndarray,
-        want_cost: bool,
-        want_path: bool,
-    ) -> ShortestPathResult:
-        from .bidirectional import bidirectional_distance
-
-        n_pairs = len(src_ids)
-        connected = np.zeros(n_pairs, dtype=np.bool_)
-        costs = np.full(n_pairs, -1, dtype=np.int64) if (want_cost or want_path) else None
-        paths: list[np.ndarray | None] | None = [None] * n_pairs if want_path else None
-        backward = self.reverse
-        for position in range(n_pairs):
-            source, dest = int(src_ids[position]), int(dst_ids[position])
-            if source == NOT_A_VERTEX or dest == NOT_A_VERTEX:
-                continue
-            distance, path = bidirectional_distance(self.csr, backward, source, dest)
-            if distance is None:
-                continue
-            connected[position] = True
-            if costs is not None:
-                costs[position] = distance
-            if paths is not None:
-                paths[position] = path
+            n_shards = min(par.workers, len(groups))
+            par.map("paths", solve_shard, [groups[i::n_shards] for i in range(n_shards)])
         return ShortestPathResult(connected, costs, paths)

@@ -28,11 +28,13 @@ full rebuild's stable sort would produce.  The merged CSR is a plain
 :class:`~repro.graph.csr.CSRGraph`, so BFS, Dijkstra and bidirectional
 search run on it unchanged.
 
-Once the delta crosses a size threshold a **compaction** folds it into a
-fresh canonically-built library (sorted domain, zero tombstones) —
-eagerly on lookup, or in a background thread owned by the ``Database``.
-``Database(graph_overlay=False)`` preserves the historical
-invalidate-and-rebuild path wholesale as the correctness oracle.
+The overlay is the only index-maintenance path.  The first lookup after
+the delta reaches ``Database(graph_compact_threshold=)`` operations
+**compacts** it into a fresh canonically-built library (sorted domain,
+zero tombstones); a threshold of 1 therefore rebuilds after every write,
+which is the full-rebuild oracle the overlay is tested against.  Writes
+the overlay cannot interpret drop the state, and the next lookup
+rebuilds from scratch.
 """
 
 from __future__ import annotations

@@ -48,6 +48,20 @@ class TestDatabase:
         with pytest.raises(CatalogError):
             Database().execute("SELECT * FROM nope")
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"graph_overlay": False},
+            {"graph_compact_mode": "eager"},
+            {"path_workers": 2},
+        ],
+    )
+    def test_removed_graph_settings_are_rejected(self, option):
+        # the overlay is the only index-maintenance path and path
+        # batches share exec_workers: these settings no longer exist
+        with pytest.raises(TypeError):
+            Database(**option)
+
 
 class TestExplain:
     def test_explain_plain_query(self, chain_db):

@@ -172,15 +172,20 @@ class TestLibraryIntegration:
             np.array([1, 2, 3, 1]), np.array([2, 3, 4, 4])
         )
 
+    @staticmethod
+    def _bidirectional(library, src, dst):
+        return [
+            bidirectional_distance(library.csr, library.reverse, int(s), int(d))[0]
+            if s >= 0 and d >= 0
+            else None
+            for s, d in zip(src, dst)
+        ]
+
     def test_algorithm_parameter(self):
         library = self._library()
         src = library.domain.encode(np.array([1, 4]))
         dst = library.domain.encode(np.array([4, 1]))
-        result = library.solve_encoded(
-            src, dst, want_cost=True, algorithm="bidirectional"
-        )
-        assert result.connected.tolist() == [True, False]
-        assert result.costs[0] == 1
+        assert self._bidirectional(library, src, dst) == [1, None]
 
     def test_agrees_with_default(self):
         library = self._library()
@@ -188,11 +193,11 @@ class TestLibraryIntegration:
         src = library.domain.encode(rng.integers(1, 5, 20))
         dst = library.domain.encode(rng.integers(1, 5, 20))
         default = library.solve_encoded(src, dst, want_cost=True)
-        bidir = library.solve_encoded(
-            src, dst, want_cost=True, algorithm="bidirectional"
-        )
-        assert default.connected.tolist() == bidir.connected.tolist()
-        assert default.costs.tolist() == bidir.costs.tolist()
+        expected = [
+            int(cost) if hit else None
+            for hit, cost in zip(default.connected, default.costs)
+        ]
+        assert self._bidirectional(library, src, dst) == expected
 
     def test_reverse_cached(self):
         library = self._library()
@@ -203,11 +208,18 @@ class TestLibraryIntegration:
             np.array([1]), np.array([2]), np.array([3], dtype=np.int64)
         )
         with pytest.raises(GraphRuntimeError, match="unweighted"):
-            library.solve_encoded(
-                np.array([0]), np.array([1]), algorithm="bidirectional"
-            )
+            bidirectional_distance(library.csr, library.reverse, 0, 1)
 
     def test_unknown_algorithm_rejected(self):
+        # the batch solver has no algorithm switch and no worker count of
+        # its own (it takes the statement's exec-pool context)
         library = self._library()
-        with pytest.raises(GraphRuntimeError, match="algorithm"):
-            library.solve_encoded(np.array([0]), np.array([1]), algorithm="astar")
+        for name, value in [
+            ("algorithm", "bidirectional"),
+            ("algorithm", "astar"),
+            ("workers", 2),
+        ]:
+            with pytest.raises(TypeError, match=name):
+                library.solve_encoded(np.array([0]), np.array([1]), **{name: value})
+            with pytest.raises(TypeError, match=name):
+                library.solve(np.array([1]), np.array([2]), **{name: value})

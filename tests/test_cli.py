@@ -138,12 +138,23 @@ class TestCacheAndWorkerMetaCommands:
         assert "graph_index_cache:" in output
 
     def test_meta_workers_show_and_set(self):
-        _, output = run_lines(["\\workers 3", "\\workers"])
-        assert "path workers: 3" in output
+        shell, output = run_lines(["\\workers 3", "\\workers"])
+        assert "exec workers: 3" in output
+        assert shell.db.exec_pool.workers == 3
 
     def test_meta_workers_auto(self):
+        from repro.exec.parallel import resolve_exec_workers
+
         shell, output = run_lines(["\\workers auto"])
-        assert "path workers: auto (effective" in output
+        assert f"exec workers: {resolve_exec_workers('auto')} " in output
+
+    def test_meta_graph_shows_threshold_and_counters(self, chain_db):
+        chain_db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+        _, output = run_lines(["\\graph"], db=chain_db)
+        assert "compact threshold: 8192" in output
+        assert "counters: overlay_hits=" in output
+        assert "gi: base_edges=" in output
+        assert "overlay: on" not in output and "mode" not in output
 
     def test_meta_workers_rejects_garbage(self):
         shell, output = run_lines(["\\workers banana", "SELECT 1;"])

@@ -184,9 +184,10 @@ class TestPlanCache:
 
 class TestGraphIndexCacheInvalidation:
     def test_dml_invalidates_graph_index_cache(self):
-        # overlay off: the pre-overlay contract — committed DML drops
-        # the cached CSR and the next query rebuilds from scratch
-        db = Database(graph_overlay=False)
+        # an endpoint-column UPDATE is a write the overlay cannot
+        # interpret: it drops the cached CSR and the next query rebuilds
+        # from scratch
+        db = Database()
         db.executescript(
             """
             CREATE TABLE e (s INT, d INT, w INT);
@@ -199,13 +200,15 @@ class TestGraphIndexCacheInvalidation:
         ).scalar() == 1
         stats = db.graph_indices.stats()
         assert stats["entries"] == 1 and stats["hits"] >= 1
-        db.execute("INSERT INTO e VALUES (4, 9, 1)")
+        db.execute("UPDATE e SET d = 9 WHERE s = 3")
         stats = db.graph_indices.stats()
         assert stats["entries"] == 0 and stats["invalidations"] >= 1
-        # the rebuilt index must see the new edge (no stale-cache read)
+        # the rebuilt index must see the moved edge (no stale-cache read)
         assert db.execute(
             "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 9 OVER e EDGE (s, d)"
-        ).scalar() == 2
+        ).scalar() == 3
+        assert db.graph_indices.stats()["builds"] >= 2
+        db.close()
 
     def test_dml_folds_into_graph_overlay(self, graph_db):
         # overlay on (default): committed DML keeps the cache entry and

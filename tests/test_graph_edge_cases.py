@@ -158,6 +158,48 @@ class TestWeightValidation:
                 "SELECT CHEAPEST SUM(k: w) WHERE 1 REACHES 3 OVER e k EDGE (s, d)"
             )
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_bigint_sum_is_exact_or_raises(self, db, indexed):
+        # 1->2->3 sums past the BIGINT range; 1->5->3 fits exactly
+        db.execute("CREATE TABLE e (s INT, d INT, w BIGINT)")
+        db.execute(
+            "INSERT INTO e VALUES (1, 2, 5000000000000000000), "
+            "(2, 3, 5000000000000000000), (1, 5, 1), "
+            "(5, 3, 9000000000000000000)"
+        )
+        if indexed:
+            db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)")
+        query = "SELECT CHEAPEST SUM(x: w) WHERE 1 REACHES {} OVER e x EDGE (s, d)"
+        assert db.execute(query.format(3)).scalar() == 9000000000000000001
+        assert db.execute(query.format(2)).scalar() == 5000000000000000000
+        db.execute("DELETE FROM e WHERE s = 5")
+        # now the only path to 3 overflows: an error, never a wrapped cost
+        with pytest.raises(GraphRuntimeError, match="BIGINT"):
+            db.execute(query.format(3))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_infinite_float_weights_raise(self, db, indexed):
+        db.execute("CREATE TABLE e (s INT, d INT, w DOUBLE)")
+        db.execute("INSERT INTO e VALUES (1, 2, 1e308), (2, 3, 1e308), (1, 4, 1.0)")
+        if indexed:
+            db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)")
+        assert db.execute(
+            "SELECT 1 WHERE 1 REACHES 2 OVER e x EDGE (s, d)"
+        ).rows() == [(1,)]
+        # w * 10 is inf: an infinite weight is rejected like NaN
+        with pytest.raises(GraphRuntimeError, match="finite"):
+            db.execute(
+                "SELECT CHEAPEST SUM(x: w * 10) WHERE 1 REACHES 2 "
+                "OVER e x EDGE (s, d)"
+            )
+        query = "SELECT CHEAPEST SUM(x: w) WHERE 1 REACHES {} OVER e x EDGE (s, d)"
+        # 1e308 + 1e308 reaches inf: an error, never a missing row
+        with pytest.raises(GraphRuntimeError, match="DOUBLE"):
+            db.execute(query.format(3))
+        assert db.execute(query.format(2)).scalar() == 1e308
+        assert db.execute(query.format(4)).scalar() == 1.0
+
     def test_weight_on_null_endpoint_edge_is_ignored(self, db):
         # edges with NULL endpoints are dropped before weight validation
         db.execute("CREATE TABLE e (s INT, d INT, w INT)")

@@ -1,10 +1,9 @@
 """Incremental graph-index maintenance: the CSR delta overlay vs the
 full-rebuild oracle.
 
-``Database(graph_overlay=False)`` preserves the pre-overlay behavior
-wholesale — every committed write drops the cached CSR and the next
-query rebuilds from scratch — and is the correctness oracle here: after
-any randomized churn of inserts / deletes / updates, both engines must
+``Database(graph_compact_threshold=1)`` compacts the index into a fresh
+canonical build on every lookup after a write, and is the correctness
+oracle here: after any randomized churn of inserts / deletes / updates, both engines must
 report identical costs (and Bellman-Ford must agree).  Paths are
 compared by *validity and cost*, not byte equality: vertex ids are
 assigned in different orders by the two builds, so equal-cost ties may
@@ -14,7 +13,6 @@ resolve to different (equally correct) paths.
 from __future__ import annotations
 
 import random
-import time
 
 import numpy as np
 import pytest
@@ -40,7 +38,7 @@ def scalar(db: Database, sql: str, params) -> object:
 
 def engine_pair(**overlay_kwargs):
     over = Database(**overlay_kwargs)
-    base = Database(graph_overlay=False)
+    base = Database(graph_compact_threshold=1)
     for db in (over, base):
         db.execute(EDGE_DDL)
         db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
@@ -137,9 +135,7 @@ class TestChurnOracle:
     def test_churn_matches_full_rebuild(self, seed):
         rng = random.Random(1000 + seed)
         threshold = rng.choice([3, 50, 100_000])
-        over, base = engine_pair(
-            graph_compact_threshold=threshold, graph_compact_mode="eager"
-        )
+        over, base = engine_pair(graph_compact_threshold=threshold)
         dbs = (over, base)
         for _ in range(30):
             roll = rng.random()
@@ -218,7 +214,7 @@ class TestOverlayLifecycle:
         db.close()
 
     def test_eager_compaction_past_threshold(self):
-        db = Database(graph_compact_threshold=3, graph_compact_mode="eager")
+        db = Database(graph_compact_threshold=3)
         db.execute(EDGE_DDL)
         db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
         db.execute("INSERT INTO edges VALUES (0, 1, 1)")
@@ -233,43 +229,23 @@ class TestOverlayLifecycle:
         assert info["overlay_edges"] == 0 and info["tombstones"] == 0
         db.close()
 
-    def test_off_mode_never_compacts(self):
-        db = Database(graph_compact_threshold=2, graph_compact_mode="off")
+    def test_threshold_one_rebuilds_after_every_write(self):
+        # the full-rebuild oracle: every lookup after a write compacts
+        db = Database(graph_compact_threshold=1)
         db.execute(EDGE_DDL)
         db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
-        db.execute("INSERT INTO edges VALUES (0, 1, 1)")
-        assert scalar(db, Q13, (0, 1)) == 1
-        for i in range(1, 6):
+        for i in range(4):
             db.execute(f"INSERT INTO edges VALUES ({i}, {i + 1}, 1)")
-        assert scalar(db, Q13, (0, 6)) == 6
-        stats = db.graph_indices.stats()
-        assert stats["overlay_merges"] == 0
-        assert db.graph_overlay_info()["indices"]["gi"]["overlay_edges"] == 6
-        db.close()
-
-    def test_background_compaction(self):
-        db = Database(
-            graph_compact_threshold=2, graph_compact_mode="background"
-        )
-        db.execute(EDGE_DDL)
-        db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
-        db.execute("INSERT INTO edges VALUES (0, 1, 1)")
-        assert scalar(db, Q13, (0, 1)) == 1
-        for i in range(1, 6):
-            db.execute(f"INSERT INTO edges VALUES ({i}, {i + 1}, 1)")
-        deadline = time.time() + 10.0
-        while time.time() < deadline:
-            info = db.graph_overlay_info()["indices"].get("gi")
-            if info and info["overlay_edges"] == 0:
-                break
-            time.sleep(0.02)
-        assert db.graph_indices.stats()["overlay_merges"] >= 1
-        assert scalar(db, Q13, (0, 6)) == 6  # compacted CSR, same answers
+            assert scalar(db, Q13, (0, i + 1)) == i + 1
+            info = db.graph_overlay_info()
+            assert info["overlay_merges"] == i + 1
+            assert info["indices"]["gi"]["overlay_edges"] == 0
+        assert db.graph_indices.stats()["overlay_hits"] == 0
         db.close()
 
     def test_compaction_mid_query_stream(self):
         # alternate writes and queries so compaction interleaves lookups
-        db = Database(graph_compact_threshold=2, graph_compact_mode="eager")
+        db = Database(graph_compact_threshold=2)
         db.execute(EDGE_DDL)
         db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
         for i in range(12):
@@ -303,16 +279,6 @@ class TestOverlayLifecycle:
             "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 2 OVER edges EDGE (s, d)"
         )
         assert "graph overlay:" in text
-        db.close()
-
-    def test_overlay_disabled_has_no_footer_line(self):
-        db = Database(graph_overlay=False)
-        db.execute(EDGE_DDL)
-        db.execute("INSERT INTO edges VALUES (1, 2, 1)")
-        text = db.explain(
-            "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 2 OVER edges EDGE (s, d)"
-        )
-        assert "graph overlay:" not in text
         db.close()
 
 
@@ -353,17 +319,6 @@ class TestOverlayPersistence:
         assert scalar(loaded, Q13, (1, 9)) == 3
         stats = loaded.graph_indices.stats()
         assert stats["overlay_applied"] >= 1
-        loaded.close()
-
-    def test_overlay_off_round_trip(self, tmp_path):
-        db = Database(graph_overlay=False)
-        self._seed(db)
-        db.save(str(tmp_path / "image"))
-        db.close()
-        loaded = Database.load(str(tmp_path / "image"), graph_overlay=False)
-        assert scalar(loaded, Q13, (1, 3)) == 2
-        loaded.execute("INSERT INTO edges VALUES (3, 9, 1)")
-        assert scalar(loaded, Q13, (1, 9)) == 3
         loaded.close()
 
 

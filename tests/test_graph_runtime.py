@@ -88,6 +88,17 @@ class TestCSR:
         with pytest.raises(GraphRuntimeError, match="strictly greater"):
             build_csr(np.array([0, 1]), np.array([1, 0]), 2, np.array([1.0, np.nan]))
 
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(GraphRuntimeError, match="finite"):
+            build_csr(np.array([0, 1]), np.array([1, 0]), 2, np.array([1.0, np.inf]))
+
+    def test_overflow_bound_is_per_graph(self):
+        src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
+        assert not build_csr(src, dst, 3, np.array([1, 100, 7])).may_overflow
+        assert not build_csr(src, dst, 3, np.array([1.0, 1e300, 2.0])).may_overflow
+        assert build_csr(src, dst, 3, np.array([1, 2, 5 * 10**18])).may_overflow
+        assert build_csr(src, dst, 3, np.array([1.0, 1e308, 2.0])).may_overflow
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(GraphRuntimeError):
             build_csr(np.array([0]), np.array([1, 2]), 3)

@@ -511,6 +511,69 @@ class TestSharedPoolConcurrency:
 
 
 # ---------------------------------------------------------------------------
+# path batches on the same pool
+# ---------------------------------------------------------------------------
+class TestPathBatchesOnExecPool:
+    """Batched shortest-path queries run their source-group shards on
+    the database's one exec pool, never on a thread pool of their own."""
+
+    BATCH_Q13 = (
+        "SELECT p.s, p.d, CHEAPEST SUM(1) AS hops FROM pairs p "
+        "WHERE p.s REACHES p.d OVER edges EDGE (s, d)"
+    )
+    BATCH_Q14 = (
+        "SELECT p.s, p.d, CHEAPEST SUM(e: w) AS (cost, path) FROM pairs p "
+        "WHERE p.s REACHES p.d OVER edges e EDGE (s, d)"
+    )
+
+    @staticmethod
+    def _load(db):
+        rng = np.random.default_rng(11)
+        db.execute("CREATE TABLE edges (s BIGINT, d BIGINT, w BIGINT)")
+        db.appender("edges").append(
+            {
+                "s": rng.integers(0, 60, 300),
+                "d": rng.integers(0, 60, 300),
+                "w": rng.integers(1, 20, 300),
+            }
+        )
+        db.execute("CREATE TABLE pairs (s BIGINT, d BIGINT)")
+        db.appender("pairs").append(
+            {"s": rng.integers(0, 60, 128), "d": rng.integers(0, 60, 128)}
+        )
+
+    def _answers(self, db):
+        q13 = db.execute(self.BATCH_Q13).rows()
+        q14 = [
+            (s, d, cost, path.to_rows())
+            for s, d, cost, path in db.execute(self.BATCH_Q14).rows()
+        ]
+        return q13, q14
+
+    def test_batches_run_on_the_exec_pool(self):
+        before = set(threading.enumerate())
+        serial = Database(exec_workers=1)
+        pooled = Database(exec_workers=2)
+        for db in (serial, pooled):
+            self._load(db)
+        q13, q14 = self._answers(serial)
+        assert len(q13) > 32 and len(q14) > 32  # past PARALLEL_MIN_PAIRS
+        assert self._answers(pooled) == (q13, q14)
+        assert pooled.parallel_stats()["parallel_ops"]["paths"] == 2
+        started = set(threading.enumerate()) - before
+        assert started
+        assert all(t.name.startswith("repro-exec") for t in started), started
+        serial.close()
+        pooled.close()
+        left = [
+            t.name
+            for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-")
+        ]
+        assert left == []
+
+
+# ---------------------------------------------------------------------------
 # counters, knobs, shell surface
 # ---------------------------------------------------------------------------
 class TestParallelStats:
@@ -638,8 +701,9 @@ class TestParallelStats:
         )
         shell.feed_line("\\workers")
         assert "exec workers: 2" in out.getvalue()
-        shell.feed_line("\\workers exec 1")
+        shell.feed_line("\\workers 1")
         assert "exec workers: 1" in out.getvalue()
         assert shell.db.exec_pool.workers == 1
-        shell.feed_line("\\workers 3")  # bare number: path workers
-        assert shell.db.path_workers == 3
+        shell.feed_line("\\workers path 3")  # no separate path pool
+        assert "usage: \\workers [N|auto]" in out.getvalue()
+        assert shell.db.exec_pool.workers == 1

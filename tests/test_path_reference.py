@@ -18,7 +18,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.graph import GraphLibrary
+from repro.exec.parallel import ExecPool
+from repro.graph import GraphLibrary, bidirectional_distance
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +127,19 @@ class TestUnweightedAgainstReference:
         n, edges = random_graph(rng, integral=True)
         library = build_library(edges, weighted=False)
         sources, dests = query_pairs(rng, n)
-        src_ids, dst_ids, _ = library.encode_endpoints(sources, dests)
+        src_ids, dst_ids, valid = library.encode_endpoints(sources, dests)
         plain = library.solve_encoded(src_ids, dst_ids, want_cost=True)
-        bidi = library.solve_encoded(
-            src_ids, dst_ids, want_cost=True, algorithm="bidirectional"
-        )
-        assert np.array_equal(plain.connected, bidi.connected)
-        assert np.array_equal(plain.costs, bidi.costs)
+        for i in range(len(src_ids)):
+            bidi = (
+                bidirectional_distance(
+                    library.csr, library.reverse, int(src_ids[i]), int(dst_ids[i])
+                )[0]
+                if valid[i]
+                else None
+            )
+            assert plain.connected[i] == (bidi is not None)
+            if bidi is not None:
+                assert plain.costs[i] == bidi
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +203,13 @@ class TestWorkerInvariance:
         sources, dests = query_pairs(rng, n, count=64)
         base = library.solve(sources, dests, want_cost=True, want_path=True)
         for workers in (2, 4):
+            pool = ExecPool(workers)
             run = library.solve(
-                sources, dests, want_cost=True, want_path=True, workers=workers
+                sources, dests, want_cost=True, want_path=True, par=pool.context()
             )
+            pool.shutdown(wait=True)
+            stats = pool.stats.snapshot()  # one decision: pooled or serial
+            assert {**stats["parallel_ops"], **stats["serial_ops"]} == {"paths": 1}
             assert np.array_equal(base.connected, run.connected)
             assert np.array_equal(base.costs, run.costs)
             for p1, p2 in zip(base.paths, run.paths):

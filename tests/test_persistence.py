@@ -295,7 +295,7 @@ class TestGraphIndexPersistence:
     def test_unbuilt_index_is_not_force_built_by_save(self, tmp_path, chain_db):
         chain_db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
         # drop the eagerly-built library: save must NOT rebuild it
-        chain_db.graph_indices.invalidate_table("edges")
+        chain_db.graph_indices.clear_cache()
         builds_before = chain_db.graph_indices.stats()["builds"]
         target = tmp_path / "db"
         chain_db.save(str(target))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from test_path_reference import bellman_ford
 
 from repro import Database
+from repro.errors import GraphRuntimeError
+from repro.exec.parallel import ExecPool
 from repro.graph import (
     GraphLibrary,
     VertexDomain,
@@ -262,11 +264,74 @@ class TestDeltaSteppingAgainstBellmanFord:
         library = GraphLibrary(src, dst, np.array([e[2] for e in edges]))
         keys = np.unique(np.concatenate((src, dst)))
         sources, dests = np.repeat(keys, len(keys)), np.tile(keys, len(keys))
-        one = library.solve(sources, dests, want_cost=True, want_path=True, workers=1)
-        four = library.solve(sources, dests, want_cost=True, want_path=True, workers=4)
+        one = library.solve(sources, dests, want_cost=True, want_path=True)
+        pool = ExecPool(4)
+        try:
+            four = library.solve(
+                sources, dests, want_cost=True, want_path=True, par=pool.context()
+            )
+        finally:
+            pool.shutdown(wait=True)
         assert one.costs.tolist() == four.costs.tolist()
         for a, b in zip(one.paths, four.paths):
             assert (a is None and b is None) or a.tolist() == b.tolist()
+
+
+@st.composite
+def overflow_graphs(draw, huge, small):
+    """A chain 0 -> 1 -> ... of huge weights, whose far end costs more
+    than the weight type holds, plus random huge and small edges that
+    may open cheaper detours."""
+    n = draw(st.integers(2, 10))
+    vertex = st.integers(0, n - 1)
+    edges = [(i, i + 1, draw(huge)) for i in range(n - 1)]
+    edges += draw(
+        st.lists(st.tuples(vertex, vertex, st.one_of(huge, small)), max_size=12)
+    )
+    return n, draw(st.permutations(edges))
+
+
+class TestOverflowGuardAgainstBellmanFord:
+    """Weights near the top of the int64 / float64 range.  Bellman-Ford
+    over Python ints (exact) and floats (inf past the range) gives every
+    true cost; the kernel reports it exactly, or raises — and it must
+    raise for a reachable target whose cost the weight type cannot
+    hold, and may raise only when some target is that or unreachable."""
+
+    HUGE = {
+        "int": (
+            st.integers(2 * 10**18, 4 * 10**18),
+            st.integers(1, 9),
+            lambda ref: ref > 2**63 - 1,
+        ),
+        "float": (
+            st.floats(4e307, 1e308),
+            st.floats(1.0, 9.0),
+            lambda ref: ref == float("inf"),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(HUGE))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_exact_or_raises(self, kind, data):
+        huge, small, past_range = self.HUGE[kind]
+        n, edges = data.draw(overflow_graphs(huge, small))
+        graph = _delta_csr(n, edges)
+        targets = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        )
+        reference = bellman_ford(n, edges, 0)
+        past = [reference[t] is not None and past_range(reference[t]) for t in targets]
+        unreachable = [reference[t] is None for t in targets]
+        try:
+            result = dijkstra(graph, 0, targets)
+        except GraphRuntimeError:
+            assert any(past) or any(unreachable)
+            return
+        assert not any(past)  # a cost past the range must raise
+        for t in targets.tolist():
+            assert _same_distance(result.cost(t), reference[t])
 
 
 class TestDomainProperties:
