@@ -4,7 +4,10 @@ The paper expects "to significantly improve the BFS implementation"
 (Section 4).  Bidirectional search is that improvement for the
 single-pair case: with the CSR (and its transpose) already prepared — a
 graph index — the per-query work drops from O(b^d) to O(b^(d/2))
-explored vertices.
+explored vertices.  The engine makes this choice itself: every
+unweighted source group with one distinct target on an indexed library
+runs bidirectional search, everything else forward BFS.  This ablation
+times the two kernels the choice is between, on the same pairs.
 """
 
 import numpy as np

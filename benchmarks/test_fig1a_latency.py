@@ -70,6 +70,11 @@ def test_fig1a_reproduction_report(databases, capsys):
         by_query.setdefault(row["query"], {})[row["scale_factor"]] = row[
             "avg_latency_s"
         ]
+    # no graph index here: every search runs forward, no transpose is built
+    for db in databases.values():
+        traversals = db.cache_stats()["graph_index_cache"]
+        assert traversals["forward_traversals"] > 0
+        assert traversals["bidirectional_pairs"] == traversals["transpose_builds"] == 0
     ordered = sorted(SCALE_FACTORS)
     for series in by_query.values():
         # latency must grow with scale factor (graph build dominates);

@@ -48,6 +48,11 @@ def test_fig1b_reproduction_report(databases, capsys):
             )
         )
 
+    # no graph index here: every search runs forward, no transpose is built
+    for db in databases.values():
+        traversals = db.cache_stats()["graph_index_cache"]
+        assert traversals["forward_traversals"] > 0
+        assert traversals["bidirectional_pairs"] == traversals["transpose_builds"] == 0
     series: dict[int, dict[int, float]] = {}
     for row in rows:
         series.setdefault(row["scale_factor"], {})[row["batch_size"]] = row[

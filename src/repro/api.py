@@ -220,6 +220,13 @@ class GraphIndexManager:
     (truncate, whole-table replace, commits of multi-statement
     transactions, endpoint-column updates) invalidate the entry instead,
     and the next lookup rebuilds from scratch.
+
+    Every library the cache holds is marked
+    :attr:`~repro.graph.GraphLibrary.indexed`, so it keeps its transpose
+    (built on its first single-target query) until it is evicted.  The
+    traversal counters (:meth:`note_solve`) count every path statement,
+    indexed or not: transposes built, pairs answered bidirectionally and
+    forward traversals.
     """
 
     def __init__(
@@ -248,6 +255,9 @@ class GraphIndexManager:
         self.overlay_hits = 0
         self.overlay_applied = 0
         self.overlay_merges = 0
+        self.transpose_builds = 0
+        self.bidirectional_pairs = 0
+        self.forward_traversals = 0
 
     def create(self, name: str, table: str, src_col: str, dst_col: str) -> None:
         schema = self._catalog.get(table).schema
@@ -307,6 +317,7 @@ class GraphIndexManager:
             if spec is None:  # pragma: no cover - defensive
                 return
             version = self._catalog.get(spec[0]).current()
+            library.indexed = True
             self._cache[spec] = (version.version_id, library)
             self._cache.move_to_end(spec)
             self._states.pop(spec, None)
@@ -425,6 +436,7 @@ class GraphIndexManager:
                 # and never let an old-snapshot build clobber a fresher
                 # cached CSR (a long transaction would otherwise thrash
                 # the slot against current-version queries)
+                library.indexed = True
                 self._cache[spec] = (version.version_id, library)
                 self._cache.move_to_end(spec)
                 existing = self._states.get(spec)
@@ -579,6 +591,14 @@ class GraphIndexManager:
         self._install_build(spec, version, library, valid, compacted=compacting)
         return library
 
+    def note_solve(self, result) -> None:
+        """Count the searches one library call ran (a
+        :class:`~repro.graph.ShortestPathResult`)."""
+        with self._mutex:
+            self.transpose_builds += result.transpose_builds
+            self.bidirectional_pairs += result.bidirectional_pairs
+            self.forward_traversals += result.forward_traversals
+
     def stats(self) -> dict[str, int]:
         with self._mutex:
             return {
@@ -593,6 +613,9 @@ class GraphIndexManager:
                 "overlay_hits": self.overlay_hits,
                 "overlay_applied": self.overlay_applied,
                 "overlay_merges": self.overlay_merges,
+                "transpose_builds": self.transpose_builds,
+                "bidirectional_pairs": self.bidirectional_pairs,
+                "forward_traversals": self.forward_traversals,
             }
 
 

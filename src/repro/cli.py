@@ -18,8 +18,9 @@ Meta commands:
 * ``\\memory`` — memory budget and spill/stream counters (budgeted
   execution: streaming scans, partitioned spills, external sorts)
 * ``\\graph [index]`` — graph-overlay state per index (base/overlay edge
-  counts, tombstones), the compaction threshold and overlay hit/merge
-  counters
+  counts, tombstones), the compaction threshold, overlay hit/merge
+  counters and which searches served path statements (bidirectional
+  pairs, forward traversals, transposes built)
 * ``\\workers [n|auto]`` — show / resize the one worker pool shared by
   the morsel kernels and shortest-path batches, plus its counters
 * ``\\save <dir>`` / ``\\open <dir>`` — persist / load the database
@@ -258,6 +259,12 @@ class Shell:
                 f"counters: overlay_hits={info['overlay_hits']} "
                 f"applied={info['overlay_applied']} "
                 f"merges={info['overlay_merges']}"
+            )
+            cache = self.db.cache_stats()["graph_index_cache"]
+            self.write(
+                f"traversals: bidirectional_pairs={cache['bidirectional_pairs']} "
+                f"forward={cache['forward_traversals']} "
+                f"transpose_builds={cache['transpose_builds']}"
             )
             names = self.db.graph_indices.names()
             if args:

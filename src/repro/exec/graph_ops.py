@@ -19,7 +19,12 @@ stage (Section 3.1):
 The graph-index cache (the paper's Section 6 future work) keys a
 prepared, *unweighted* domain+CSR on (table, S, D, table version); a
 weighted query re-attaches its weight vector through the CSR's stored
-edge permutation, skipping the sort and dictionary build.
+edge permutation, skipping the sort and dictionary build.  A library the
+index serves also keeps its transpose, so its unweighted single-target
+pairs — point Q13 and most of batched Q13 — run bidirectional search;
+a library built for an un-indexed statement keeps forward BFS (see
+:mod:`repro.graph.library`).  Every library call reports which searches
+ran to the database's graph-index counters.
 """
 
 from __future__ import annotations
@@ -168,18 +173,26 @@ def _attach_weights(base: GraphLibrary, weights: np.ndarray) -> GraphLibrary:
     else:
         weights = weights.astype(np.float64)
     csr = base.csr
-    library = GraphLibrary.__new__(GraphLibrary)
-    library.domain = base.domain
-    library.csr = CSRGraph(
-        num_vertices=csr.num_vertices,
-        indptr=csr.indptr,
-        dst=csr.dst,
-        src=csr.src,
-        weights=weights[csr.edge_rows],
-        edge_rows=csr.edge_rows,
+    return GraphLibrary.from_csr(
+        base.domain,
+        CSRGraph(
+            num_vertices=csr.num_vertices,
+            indptr=csr.indptr,
+            dst=csr.dst,
+            src=csr.src,
+            weights=weights[csr.edge_rows],
+            edge_rows=csr.edge_rows,
+        ),
     )
-    library.weighted = True
-    return library
+
+
+def _solve(ctx: ExecContext, library: GraphLibrary, sources, dests, **wants):
+    """One library call on the statement's pool, counted in the
+    database's graph-index traversal counters."""
+    result = library.solve_encoded(sources, dests, par=ctx.parallel, **wants)
+    if ctx.database is not None:
+        ctx.database.graph_indices.note_solve(result)
+    return result
 
 
 def _path_column(
@@ -220,7 +233,7 @@ def _exec_graph_select(plan: pp.PGraphSelect, ctx: ExecContext) -> Batch:
     dests = _encode_endpoints(ctx, spec.dest, input_batch, base)
 
     if not spec.cheapest:
-        result = base.solve_encoded(sources, dests, par=ctx.parallel)
+        result = _solve(ctx, base, sources, dests)
         return input_batch.filter(result.connected)
 
     keep: Optional[np.ndarray] = None
@@ -228,12 +241,8 @@ def _exec_graph_select(plan: pp.PGraphSelect, ctx: ExecContext) -> Batch:
     extra_columns: list[Column] = []
     for cheapest, library in weighted:
         want_path = cheapest.path is not None
-        result = library.solve_encoded(
-            sources,
-            dests,
-            want_cost=True,
-            want_path=want_path,
-            par=ctx.parallel,
+        result = _solve(
+            ctx, library, sources, dests, want_cost=True, want_path=want_path
         )
         if keep is None:
             keep = result.connected
@@ -276,20 +285,19 @@ def _exec_graph_join(plan: pp.PGraphJoin, ctx: ExecContext) -> Batch:
 
     solutions = []
     if not spec.cheapest:
-        solutions.append(
-            (None, base.solve_encoded(grid_src, grid_dst, par=ctx.parallel))
-        )
+        solutions.append((None, _solve(ctx, base, grid_src, grid_dst)))
     else:
         for cheapest, library in weighted:
             solutions.append(
                 (
                     cheapest,
-                    library.solve_encoded(
+                    _solve(
+                        ctx,
+                        library,
                         grid_src,
                         grid_dst,
                         want_cost=True,
                         want_path=cheapest.path is not None,
-                        par=ctx.parallel,
                     ),
                 )
             )

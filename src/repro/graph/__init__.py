@@ -10,6 +10,9 @@ earliest relaxation round that reaches that cost wins, then the
 smallest CSR slot within the round, so predecessor trees and paths are
 deterministic.  This replaces the paper's "Dijkstra combined with the
 Radix Queue" (Section 3.2), which settles one vertex per step.
+An unweighted source group with one distinct target, on a library a
+graph index holds, runs bidirectional BFS over the CSR and its
+transpose instead of a forward BFS.
 """
 
 from .bfs import UNREACHED, TraversalResult, bfs, reconstruct_path

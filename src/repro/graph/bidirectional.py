@@ -4,14 +4,24 @@ The paper's evaluation notes its BFS "is still largely unoptimized" and
 that the authors "expect in the future to significantly improve the BFS
 implementation" (Section 4).  This module is that improvement for the
 single-pair case: two level-synchronous frontiers, one from the source
-over the forward CSR and one from the destination over a lazily built
-reverse CSR, expanding the smaller frontier first.  On small-world
-graphs (LDBC friendships) this explores O(b^(d/2)) instead of O(b^d)
-vertices.
+over the forward CSR and one from the destination over the reverse CSR
+(:func:`reverse_csr`), expanding the smaller frontier first.  On
+small-world graphs (LDBC friendships) this explores O(b^(d/2)) instead
+of O(b^d) vertices: a two-hop pair meets after about deg(s) + deg(t)
+edges.
+
+The engine runs it for every unweighted source group with exactly one
+distinct target on a library a graph index holds, which keeps the
+transpose (:class:`~repro.graph.library.GraphLibrary`); point Q13 and
+batched Q13 are such groups.
 
 The search returns the hop distance plus the meeting vertex and both
 predecessor-edge arrays, from which the full path (as original edge-table
-row ids, like :func:`repro.graph.bfs.reconstruct_path`) is rebuilt.
+row ids, like :func:`repro.graph.bfs.reconstruct_path`) is rebuilt.  The
+meeting vertex is the one minimizing the total distance, smallest id on
+ties, and each side's tree takes the smallest CSR slot per vertex, so
+the path is a deterministic shortest path, though not necessarily the
+one forward BFS's tree yields.
 """
 
 from __future__ import annotations

@@ -109,6 +109,25 @@ def check_weights(weights: np.ndarray) -> None:
         raise GraphRuntimeError("CHEAPEST SUM weights must be finite")
 
 
+def stable_argsort(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in
+    ``[0, num_keys)``, as an LSD radix sort over 16-bit digits.
+
+    NumPy's stable sort of ``uint16`` keys is a linear counting sort, so
+    one pass orders up to 2^16 distinct keys and two passes up to 2^32,
+    where the comparison sort of int64 keys costs several times more.
+    Each pass is stable, so equal keys keep their input order.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (num_keys - 1) >> shift > 0:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def build_csr(
     src_ids: np.ndarray,
     dst_ids: np.ndarray,
@@ -130,7 +149,7 @@ def build_csr(
         check_weights(weights)
     # stable sort keeps the original edge order within one source vertex,
     # making path choice deterministic.
-    order = np.argsort(src_ids, kind="stable")
+    order = stable_argsort(src_ids, num_vertices)
     sorted_src = src_ids[order]
     sorted_dst = dst_ids[order]
     sorted_weights = weights[order] if weights is not None else None

@@ -26,7 +26,8 @@ without re-sorting the base — surviving base edges keep their relative
 order and overlay edges append per vertex, which is exactly the order a
 full rebuild's stable sort would produce.  The merged CSR is a plain
 :class:`~repro.graph.csr.CSRGraph`, so BFS, Dijkstra and bidirectional
-search run on it unchanged.
+search run on it unchanged; each merged library builds its own
+transpose on its first single-target query.
 
 The overlay is the only index-maintenance path.  The first lookup after
 the delta reaches ``Database(graph_compact_threshold=)`` operations
@@ -44,7 +45,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, stable_argsort
 from .domain import NOT_A_VERTEX
 from .library import GraphLibrary
 
@@ -379,7 +380,7 @@ class GraphOverlayState:
             kept_src = base_csr.src
             kept_dst = base_csr.dst
             kept_rows = rows_cur
-        order = np.argsort(self.add_src, kind="stable")
+        order = stable_argsort(self.add_src, num_vertices)
         over_src = self.add_src[order]
         over_dst = self.add_dst[order]
         over_rows = self.add_rows[order]
@@ -414,20 +415,19 @@ class GraphOverlayState:
         edge_rows[pos_kept] = kept_rows
         edge_rows[pos_over] = over_rows
         self._ensure_refs()
-        library = GraphLibrary.__new__(GraphLibrary)
-        library.domain = OverlayDomain(
-            self.base.domain, self.extra_values, self.ref_counts
+        library = GraphLibrary.from_csr(
+            OverlayDomain(self.base.domain, self.extra_values, self.ref_counts),
+            CSRGraph(
+                num_vertices=num_vertices,
+                indptr=indptr,
+                dst=dst,
+                src=src,
+                weights=None,
+                edge_rows=edge_rows,
+            ),
         )
-        library.csr = CSRGraph(
-            num_vertices=num_vertices,
-            indptr=indptr,
-            dst=dst,
-            src=src,
-            weights=None,
-            edge_rows=edge_rows,
-        )
-        library.weighted = False
-        library._reverse_csr = None
+        # served only through the index that owns this state
+        library.indexed = True
         return library
 
     def describe(self) -> dict:

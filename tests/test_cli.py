@@ -150,9 +150,19 @@ class TestCacheAndWorkerMetaCommands:
 
     def test_meta_graph_shows_threshold_and_counters(self, chain_db):
         chain_db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
-        _, output = run_lines(["\\graph"], db=chain_db)
+        _, output = run_lines(
+            [
+                "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 4 OVER edges EDGE (s, d);",
+                "\\graph",
+            ],
+            db=chain_db,
+        )
         assert "compact threshold: 8192" in output
         assert "counters: overlay_hits=" in output
+        assert (
+            "traversals: bidirectional_pairs=1 forward=0 transpose_builds=1"
+            in output
+        )
         assert "gi: base_edges=" in output
         assert "overlay: on" not in output and "mode" not in output
 

@@ -19,6 +19,7 @@ from repro.graph import (
     expand_frontier,
     reconstruct_path,
 )
+from repro.graph.csr import stable_argsort
 
 
 class TestVertexDomain:
@@ -115,6 +116,21 @@ class TestCSR:
     def test_expand_frontier_empty(self):
         graph = build_csr(np.array([0]), np.array([1]), 2)
         assert len(expand_frontier(graph.indptr, np.array([1]))) == 0
+
+    @pytest.mark.parametrize(
+        "num_keys, count",
+        [(0, 0), (5, 0), (7, 200), (4480, 50_000), (1 << 16, 50_000),
+         ((1 << 16) + 1, 50_000), (1 << 33, 50_000)],
+    )
+    def test_stable_argsort_matches_numpy(self, num_keys, count):
+        # one 16-bit pass up to 2^16 keys, two past it, three past 2^32;
+        # few distinct keys force long runs of equal keys
+        rng = np.random.default_rng(num_keys + count)
+        for high in {max(num_keys, 1), min(max(num_keys, 1), 3)}:
+            keys = rng.integers(0, high, count)
+            keys[: min(count, 2)] = high - 1  # the largest key is present
+            expected = np.argsort(keys, kind="stable")
+            assert np.array_equal(stable_argsort(keys, num_keys), expected)
 
 
 def diamond() -> CSRGraph:

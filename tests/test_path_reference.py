@@ -1,8 +1,9 @@
 """Property-based correctness: BFS / Dijkstra / bidirectional search vs
 a brute-force Bellman-Ford reference on random graphs.
 
-For each random graph the suite checks, across algorithms and worker
-counts:
+Bidirectional search is checked through SQL on a table with a graph
+index, the only place the engine runs it.  For each random graph the
+suite checks, across algorithms and worker counts:
 
 * costs equal the reference distances exactly (int) / to 1e-9 (float);
 * returned paths are *valid* — they start at the source, end at the
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.exec.parallel import ExecPool
-from repro.graph import GraphLibrary, bidirectional_distance
+from repro.graph import GraphLibrary, bfs, build_csr
 
 
 # ---------------------------------------------------------------------------
@@ -123,23 +124,128 @@ class TestUnweightedAgainstReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bidirectional_matches_bfs(self, seed):
+        # an indexed table answers single-target pairs bidirectionally;
+        # compare with forward BFS and Bellman-Ford through SQL, on the
+        # clean index and on a live overlay, for 1 and 4 exec workers
         rng = random.Random(100 + seed)
         n, edges = random_graph(rng, integral=True)
-        library = build_library(edges, weighted=False)
-        sources, dests = query_pairs(rng, n)
-        src_ids, dst_ids, valid = library.encode_endpoints(sources, dests)
-        plain = library.solve_encoded(src_ids, dst_ids, want_cost=True)
-        for i in range(len(src_ids)):
-            bidi = (
-                bidirectional_distance(
-                    library.csr, library.reverse, int(src_ids[i]), int(dst_ids[i])
-                )[0]
-                if valid[i]
-                else None
-            )
-            assert plain.connected[i] == (bidi is not None)
-            if bidi is not None:
-                assert plain.costs[i] == bidi
+        edges = [(u, v, row) for row, (u, v, _) in enumerate(edges)]
+        edges.append((None, 0, len(edges)))  # a NULL endpoint is no edge
+        pairs = index_pairs(rng, n, edges)
+        databases = [indexed_database(edges, workers) for workers in (1, 4)]
+        for phase in ("clean", "overlay"):
+            if phase == "overlay":
+                edges = churn(rng, n, edges, databases)
+            answers = [sql_hop_answers(db, pairs) for db in databases]
+            assert answers[0] == answers[1], "worker count changed a result"
+            check_hop_answers(answers[0], pairs, n, edges)
+        for db in databases:
+            assert db.cache_stats()["graph_index_cache"]["bidirectional_pairs"] > 0
+            db.close()
+
+
+HOPS_BATCH = (
+    "SELECT p.i, CHEAPEST SUM(1) AS hops FROM pairs p "
+    "WHERE p.a REACHES p.b OVER edges EDGE (s, d)"
+)
+HOPS_BATCH_PATH = (
+    "SELECT p.i, CHEAPEST SUM(e: 1) AS (hops, path) FROM pairs p "
+    "WHERE p.a REACHES p.b OVER edges e EDGE (s, d)"
+)
+HOPS_POINT = "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER edges EDGE (s, d)"
+HOPS_POINT_PATH = (
+    "SELECT CHEAPEST SUM(e: 1) AS (hops, path) "
+    "WHERE ? REACHES ? OVER edges e EDGE (s, d)"
+)
+
+
+def index_pairs(rng: random.Random, n: int, edges, count: int = 64):
+    """Query pairs over ids 0..n+1 (n and n+1 are never vertices) plus
+    self pairs, NULL endpoints and duplicates of earlier pairs."""
+    pairs = [(rng.randrange(n + 2), rng.randrange(n + 2)) for _ in range(count)]
+    pairs += [(edges[0][0], edges[0][0]), (n, n), (None, 0), (0, None)]
+    pairs += rng.sample(pairs, 8)
+    return pairs
+
+
+def indexed_database(edges, workers: int):
+    from repro import Database
+
+    db = Database(exec_workers=workers)
+    db.execute("CREATE TABLE edges (s INT, d INT, id INT)")
+    db.execute("CREATE TABLE pairs (i INT, a INT, b INT)")
+    db.appender("edges").append([list(column) for column in zip(*edges)])
+    db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+    return db
+
+
+def churn(rng: random.Random, n: int, edges, databases):
+    """DELETE every copy of one edge and INSERT three, on each database;
+    the index keeps serving them from its overlay (no compaction)."""
+    start = len(edges)
+    added = [(rng.randrange(n), rng.randrange(n), start + k) for k in range(3)]
+    victim = next(edge for edge in edges if edge[0] is not None)
+    for db in databases:
+        db.execute("DELETE FROM edges WHERE s = ? AND d = ?", victim[:2])
+        db.execute(
+            "INSERT INTO edges VALUES (?, ?, ?), (?, ?, ?), (?, ?, ?)",
+            [value for edge in added for value in edge],
+        )
+        state = db.graph_overlay_info()["indices"]["gi"]
+        assert state["overlay_edges"] + state["tombstones"] > 0
+    return [edge for edge in edges if edge[:2] != victim[:2]] + added
+
+
+def sql_hop_answers(db, pairs):
+    """Every pair through the batch and point forms, with and without
+    ``AS (cost, path)``; paths as edge rows, so answers compare exactly."""
+    db.execute("DELETE FROM pairs")
+    db.execute(
+        "INSERT INTO pairs VALUES " + ", ".join(["(?, ?, ?)"] * len(pairs)),
+        [value for i, (a, b) in enumerate(pairs) for value in (i, a, b)],
+    )
+    batch = dict(db.execute(HOPS_BATCH).rows())
+    batch_path = {
+        i: (hops, path.to_rows()) for i, hops, path in db.execute(HOPS_BATCH_PATH).rows()
+    }
+    point = [db.execute(HOPS_POINT, pair).rows() for pair in pairs]
+    point_path = [
+        [(hops, path.to_rows()) for hops, path in db.execute(HOPS_POINT_PATH, pair).rows()]
+        for pair in pairs
+    ]
+    return batch, batch_path, point, point_path
+
+
+def check_hop_answers(answers, pairs, n: int, edges):
+    batch, batch_path, point, point_path = answers
+    live = [(s, d) for s, d, _ in edges if s is not None and d is not None]
+    vertices = {v for edge in live for v in edge}
+    forward = build_csr(
+        np.asarray([s for s, _ in live], dtype=np.int64),
+        np.asarray([d for _, d in live], dtype=np.int64),
+        n + 2,
+    )
+    hop_edges = [(s, d, 1) for s, d in live]
+    by_row = {row: (s, d) for s, d, row in edges}
+    for i, (a, b) in enumerate(pairs):
+        want = None
+        if a in vertices and b in vertices:
+            want = bellman_ford(n + 2, hop_edges, a)[b]
+            assert bfs(forward, a, np.asarray([b])).cost(b) == want
+        assert batch.get(i) == want
+        assert point[i] == ([] if want is None else [(want,)])
+        paths = [batch_path.get(i)] + (point_path[i] or [None])
+        for found in paths:
+            if want is None:
+                assert found is None
+                continue
+            hops, rows = found
+            assert hops == want == len(rows)
+            vertex = a
+            for s, d, row in rows:
+                assert by_row[row] == (s, d) and s == vertex
+                vertex = d
+            assert vertex == b
 
 
 # ---------------------------------------------------------------------------
