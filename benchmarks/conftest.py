@@ -12,11 +12,18 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE`` — global shrink factor (default 0.01);
 * ``REPRO_BENCH_SFS`` — comma-separated scale factors (default 1,3,10,30).
+
+Benchmarks that record a ``BENCH_*.json`` artifact take its path from
+their ``REPRO_BENCH_*_OUT`` variable (:func:`bench_out_path`); unset,
+the file goes to the system temp directory, so a test run leaves the
+committed copies at the repo root untouched.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +33,15 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.01"))
 SCALE_FACTORS = tuple(
     int(s) for s in os.environ.get("REPRO_BENCH_SFS", "1,3,10,30").split(",")
 )
+
+
+def bench_out_path(env_var: str, filename: str) -> Path:
+    """Where a benchmark writes its JSON artifact: ``$env_var`` when
+    set (the CI smoke job points it at the repo root and uploads the
+    file), else ``filename`` in the system temp directory."""
+    return Path(
+        os.environ.get(env_var) or os.path.join(tempfile.gettempdir(), filename)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -21,9 +21,9 @@ Two measurements, each an A/B over the same generated data:
   after a write, paying a full rebuild (factorize + sort + CSR) per
   query.
 
-Results land in ``BENCH_ingest.json`` at the repo root (the CI smoke
-job re-runs this at a small scale and uploads the file alongside the
-other bench artifacts).
+Results land in ``BENCH_ingest.json`` (the CI smoke job re-runs this
+at a small scale and uploads the file alongside the other bench
+artifacts).
 
 Environment knobs:
 
@@ -31,7 +31,8 @@ Environment knobs:
 * ``REPRO_BENCH_INGEST_ROW_SAMPLE`` — row-INSERT sample size
   (default min(rows, 50_000));
 * ``REPRO_BENCH_INGEST_EDGES`` — graph edge count (default rows/5);
-* ``REPRO_BENCH_INGEST_OUT`` — output path for ``BENCH_ingest.json``.
+* ``REPRO_BENCH_INGEST_OUT`` — output path for ``BENCH_ingest.json``
+  (default: the system temp directory).
 
 The >=5x bulk-ingest floor and the overlay-beats-rebuild assertion
 only apply at full scale (>= 1M rows): below that fixed costs dominate
@@ -47,24 +48,20 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Database
 
+from conftest import bench_out_path
+
 ROWS = int(os.environ.get("REPRO_BENCH_INGEST_ROWS", str(1_000_000)))
 ROW_SAMPLE = min(
     ROWS, int(os.environ.get("REPRO_BENCH_INGEST_ROW_SAMPLE", str(50_000)))
 )
 EDGES = int(os.environ.get("REPRO_BENCH_INGEST_EDGES", str(max(ROWS // 5, 2_000))))
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_INGEST_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_ingest.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_INGEST_OUT", "BENCH_ingest.json")
 #: Floors asserted at full scale.
 MIN_BULK_SPEEDUP = 5.0
 ASSERT_SPEEDUPS = ROWS >= 1_000_000

@@ -5,14 +5,15 @@ DISTINCT and a 2-key equi-join — run on identical data at
 ``exec_workers`` 1, 2 and 4 (thresholds forced down so the morsel layer
 engages at every scale).  Results must be *bit-identical* across worker
 counts on every run; wall times and speedups land in
-``BENCH_parallel.json`` at the repo root, next to ``BENCH_exec.json``
-(the CI smoke job re-runs this small and uploads both artifacts).
+``BENCH_parallel.json``, next to ``BENCH_exec.json`` (the CI smoke job
+re-runs this small and uploads both artifacts).
 
 Environment knobs:
 
 * ``REPRO_BENCH_KERNEL_ROWS`` — fact-table size (default 1_000_000,
   shared with the vectorized-kernel benchmark);
-* ``REPRO_BENCH_PARALLEL_OUT`` — output path for ``BENCH_parallel.json``.
+* ``REPRO_BENCH_PARALLEL_OUT`` — output path for ``BENCH_parallel.json``
+  (default: the system temp directory).
 
 The >=2x speedup floor for 4 workers is asserted only at full scale
 (>= 1M rows) *and* with >= 4 CPUs available — a shared 1-core CI runner
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,18 +41,15 @@ from repro import Database
 from repro.exec.parallel import resolve_exec_workers
 from repro.storage import Column, DataType
 
+from conftest import bench_out_path
+
 ROWS = int(os.environ.get("REPRO_BENCH_KERNEL_ROWS", str(1_000_000)))
 #: Build-side size of the join experiment (~1 match per probe row).
 JOIN_BUILD_ROWS = max(ROWS // 20, 1)
 #: Cardinality of the primary grouping key.
 GROUPS = 1_000
 WORKER_COUNTS = (1, 2, 4)
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_PARALLEL_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_parallel.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_PARALLEL_OUT", "BENCH_parallel.json")
 #: Speedup floor asserted for 4 workers over 1, full scale + >=4 CPUs.
 MIN_SPEEDUP = 2.0
 #: Usable CPUs: affinity-aware (a containerized runner may expose fewer

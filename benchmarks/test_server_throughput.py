@@ -3,8 +3,7 @@
 ``REPRO_BENCH_CLIENTS`` socket clients hammer one :class:`ServerThread`
 with the canonical OLTP-ish mix — point lookups through a prepared
 statement and a small grouped join — and every statement's wall latency
-is recorded.  The JSON artifact (``BENCH_server.json`` at the repo
-root) carries per-op p50/p99 latency and aggregate statements/sec, the
+is recorded.  The JSON artifact (``BENCH_server.json``) carries per-op p50/p99 latency and aggregate statements/sec, the
 service-layer numbers the admission-control design is accountable to.
 
 This is a *service overhead* benchmark: the engine work per statement
@@ -17,7 +16,8 @@ Environment knobs:
 * ``REPRO_BENCH_CLIENTS`` — concurrent client connections (default 8);
 * ``REPRO_BENCH_SERVER_STMTS`` — statements per client (default 100);
 * ``REPRO_BENCH_SERVER_ROWS`` — fact-table size (default 20_000);
-* ``REPRO_BENCH_SERVER_OUT`` — output path for ``BENCH_server.json``.
+* ``REPRO_BENCH_SERVER_OUT`` — output path for ``BENCH_server.json``
+  (default: the system temp directory).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import os
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -34,16 +33,13 @@ from repro import Database
 from repro.client import Client
 from repro.server import ServerThread
 
+from conftest import bench_out_path
+
 CLIENTS = int(os.environ.get("REPRO_BENCH_CLIENTS", "8"))
 STATEMENTS = int(os.environ.get("REPRO_BENCH_SERVER_STMTS", "100"))
 ROWS = int(os.environ.get("REPRO_BENCH_SERVER_ROWS", str(20_000)))
 GROUPS = 100
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_SERVER_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_server.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_SERVER_OUT", "BENCH_server.json")
 
 
 def _percentile(latencies: list[float], q: float) -> float:

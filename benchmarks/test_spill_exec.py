@@ -1,31 +1,45 @@
 """Experiment: memory-budgeted execution vs the materialized paths.
 
 Each operator family — selective streamed scan, spilled GROUP BY,
-spilled equi-join, external ORDER BY — runs in a fresh subprocess over
-the same persisted encoded image, three ways:
+spilled equi-join, external ORDER BY — runs in fresh subprocesses over
+the same persisted encoded image:
 
 * **materialized** (``memory_budget=None``) — today's engine, for the
   result oracle and the unbudgeted wall-clock baseline;
+* **materialized, traced** — untimed and uncapped, under
+  ``tracemalloc``: its heap peak ``P`` (requested bytes, numpy buffers
+  included, so the figure does not depend on the allocator) sets the
+  cap below;
 * **budgeted** (``memory_budget=`` :data:`BUDGET`, ~1/10 of the decoded
-  working set) under ``RLIMIT_DATA`` capped at a per-op allowance —
-  must finish, with bit-identical results;
-* **materialized under the same cap** — must *fail*: the full-column
-  decode cannot honor the allowance the budgeted run just finished in.
+  working set) under ``RLIMIT_DATA`` capped at
+  ``min(CAP_FIXED + CAP_PER_ROW[op] * ROWS, CAP_FIXED + P // 2)`` —
+  must finish, with bit-identical results (a traced budgeted run
+  records its own ``tracemalloc`` peak beside ``P``);
+* **materialized under the same cap** — must *fail*: a run that needs
+  its whole heap peak cannot honor an allowance of half of it.
 
 ``RLIMIT_DATA`` bounds heap/anonymous memory only; the image arrives
 via mmap, so the cap constrains exactly what the budget is supposed to
 bound — decoded morsels, hash/sort state, spill buffers.  The cap is
 set *inside* the child, on top of its measured post-open ``VmData``,
-so interpreter baseline drift cannot skew the experiment.
+so interpreter baseline drift cannot skew the experiment.  Deriving
+the cap from ``P`` measured in the same run, rather than from a
+bytes-per-row constant alone, keeps the "must fail" verdict from
+riding on how one numpy allocator rounds its arenas.
 
-Timings, peak RSS, and spill counters land in ``BENCH_spill.json`` at
-the repo root (the CI smoke job re-runs this at a small scale and
-uploads the file alongside the other bench artifacts).
+Timings, spill counters and memory figures land in
+``BENCH_spill.json``.  Each child reads its memory figures from
+``/proc/self/status``: ``VmHWM`` (its own peak RSS — ``ru_maxrss``
+would carry over the pytest parent's across fork and exec) and the
+peak growth of ``VmData`` over the post-open baseline, sampled every
+millisecond while the query runs.
 
 Environment knobs:
 
 * ``REPRO_BENCH_SPILL_ROWS`` — fact-table size (default 4_000_000);
-* ``REPRO_BENCH_SPILL_OUT`` — output path for ``BENCH_spill.json``.
+* ``REPRO_BENCH_SPILL_OUT`` — output path for ``BENCH_spill.json``
+  (default: the system temp directory; the CI smoke job sets it to the
+  repo root and uploads the file alongside the other bench artifacts).
 
 The cap-failure and the <= :data:`MAX_BUDGET_SLOWDOWN` x wall-clock
 assertions only apply at full scale (>= 4M rows): below that fixed
@@ -39,34 +53,34 @@ import os
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Database
 
+from conftest import bench_out_path
+
 ROWS = int(os.environ.get("REPRO_BENCH_SPILL_ROWS", str(4_000_000)))
 DIM_ROWS = 1_000
 #: per-query working-memory target for the budgeted runs: ~1/10 of the
 #: decoded fact working set, far below what materialization needs
 BUDGET = max(1 << 20, ROWS * 40 // 10)
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_SPILL_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_spill.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_SPILL_OUT", "BENCH_spill.json")
 #: budgeted-but-everything-fits may cost at most this much over the
 #: materialized baseline (streaming re-decodes what caching amortizes)
 MAX_BUDGET_SLOWDOWN = 1.5
 ASSERT_LIMITS = ROWS >= 4_000_000
 
 #: anonymous-memory allowance for the capped runs, on top of the
-#: child's post-open baseline: fixed slack + per-row operator state
-#: (group: the int64 key-code arrays; join: the shared-dictionary
-#: codification of both sides; sort: the (rank, row) permutation and
-#: its final pairwise merge)
+#: child's post-open baseline: fixed slack + per-row operator state.
+#: This is the ceiling; the cap actually applied is the smaller of it
+#: and CAP_FIXED + half the materialized run's traced heap peak (see
+#: _cap_extra).  Per-row state: group — the int64 key-code arrays;
+#: join — the build-side dictionary and the (row, key-code) pairs of
+#: the probe rows that can match (the probe side is codified one chunk
+#: at a time, never whole); sort — the (rank, row) permutation and its
+#: final pairwise merge
 CAP_FIXED = 64 << 20
 CAP_PER_ROW = {"scan": 8, "group_by": 24, "join": 40, "sort": 56}
 
@@ -111,11 +125,12 @@ def _flush() -> None:
 
 
 _CHILD = r"""
-import hashlib, json, os, resource, sys, time
+import hashlib, json, os, resource, sys, threading, time, tracemalloc
 
 sys.path.insert(0, sys.argv[1])
-target, budget, cap_extra, sql = (
-    sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
+target, budget, cap_extra, trace, sql = (
+    sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5] == "1",
+    sys.argv[6],
 )
 
 from repro import Database
@@ -124,24 +139,48 @@ db = Database.open(target, durability="off", memory_budget=budget or None)
 db.execute("SELECT 1 AS one")  # warm the statement machinery
 
 
-def vm_data_bytes():
+def status_kb(*fields):
+    # this process's own figures: ru_maxrss would carry over the
+    # parent's peak RSS across fork and exec, VmHWM starts afresh
+    found = {}
     with open("/proc/self/status") as fh:
         for line in fh:
-            if line.startswith("VmData:"):
-                return int(line.split()[1]) * 1024
-    return 0
+            key, _, rest = line.partition(":")
+            if key in fields:
+                found[key] = int(rest.split()[0])
+    return found
 
 
-baseline = vm_data_bytes()
+baseline_kb = status_kb("VmData")["VmData"]
 if cap_extra:
-    cap = baseline + cap_extra
+    cap = baseline_kb * 1024 + cap_extra
     resource.setrlimit(resource.RLIMIT_DATA, (cap, cap))
 
-payload = {"baseline_vmdata": baseline, "cap_extra": cap_extra}
+peak_kb = [baseline_kb]
+done = threading.Event()
+
+
+def sample_vmdata():
+    # VmData has no kernel-kept peak; sample it while the query runs
+    try:
+        while not done.wait(0.001):
+            peak_kb[0] = max(peak_kb[0], status_kb("VmData")["VmData"])
+    except MemoryError:
+        pass
+
+
+sampler = threading.Thread(target=sample_vmdata, daemon=True)
+payload = {"baseline_vmdata": baseline_kb * 1024, "cap_extra": cap_extra}
 try:
+    sampler.start()
+    if trace:
+        tracemalloc.start()
     start = time.perf_counter()
     rows = db.execute(sql).rows()
     payload["wall_s"] = round(time.perf_counter() - start, 6)
+    if trace:
+        payload["tracemalloc_peak"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     payload["ok"] = True
     payload["rows"] = len(rows)
     payload["checksum"] = hashlib.md5(repr(rows).encode()).hexdigest()
@@ -149,7 +188,10 @@ try:
 except MemoryError:
     payload["ok"] = False
     payload["error"] = "MemoryError"
-payload["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+done.set()
+sampler.join()
+payload["vmhwm_kb"] = status_kb("VmHWM")["VmHWM"]
+payload["vmdata_peak_growth_kb"] = peak_kb[0] - baseline_kb
 print(json.dumps(payload))
 """
 
@@ -193,12 +235,14 @@ def image_dir():
         yield target
 
 
-def _child(image: str, budget: int, cap_extra: int, sql: str) -> dict:
+def _child(
+    image: str, budget: int, cap_extra: int, sql: str, trace: bool = False
+) -> dict:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [
             sys.executable, "-c", _CHILD,
-            src, image, str(budget), str(cap_extra), sql,
+            src, image, str(budget), str(cap_extra), str(int(trace)), sql,
         ],
         capture_output=True,
         text=True,
@@ -211,13 +255,36 @@ def _child(image: str, budget: int, cap_extra: int, sql: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def _cap_extra(op: str, materialized_peak: int) -> int:
+    """The capped runs' allowance: the per-row ceiling, tightened to
+    CAP_FIXED + half the materialized run's traced heap peak — an
+    allowance the materialized path cannot honor by construction."""
+    return min(
+        CAP_FIXED + CAP_PER_ROW[op] * ROWS, CAP_FIXED + materialized_peak // 2
+    )
+
+
+def _memory(run: dict) -> dict:
+    return {
+        "vmhwm_kb": run["vmhwm_kb"],
+        "vmdata_peak_growth_kb": run["vmdata_peak_growth_kb"],
+    }
+
+
 @pytest.mark.parametrize("op", list(OPS))
 def test_budgeted_vs_materialized(op, image_dir, capsys):
     sql = OPS[op]
-    cap_extra = CAP_FIXED + CAP_PER_ROW[op] * ROWS
 
     oracle = _child(image_dir, 0, 0, sql)
     assert oracle["ok"], oracle
+    traced = _child(image_dir, 0, 0, sql, trace=True)
+    assert traced["ok"] and traced["checksum"] == oracle["checksum"]
+    materialized_peak = traced["tracemalloc_peak"]
+    cap_extra = _cap_extra(op, materialized_peak)
+    traced_budgeted = _child(image_dir, BUDGET, 0, sql, trace=True)
+    assert traced_budgeted["ok"], traced_budgeted
+    assert traced_budgeted["checksum"] == oracle["checksum"]
+
     budgeted = _child(image_dir, BUDGET, cap_extra, sql)
     assert budgeted["ok"], budgeted
     assert budgeted["checksum"] == oracle["checksum"]
@@ -236,12 +303,16 @@ def test_budgeted_vs_materialized(op, image_dir, capsys):
     entry = {
         "sql": sql,
         "cap_extra_bytes": cap_extra,
+        "cap_ceiling_bytes": CAP_FIXED + CAP_PER_ROW[op] * ROWS,
         "unbudgeted": {
-            "wall_s": oracle["wall_s"], "maxrss_kb": oracle["maxrss_kb"]
+            "wall_s": oracle["wall_s"],
+            "tracemalloc_peak_bytes": materialized_peak,
+            **_memory(oracle),
         },
         "budgeted": {
             "wall_s": budgeted["wall_s"],
-            "maxrss_kb": budgeted["maxrss_kb"],
+            "tracemalloc_peak_bytes": traced_budgeted["tracemalloc_peak"],
+            **_memory(budgeted),
             "counters": budgeted["counters"],
         },
         "budgeted_fits_wall_s": fits["wall_s"],
@@ -253,9 +324,11 @@ def test_budgeted_vs_materialized(op, image_dir, capsys):
     with capsys.disabled():
         print(
             f"\n{op}: unbudgeted {oracle['wall_s'] * 1000:9.1f} ms "
-            f"(rss {oracle['maxrss_kb'] // 1024} MB) | budgeted "
+            f"(heap peak {materialized_peak >> 20} MiB) | budgeted "
             f"{budgeted['wall_s'] * 1000:9.1f} ms "
-            f"(rss {budgeted['maxrss_kb'] // 1024} MB) | "
+            f"(heap peak {traced_budgeted['tracemalloc_peak'] >> 20} MiB, "
+            f"VmData +{budgeted['vmdata_peak_growth_kb'] >> 10} MiB) | "
+            f"cap +{cap_extra >> 20} MiB | "
             f"fits-slowdown {slowdown:.2f}x | materialized under cap: "
             f"{'OK (!)' if capped_materialized['ok'] else 'fails'}"
         )

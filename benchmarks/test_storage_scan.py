@@ -15,14 +15,15 @@ Three measurements over the same generated data, each run on
   plain layout.
 
 Results are asserted identical between the engines on every run;
-timings and byte counts land in ``BENCH_storage.json`` at the repo
-root (the CI smoke job re-runs this at a small scale and uploads the
-file alongside the other bench artifacts).
+timings and byte counts land in ``BENCH_storage.json`` (the CI smoke
+job re-runs this at a small scale and uploads the file alongside the
+other bench artifacts).
 
 Environment knobs:
 
 * ``REPRO_BENCH_STORAGE_ROWS`` — table size (default 1_000_000);
-* ``REPRO_BENCH_STORAGE_OUT`` — output path for ``BENCH_storage.json``.
+* ``REPRO_BENCH_STORAGE_OUT`` — output path for ``BENCH_storage.json``
+  (default: the system temp directory).
 
 The >=2x zone-skip assertion and the image-shrink assertion only apply
 at full scale (>= 1M rows): below that fixed costs dominate and the
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,14 +42,11 @@ import pytest
 from repro import Database
 from repro.storage import Column, DataType
 
+from conftest import bench_out_path
+
 ROWS = int(os.environ.get("REPRO_BENCH_STORAGE_ROWS", str(1_000_000)))
 GROUPS = 24
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_STORAGE_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_storage.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_STORAGE_OUT", "BENCH_storage.json")
 #: Floors asserted at full scale.
 MIN_SCAN_SPEEDUP = 2.0
 ASSERT_SPEEDUPS = ROWS >= 1_000_000

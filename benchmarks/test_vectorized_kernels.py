@@ -5,14 +5,15 @@ on ``Database()`` (kernels) and ``Database(vectorized=False)`` (the
 row-at-a-time oracle): 1M-row GROUP BY, DISTINCT, a 2-key equi-join,
 EXCEPT, and a 2-key ORDER BY.  Results are asserted identical between
 the engines on every run; rows/sec and speedups land in
-``BENCH_exec.json`` at the repo root — the start of the accumulated
-perf trajectory (the CI smoke job re-runs this at a small scale and
-uploads the file as an artifact).
+``BENCH_exec.json`` — the start of the accumulated perf trajectory
+(the CI smoke job re-runs this at a small scale and uploads the file as
+an artifact).
 
 Environment knobs:
 
 * ``REPRO_BENCH_KERNEL_ROWS`` — fact-table size (default 1_000_000);
-* ``REPRO_BENCH_EXEC_OUT`` — output path for ``BENCH_exec.json``.
+* ``REPRO_BENCH_EXEC_OUT`` — output path for ``BENCH_exec.json``
+  (default: the system temp directory).
 
 The >=5x speedup assertions only apply at full scale (>= 1M rows):
 below that the Python fixed costs flatter the baseline and the numbers
@@ -24,13 +25,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Database
 from repro.storage import Column, DataType
+
+from conftest import bench_out_path
 
 ROWS = int(os.environ.get("REPRO_BENCH_KERNEL_ROWS", str(1_000_000)))
 #: Build-side size of the join experiment (~1 match per probe row, so
@@ -41,12 +43,7 @@ JOIN_BUILD_ROWS = max(ROWS // 20, 1)
 EXCEPT_RIGHT_ROWS = max(ROWS // 4, 1)
 #: Cardinality of the primary grouping key.
 GROUPS = 1_000
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_EXEC_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_exec.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_EXEC_OUT", "BENCH_exec.json")
 #: Speedup floor asserted at full scale for the tentpole operators.
 MIN_SPEEDUP = 5.0
 ASSERT_SPEEDUPS = ROWS >= 1_000_000

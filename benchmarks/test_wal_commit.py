@@ -18,13 +18,14 @@ is ~free (tmpfs CI runners, some overlayfs setups) records a
 ``fast_fsync`` marker in the artifact and skips the floor, mirroring
 the ``insufficient_cpus`` precedent in the parallel-kernel benches.
 
-JSON artifact: ``BENCH_wal.json`` at the repo root.
+JSON artifact: ``BENCH_wal.json``.
 
 Environment knobs:
 
 * ``REPRO_BENCH_WAL_COMMITS`` — single-writer commits per policy
   (default 200; also scales the per-writer counts);
-* ``REPRO_BENCH_WAL_OUT`` — output path for ``BENCH_wal.json``.
+* ``REPRO_BENCH_WAL_OUT`` — output path for ``BENCH_wal.json``
+  (default: the system temp directory).
 """
 
 from __future__ import annotations
@@ -35,23 +36,19 @@ import shutil
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro import Database
+
+from conftest import bench_out_path
 
 COMMITS = int(os.environ.get("REPRO_BENCH_WAL_COMMITS", "200"))
 WRITER_COUNTS = (1, 8, 32)
 #: Below this mean fsync cost the device gives durability away and
 #: group commit has nothing to amortize.
 FAST_FSYNC_S = 150e-6
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_WAL_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_wal.json",
-    )
-)
+OUT_PATH = bench_out_path("REPRO_BENCH_WAL_OUT", "BENCH_wal.json")
 
 
 def _percentile(latencies: list[float], q: float) -> float:

@@ -412,6 +412,29 @@ def _aligned_pair(left: Column, right: Column) -> tuple[Column, Column]:
     return left.cast(target), right.cast(target)
 
 
+def _shared_dictionary(
+    left: Column, right: Column
+) -> "tuple[DictEncoding, DictEncoding] | None":
+    """Both sides' resting :class:`DictEncoding` when they encode over
+    the *same* dictionary (so their stored codes are one code space),
+    else None."""
+    enc_l, enc_r = left.encoding, right.encoding
+    if not (isinstance(enc_l, DictEncoding) and isinstance(enc_r, DictEncoding)):
+        return None
+    if left.type != right.type:
+        return None
+    uniques_l, uniques_r = enc_l.uniques, enc_r.uniques
+    if uniques_l is not uniques_r:
+        if (
+            len(uniques_l) != len(uniques_r)
+            or uniques_l.dtype != uniques_r.dtype
+            or not np.array_equal(uniques_l, uniques_r)
+        ):
+            return None
+    factorize_counters.note("shared_dict_joins")
+    return enc_l, enc_r
+
+
 def _shared_dict_codes(
     left: Column, right: Column
 ) -> "tuple[np.ndarray, np.ndarray, int] | None":
@@ -426,21 +449,11 @@ def _shared_dict_codes(
     matching the concat path's NULL semantics.  Dict-encoded columns
     never contain NaN, so ``nan_distinct`` cannot bite here.
     """
-    enc_l, enc_r = left.encoding, right.encoding
-    if not (isinstance(enc_l, DictEncoding) and isinstance(enc_r, DictEncoding)):
+    shared = _shared_dictionary(left, right)
+    if shared is None:
         return None
-    if left.type != right.type:
-        return None
-    uniques_l, uniques_r = enc_l.uniques, enc_r.uniques
-    if uniques_l is not uniques_r:
-        if (
-            len(uniques_l) != len(uniques_r)
-            or uniques_l.dtype != uniques_r.dtype
-            or not np.array_equal(uniques_l, uniques_r)
-        ):
-            return None
-    radix = len(uniques_l) + 1  # reserve the shared NULL-last code
-    factorize_counters.note("shared_dict_joins")
+    enc_l, enc_r = shared
+    radix = len(enc_l.uniques) + 1  # reserve the shared NULL-last code
     return (
         enc_l.codes.astype(np.int64),
         enc_r.codes.astype(np.int64),
@@ -478,6 +491,153 @@ def _joint_codes(
         joined, n_left + n_right, nan_distinct=nan_distinct, par=par
     )
     return ids[:n_left], ids[n_left:], radix
+
+
+def _matchable(column: Column) -> np.ndarray:
+    """Rows whose key value can equal another row's: not NULL, not NaN."""
+    ok = ~column.null_mask()
+    if column.data.dtype.kind == "f":
+        ok &= ~np.isnan(column.data)
+    return ok
+
+
+class _KeyLookup:
+    """One key pair's dictionary over build-side values.
+
+    :meth:`fit` codifies the given build rows and keeps their values as
+    the dictionary; :meth:`probe` codifies a slice of the probe column
+    against it.  When both sides rest in one shared dictionary
+    (:func:`_shared_dictionary`) the codes are the stored ones;
+    otherwise the pair is aligned (:func:`_aligned_pair`) and the
+    dictionary is the build side's sorted distinct values, searched
+    with ``searchsorted``.  Values that do not sort raise
+    :class:`KernelFallback`.
+    """
+
+    def __init__(self, build: Column, probe: Column):
+        self._probe = probe
+        self._shared = _shared_dictionary(build, probe)
+        if self._shared is None:
+            build, _ = _aligned_pair(build, probe.slice_morsel(0, 0))
+            self.build_ok = _matchable(build)
+        else:
+            self.build_ok = ~build.null_mask()
+        self._build = build
+        self.cardinality = 1
+
+    def fit(self, rows: np.ndarray) -> np.ndarray:
+        """Codes of build rows ``rows`` (all matchable); their values
+        become the dictionary."""
+        if self._shared is not None:
+            enc_b = self._shared[0]
+            codes = enc_b.codes[rows].astype(np.int64)
+            self.cardinality = max(len(enc_b.uniques), 1)
+            # one slot past the dictionary: the NULL code, never present
+            self._present = np.zeros(len(enc_b.uniques) + 1, dtype=np.bool_)
+            self._present[codes] = True
+            return codes
+        try:
+            self._uniques, inverse = np.unique(
+                self._build.data[rows], return_inverse=True
+            )
+        except TypeError as exc:
+            raise KernelFallback(
+                f"cannot order key column: {exc}", REASON_UNCODIFIABLE
+            ) from None
+        self.cardinality = max(len(self._uniques), 1)
+        return inverse.reshape(-1).astype(np.int64, copy=False)
+
+    def probe(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, found)`` for probe rows ``[start, stop)``: ``found``
+        marks rows whose value is in the dictionary (never NULL or NaN),
+        ``codes`` their codes (other slots hold arbitrary values)."""
+        if self._shared is not None:
+            codes = self._shared[1].codes[start:stop].astype(np.int64)
+            return codes, self._present[codes]
+        chunk = _aligned_pair(
+            self._build, self._probe.slice_morsel(start, stop)
+        )[1]
+        found = _matchable(chunk)
+        codes = np.zeros(len(chunk), dtype=np.int64)
+        if not len(self._uniques):
+            return codes, np.zeros(len(chunk), dtype=np.bool_)
+        values = chunk.data[found]
+        pos = np.minimum(
+            np.searchsorted(self._uniques, values), len(self._uniques) - 1
+        )
+        codes[found] = pos
+        found[found] = self._uniques[pos] == values
+        return codes, found
+
+
+class JoinKeyDictionary:
+    """An equi-join's shared key dictionary, built from its build side.
+
+    :func:`_joint_codes` codifies both inputs through one dictionary of
+    their concatenation, which puts ``int64`` codes for every probe row
+    in memory at once.  Only probe keys that occur on the build side can
+    match, so this dictionary holds just the build keys: the build side
+    is codified whole — ``build_rows`` (its rows with no NULL or NaN key
+    component, ascending) and their ``build_ids`` — and the probe side
+    one slice at a time through :meth:`probe`, which drops rows whose
+    key is NULL, NaN or absent from the build side.  Equal keys get
+    equal ids on both sides.
+
+    Key semantics are :func:`_joint_codes`'s: mixed-type pairs compare
+    after :func:`_aligned_pair`, pairs resting in one shared dictionary
+    compare their stored codes, and a multi-column key combines its
+    columns' codes mixed-radix, densified over the build keys after
+    every column (so probe keys whose prefix no build key has drop out
+    early).  Raises :class:`KernelFallback` when a key column cannot be
+    codified.
+    """
+
+    def __init__(
+        self, build_columns: Sequence[Column], probe_columns: Sequence[Column]
+    ):
+        self._lookups = [
+            _KeyLookup(b, p) for b, p in zip(build_columns, probe_columns)
+        ]
+        ok = self._lookups[0].build_ok
+        for lookup in self._lookups[1:]:
+            ok = ok & lookup.build_ok
+        self.build_rows = np.flatnonzero(ok).astype(np.int64, copy=False)
+        ids = self._lookups[0].fit(self.build_rows)
+        radix = self._lookups[0].cardinality
+        #: per further column: the sorted distinct build-key prefixes
+        self._prefixes: list[np.ndarray] = []
+        for lookup in self._lookups[1:]:
+            codes = lookup.fit(self.build_rows)
+            if radix > _MAX_RADIX // lookup.cardinality:  # pragma: no cover
+                raise KernelFallback(
+                    "key space exceeds int64", REASON_UNCODIFIABLE
+                )
+            prefixes, inverse = np.unique(
+                ids * lookup.cardinality + codes, return_inverse=True
+            )
+            self._prefixes.append(prefixes)
+            ids = inverse.reshape(-1).astype(np.int64, copy=False)
+            radix = max(len(prefixes), 1)
+        self.build_ids = ids
+
+    def probe(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, ids)`` of the probe rows in ``[start, stop)`` whose
+        key occurs on the build side; ``rows`` are ascending and
+        relative to ``start``."""
+        codes, found = self._lookups[0].probe(start, stop)
+        rows = np.flatnonzero(found)
+        ids = codes[rows]
+        for lookup, prefixes in zip(self._lookups[1:], self._prefixes):
+            codes, found = lookup.probe(start, stop)
+            keep = found[rows]
+            rows = rows[keep]
+            ids = ids[keep] * lookup.cardinality + codes[rows]
+            if not len(prefixes):
+                return rows[:0], ids[:0]
+            pos = np.minimum(np.searchsorted(prefixes, ids), len(prefixes) - 1)
+            hit = prefixes[pos] == ids
+            rows, ids = rows[hit], pos[hit]
+        return rows, ids
 
 
 def _membership(

@@ -1099,60 +1099,65 @@ def _spilled_hash_join(
     """Equi-join with both inputs' (row, key-code) pairs radix-
     partitioned into spill files, joined one partition at a time.
 
-    Key codes come from the kernels' shared dictionary (NULLs excluded
-    up front, NaNs coded distinct — never matching, like the in-memory
-    probe), so every matching pair falls in exactly one partition and
-    the union over partitions is exactly the in-memory pair set; the
-    final lexsort restores probe order (ascending left row, ascending
-    right row within), the unique order every in-memory path emits.
-    Returns None when the keys cannot be codified — the caller then
-    runs the unchanged in-memory paths."""
+    Key codes come from a dictionary of the build side's keys
+    (:class:`kernels.JoinKeyDictionary`): the build side is codified
+    whole, the probe side one ``SPILL_CHUNK_ROWS`` chunk at a time as
+    the chunk is routed, and probe rows whose key is NULL, NaN or
+    absent from the build side are dropped there — they match nothing,
+    like in the in-memory probe.  Equal keys share a code, so every
+    matching pair falls in exactly one partition and the union over
+    partitions is exactly the in-memory pair set; the final lexsort
+    restores probe order (ascending left row, ascending right row
+    within), the unique order every in-memory path emits.  Returns
+    None when the keys cannot be codified — the caller then runs the
+    unchanged in-memory paths."""
     left_keys = [ctx.eval(a, left) for a, _ in plan.pairs]
     right_keys = [ctx.eval(b, right) for _, b in plan.pairs]
     n_left, n_right = left.num_rows, right.num_rows
-    try:
-        l_ids, r_ids, _radix = kernels._joint_codes(
-            left_keys, right_keys, n_left, n_right, par=ctx.parallel
-        )
-    except KernelFallback:
-        return None
-    left_valid = np.ones(n_left, dtype=np.bool_)
-    for column in left_keys:
-        if column.mask is not None:
-            left_valid &= ~column.mask
-    right_valid = np.ones(n_right, dtype=np.bool_)
-    for column in right_keys:
-        if column.mask is not None:
-            right_valid &= ~column.mask
     est = estimate_batch_bytes(left.columns) + estimate_batch_bytes(
         right.columns
     )
     parts = ctx.accountant.partition_count(est)
     lparts = ctx.spill_manager.partitions(parts, "joinl")
     rparts = ctx.spill_manager.partitions(parts, "joinr")
+    if plan.build_left:
+        build_keys, probe_keys, build_sink, probe_sink, n_probe = (
+            left_keys, right_keys, lparts, rparts, n_right
+        )
+    else:
+        build_keys, probe_keys, build_sink, probe_sink, n_probe = (
+            right_keys, left_keys, rparts, lparts, n_left
+        )
     out_li, out_ri = [], []
     running = 0
     try:
-        for ids, valid, sink, n in (
-            (l_ids, left_valid, lparts, n_left),
-            (r_ids, right_valid, rparts, n_right),
-        ):
-            for ms in range(0, n, SPILL_CHUNK_ROWS):
-                me = min(ms + SPILL_CHUNK_ROWS, n)
-                sel = np.flatnonzero(valid[ms:me]).astype(np.int64)
-                if not len(sel):
-                    continue
-                codes = ids[ms:me][sel]
-                sink.add(
+        try:
+            keys = kernels.JoinKeyDictionary(build_keys, probe_keys)
+            for ms in range(0, len(keys.build_rows), SPILL_CHUNK_ROWS):
+                rows = keys.build_rows[ms:ms + SPILL_CHUNK_ROWS]
+                codes = keys.build_ids[ms:ms + SPILL_CHUNK_ROWS]
+                build_sink.add(
                     codes % parts,
                     [
-                        Column(DataType.BIGINT, sel + ms),
+                        Column(DataType.BIGINT, rows),
                         Column(DataType.BIGINT, codes),
                     ],
                 )
-        # the codes now live in the spill partitions; drop the full-size
-        # id/validity arrays before the per-partition joins allocate
-        del l_ids, r_ids, left_valid, right_valid, left_keys, right_keys
+            for ms in range(0, n_probe, SPILL_CHUNK_ROWS):
+                rows, codes = keys.probe(ms, min(ms + SPILL_CHUNK_ROWS, n_probe))
+                if len(rows):
+                    probe_sink.add(
+                        codes % parts,
+                        [
+                            Column(DataType.BIGINT, rows + ms),
+                            Column(DataType.BIGINT, codes),
+                        ],
+                    )
+        except KernelFallback:
+            return None
+        # the codes now live in the spill partitions; drop the dictionary
+        # and key columns before the per-partition joins allocate
+        del keys, left_keys, right_keys, build_keys, probe_keys
         for part in range(parts):
             lcols = lparts.read_partition(part)
             rcols = rparts.read_partition(part)

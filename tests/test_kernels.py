@@ -221,6 +221,93 @@ class TestJoinIndices:
         assert list(zip(li.tolist(), ri.tolist())) == [(1, 0), (2, 2)]
 
 
+def _dictionary_pairs(build, probe, chunk=3):
+    """(probe row, build row) pairs matched through a JoinKeyDictionary,
+    probing ``chunk`` rows at a time."""
+    keys = kernels.JoinKeyDictionary(build, probe)
+    n = len(probe[0])
+    pairs = []
+    for start in range(0, n, chunk):
+        rows, ids = keys.probe(start, min(start + chunk, n))
+        for row, key in zip(rows.tolist(), ids.tolist()):
+            matches = keys.build_rows[keys.build_ids == key]
+            pairs.extend((start + row, int(b)) for b in matches)
+    return sorted(pairs)
+
+
+class TestJoinKeyDictionary:
+    """The spilled join's build-side dictionary matches exactly the
+    pairs :func:`kernels.join_indices` does, for every key shape."""
+
+    @staticmethod
+    def _check(probe, build):
+        li, ri = kernels.join_indices(probe, build)
+        expected = sorted(zip(li.tolist(), ri.tolist()))
+        assert _dictionary_pairs(build, probe) == expected
+        return expected
+
+    def test_int_key_drops_absent_and_null(self):
+        probe = [Column.from_values(DataType.BIGINT, [5, 1, None, 7, 2, 1, 9])]
+        build = [Column.from_values(DataType.BIGINT, [1, 2, 2, None, 3])]
+        assert self._check(probe, build) == [(1, 0), (4, 1), (4, 2), (5, 0)]
+
+    def test_double_key_nan_never_matches(self):
+        nan = float("nan")
+        probe = [Column.from_values(DataType.DOUBLE, [nan, 1.5, None, -0.0, 2.5])]
+        build = [Column.from_values(DataType.DOUBLE, [0.0, nan, 1.5, None])]
+        assert self._check(probe, build) == [(1, 2), (3, 0)]
+
+    def test_mixed_int_double_pair_is_aligned(self):
+        probe = [Column.from_values(DataType.DOUBLE, [2.0, 2.5, 3.0, float("nan")])]
+        build = [Column.from_values(DataType.INTEGER, [3, 2, 4])]
+        assert self._check(probe, build) == [(0, 1), (2, 0)]
+
+    def test_varchar_key(self):
+        probe = [Column.from_values(DataType.VARCHAR, ["b", None, "zz", "a", "b"])]
+        build = [Column.from_values(DataType.VARCHAR, ["a", "b", None, "c"])]
+        assert self._check(probe, build) == [(0, 1), (3, 0), (4, 1)]
+
+    def test_multi_column_key_drops_absent_combinations(self):
+        probe = [
+            Column.from_values(DataType.INTEGER, [1, 1, 2, 2, None, 1]),
+            Column.from_values(DataType.VARCHAR, ["a", "b", "a", "b", "a", "a"]),
+            Column.from_values(DataType.DOUBLE, [0.5, 0.5, 0.5, 0.5, 0.5, 9.0]),
+        ]
+        build = [
+            Column.from_values(DataType.INTEGER, [1, 2, 1, 2]),
+            Column.from_values(DataType.VARCHAR, ["a", "b", "a", None]),
+            Column.from_values(DataType.DOUBLE, [0.5, 0.5, 0.5, 0.5]),
+        ]
+        assert self._check(probe, build) == [(0, 0), (0, 2), (3, 1)]
+
+    def test_untyped_probe_pairs_with_typed_build(self):
+        probe = [Column(None, np.array([3, 1, 4], dtype=np.int64))]
+        build = [Column.from_values(DataType.BIGINT, [4, 3])]
+        assert _dictionary_pairs(build, probe) == [(0, 1), (2, 0)]
+        with pytest.raises(KernelFallback):
+            kernels.JoinKeyDictionary(
+                [Column.from_values(DataType.VARCHAR, ["x"])],
+                [Column(None, np.array([1], dtype=np.int64))],
+            )
+
+    def test_unorderable_keys_fall_back(self):
+        # the spilled join then runs the in-memory join instead
+        data = np.empty(3, dtype=object)
+        data[:] = ["x", (1, 2), "y"]
+        with pytest.raises(KernelFallback):
+            kernels.JoinKeyDictionary(
+                [Column(DataType.VARCHAR, data)],
+                [Column.from_values(DataType.VARCHAR, ["x"])],
+            )
+
+    def test_empty_build_side_matches_nothing(self):
+        probe = [Column.from_values(DataType.BIGINT, [1, 2, 3])]
+        build = [Column.from_values(DataType.BIGINT, [None, None])]
+        assert self._check(probe, build) == []
+        probe2 = probe + [Column.from_values(DataType.BIGINT, [1, 2, 3])]
+        assert _dictionary_pairs(build + build, probe2) == []
+
+
 # ---------------------------------------------------------------------------
 # engine-level oracle: vectorized on vs off
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 
 from repro import Database, ReproError
 from repro.cli import Shell
+from repro.storage.encoding import factorize_counters
 from repro.storage.spill import SpillManager
 from test_fuzz import random_query
 
@@ -131,6 +132,35 @@ QUERIES = [
     "AND v = 0 ORDER BY k LIMIT 20",
 ]
 
+#: spilled-join key shapes: each codifies its build side (dim) whole and
+#: its probe side (fact) one chunk at a time
+SPILLED_JOINS = [
+    # two-column key
+    "SELECT dim.w, COUNT(*) AS c, SUM(fact.v) AS s FROM fact JOIN dim "
+    "ON fact.v = dim.id - 9500 AND fact.k % 50 = dim.w "
+    "GROUP BY dim.w ORDER BY dim.w",
+    # DOUBLE key with NaN probe rows, against a BIGINT build key (the
+    # pair is aligned to DOUBLE) and against a DOUBLE expression
+    "SELECT fact.f, COUNT(*) AS c FROM fact JOIN dim ON fact.f = dim.w "
+    "GROUP BY fact.f ORDER BY fact.f",
+    "SELECT fact.f, COUNT(*) AS c FROM fact JOIN dim "
+    "ON fact.f = dim.w * 0.5 GROUP BY fact.f ORDER BY fact.f",
+    # VARCHAR key
+    "SELECT dim.w, COUNT(*) AS c FROM fact JOIN dim "
+    "ON CAST(fact.k AS VARCHAR) = CAST(dim.id AS VARCHAR) "
+    "GROUP BY dim.w ORDER BY dim.w",
+    # LEFT JOIN: unmatched probe rows (NULL keys included) survive
+    "SELECT dim.w, COUNT(*) AS c, SUM(fact.v) AS s FROM fact LEFT JOIN dim "
+    "ON fact.k = dim.id GROUP BY dim.w ORDER BY dim.w",
+    # build side is the left input; no ORDER BY, so the output order
+    # itself is compared
+    "SELECT dim.id, fact.v FROM dim JOIN fact ON dim.id = fact.k",
+    # probe keys mostly absent from the build side (50 of 20k present)
+    "SELECT dim.w, COUNT(*) AS c FROM fact JOIN dim ON fact.k = dim.w * 400 "
+    "GROUP BY dim.w ORDER BY dim.w",
+]
+QUERIES += SPILLED_JOINS
+
 
 class TestSpillEquivalence:
     """Large inputs actually spill, and answers never move."""
@@ -169,7 +199,12 @@ class TestSpillEquivalence:
 
     def test_bit_identical_under_budget(self, budgeted, oracle):
         for sql in QUERIES:
+            files = budgeted.memory_stats()["files"]
             assert_equivalent(budgeted, oracle, sql)
+            if sql in SPILLED_JOINS and budgeted.memory_budget <= 1 << 20:
+                # partitions were written: the spilled join ran to the
+                # end instead of falling back to the in-memory join
+                assert budgeted.memory_stats()["files"] > files, sql
         stats = budgeted.memory_stats()
         if budgeted.memory_budget <= 1 << 20:
             # the estimator prices *encoded* bytes — the 8 MiB budget
@@ -241,6 +276,47 @@ class TestSpillEquivalence:
         assert_equivalent(budgeted, oracle, sql)
         after = budgeted.storage_stats()["dynamic_zone_filters"]["in_subquery"]
         assert after > before
+
+    def test_spilled_join_over_shared_dictionary(self, tmp_path):
+        """Key columns resting in one shared dictionary join on their
+        stored codes, looked up one probe chunk at a time."""
+        rng = np.random.default_rng(5)
+        names = np.array([f"name-{i:04d}" for i in range(300)], dtype=object)
+        oracle = Database()
+        oracle.execute("CREATE TABLE a (s VARCHAR, v BIGINT)")
+        oracle.execute("CREATE TABLE b (s VARCHAR, w BIGINT)")
+        appender = oracle.appender("a")
+        appender.append(
+            {
+                "s": names[rng.integers(0, 300, 100_000)],
+                "v": rng.integers(0, 100, 100_000),
+            }
+        )
+        appender.close()
+        appender = oracle.appender("b")
+        appender.append(
+            {"s": rng.permutation(np.repeat(names, 4)), "w": np.arange(1200)}
+        )
+        appender.close()
+        oracle.insert_rows("a", [(None, 1)] * 3)  # NULL keys match nothing
+        oracle.execute("ANALYZE")
+        target = str(tmp_path / "db")
+        oracle.save(target)
+        budgeted = Database.open(target, memory_budget=1)
+        try:
+            for table in ("a", "b"):
+                info = budgeted.table(table).current().resting_info()
+                assert info["s"][0] == "dict"
+            sql = "SELECT a.s, b.w, a.v FROM a JOIN b ON a.s = b.s"
+            expected = oracle.execute(sql).rows()
+            shared = factorize_counters.snapshot()["shared_dict_joins"]
+            files = budgeted.memory_stats()["files"]
+            assert budgeted.execute(sql).rows() == expected
+            assert factorize_counters.snapshot()["shared_dict_joins"] > shared
+            assert budgeted.memory_stats()["files"] > files
+        finally:
+            budgeted.close()
+            oracle.close()
 
 
 class TestSpillHousekeeping:
