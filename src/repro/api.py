@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from contextlib import nullcontext
 from typing import Any, Iterable, Optional, Sequence
 
@@ -67,7 +68,7 @@ from .exec.kernels import KernelCounters
 from .exec.operators import ExecContext, execute_plan
 from .exec.parallel import ExecPool
 from .envutil import env_int
-from .graph import GraphLibrary, GraphOverlayState, edge_valid_mask
+from .graph import GraphLibrary, GraphOverlayState
 from .nested import NestedTableValue
 from .plan import (
     Binder,
@@ -247,6 +248,10 @@ class GraphIndexManager:
         #: spec -> GraphOverlayState for every cached base build; kept in
         #: lockstep with ``_cache`` (evicting one drops the other).
         self._states: "dict[tuple[str, str, str], GraphOverlayState]" = {}
+        #: (spec, committed version id) -> the library its one in-flight
+        #: build will produce: concurrent misses on one version (the
+        #: first queries after a load) wait for that build
+        self._building: "dict[tuple, Future]" = {}
         self.hits = 0
         self.misses = 0
         self.builds = 0
@@ -289,39 +294,6 @@ class GraphIndexManager:
         """name -> (table, src column, dst column), for persistence."""
         with self._mutex:
             return dict(self._specs)
-
-    def cached_library(
-        self, name: str, version_id: int
-    ) -> Optional[GraphLibrary]:
-        """The already-built library of index ``name``, but only when it
-        was built from exactly table version ``version_id`` — a pure
-        cache peek (no build, no LRU reordering), for the persistence
-        layer: ``save()`` serializes the CSRs that exist, it never pays
-        a build or evicts hot entries for an index nobody queried."""
-        with self._mutex:
-            spec = self._specs.get(name)
-            if spec is None:  # pragma: no cover - defensive
-                return None
-            cached = self._cache.get(spec)
-            if cached is not None and cached[0] == version_id:
-                return cached[1]
-            return None
-
-    def seed(self, name: str, library: GraphLibrary) -> None:
-        """Install a pre-built library for index ``name``, keyed to the
-        table's *current* committed version — the ``load()`` path that
-        restores persisted CSRs so the first graph query after a reload
-        skips the build entirely."""
-        with self._mutex:
-            spec = self._specs.get(name)
-            if spec is None:  # pragma: no cover - defensive
-                return
-            version = self._catalog.get(spec[0]).current()
-            library.indexed = True
-            self._cache[spec] = (version.version_id, library)
-            self._cache.move_to_end(spec)
-            self._states.pop(spec, None)
-            self._evict_over_capacity()
 
     def _evict_over_capacity(self) -> None:
         """LRU-evict cache entries past capacity (mutex held), dropping
@@ -451,43 +423,6 @@ class GraphIndexManager:
                     self.overlay_merges += 1
                 self._evict_over_capacity()
 
-    def library_for_save(
-        self, name: str, version_id: int
-    ) -> Optional[GraphLibrary]:
-        """The library to persist for index ``name`` at table version
-        ``version_id``, or None when nothing is cached (``save()`` never
-        force-builds an index nobody queried).
-
-        With a zero-delta overlay state the canonical base serves; a
-        state carrying deltas is compacted first, since the on-disk
-        format stores a sorted vertex dictionary and a tombstone-free
-        CSR — the compaction also benefits every later query.
-        """
-        with self._mutex:
-            spec = self._specs.get(name)
-            if spec is None:  # pragma: no cover - defensive
-                return None
-            cached = self._cache.get(spec)
-            if cached is not None and cached[0] == version_id:
-                return cached[1]
-            state = self._states.get(spec)
-        if state is None:
-            return None
-        with state.lock:
-            if state.applied_version != version_id:
-                return None
-            if state.delta_size == 0:
-                return state.base
-        try:
-            version = self._catalog.get(spec[0]).current()
-        except CatalogError:  # pragma: no cover - concurrent drop
-            return None
-        if version.version_id != version_id:
-            return None
-        library, valid = self._build_library(version, spec[1], spec[2])
-        self._install_build(spec, version, library, valid, compacted=True)
-        return library
-
     def overlay_info(self) -> dict:
         """Per-index overlay introspection for ``\\graph`` and tests."""
         with self._mutex:
@@ -528,10 +463,11 @@ class GraphIndexManager:
         An overlay state tracking the requested version serves its base
         (zero delta) or the base+overlay merged library — no rebuild
         after DML; a delta at ``compact_threshold`` compacts here first.
+        Concurrent misses on one committed version share one build.
         """
         spec = (table.lower(), src_col.lower(), dst_col.lower())
-        seed_library = None
         compacting = False
+        pending = None
         with self._mutex:
             if spec not in self._specs.values():
                 return None
@@ -559,36 +495,35 @@ class GraphIndexManager:
                 if cached is not None and cached[0] == version.version_id:
                     self._cache.move_to_end(spec)
                     self.hits += 1
-                    if state is not None or version.version_id >= TXN_VERSION_BASE:
-                        return cached[1]
-                    # a seeded/loaded build with no overlay state yet:
-                    # create one so later DML maintains it incrementally
-                    seed_library = cached[1]
-                else:
-                    self.misses += 1
-        if seed_library is not None:
-            valid = edge_valid_mask(
-                version.column(src_col),
-                version.column(dst_col),
-                version.num_rows,
-            )
-            with self._mutex:
-                cached = self._cache.get(spec)
-                if (
-                    cached is not None
-                    and cached[0] == version.version_id
-                    and spec not in self._states
-                ):
-                    self._states[spec] = GraphOverlayState(
-                        seed_library, version.version_id, valid
-                    )
-            return seed_library
+                    return cached[1]
+                self.misses += 1
+            # transaction-private versions are never shared
+            key = (spec, version.version_id)
+            if version.version_id >= TXN_VERSION_BASE:
+                key = None
+            pending = self._building.get(key)
+            if pending is None:
+                future = Future()
+                if key is not None:
+                    self._building[key] = future
+        if pending is not None:
+            return pending.result()
         # Build outside the mutex: CSR construction can be slow and must
         # not serialize lookups of other indices.  No locks at all — the
         # TableVersion is immutable, so the build can never observe a
         # half-applied write, and its version id keys the cache entry.
-        library, valid = self._build_library(version, src_col, dst_col)
-        self._install_build(spec, version, library, valid, compacted=compacting)
+        try:
+            library, valid = self._build_library(version, src_col, dst_col)
+            self._install_build(
+                spec, version, library, valid, compacted=compacting
+            )
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
+        finally:
+            with self._mutex:
+                self._building.pop(key, None)
+        future.set_result(library)
         return library
 
     def note_solve(self, result) -> None:

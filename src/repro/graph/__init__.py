@@ -21,7 +21,7 @@ from .csr import CSRGraph, build_csr, expand_frontier
 from .dijkstra import dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
 from .library import PARALLEL_MIN_PAIRS, GraphLibrary, ShortestPathResult
-from .overlay import GraphOverlayState, OverlayDomain, edge_valid_mask
+from .overlay import GraphOverlayState, OverlayDomain
 
 __all__ = [
     "UNREACHED",
@@ -40,6 +40,5 @@ __all__ = [
     "ShortestPathResult",
     "GraphOverlayState",
     "OverlayDomain",
-    "edge_valid_mask",
     "PARALLEL_MIN_PAIRS",
 ]

@@ -8,7 +8,8 @@ The invocation contract follows the paper:
 3. optionally, additional weight columns for the shortest-path functions.
 
 The library dictionary-encodes every key into the dense domain
-``H = {0..|V|-1}`` (:class:`~repro.graph.domain.VertexDomain`), always
+``H = {0..|V|-1}`` (:class:`~repro.graph.domain.VertexDomain`, which
+yields the endpoint ids in the same pass as the dictionary), always
 builds a CSR representation (:func:`~repro.graph.csr.build_csr`), and
 returns "the sequence of row ids t such that t[S] is connected to t[D]
 and the requested shortest paths" — here a boolean connectivity mask per
@@ -99,9 +100,12 @@ class ShortestPathResult:
 class GraphLibrary:
     """One prepared graph: domain encoding + CSR, ready for many queries.
 
-    This object is what the paper's future-work "graph index" would
-    persist (Section 6); `repro.exec` caches instances keyed on the edge
-    table fingerprint to implement exactly that.
+    This object is the paper's future-work "graph index" (Section 6):
+    the database's graph-index cache keeps instances keyed on the edge
+    table version.  It lives in memory only; a saved image stores the
+    index definition, and the first path query after a load rebuilds
+    the library from the columns, since one build costs little more
+    than reading a stored CSR back.
     """
 
     def __init__(
@@ -110,8 +114,7 @@ class GraphLibrary:
         dst_keys: np.ndarray,
         weights: np.ndarray | None = None,
     ):
-        domain = VertexDomain(src_keys, dst_keys)
-        src_ids, dst_ids = domain.encode_edges(src_keys, dst_keys)
+        domain, src_ids, dst_ids = VertexDomain.from_edges(src_keys, dst_keys)
         self._adopt(
             domain, build_csr(src_ids, dst_ids, domain.num_vertices, weights)
         )
@@ -133,31 +136,6 @@ class GraphLibrary:
         library = cls.__new__(cls)
         library._adopt(domain, csr)
         return library
-
-    @classmethod
-    def from_parts(
-        cls,
-        domain_values: np.ndarray,
-        indptr: np.ndarray,
-        dst: np.ndarray,
-        src: np.ndarray,
-        edge_rows: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> "GraphLibrary":
-        """Reassemble a prepared library from its persisted arrays —
-        the ``save()``/``load()`` path that skips both the domain
-        ``np.unique`` and the CSR build sort entirely."""
-        return cls.from_csr(
-            VertexDomain.from_values(domain_values),
-            CSRGraph(
-                num_vertices=len(domain_values),
-                indptr=np.asarray(indptr, dtype=np.int64),
-                dst=np.asarray(dst, dtype=np.int64),
-                src=np.asarray(src, dtype=np.int64),
-                weights=weights,
-                edge_rows=np.asarray(edge_rows, dtype=np.int64),
-            ),
-        )
 
     @property
     def reverse(self) -> CSRGraph:

@@ -113,11 +113,6 @@ class OverlayDomain:
                 ids[hits] = found
         return ids
 
-    def encode_edges(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.encode(src), self.encode(dst)
-
     def decode(self, ids: Sequence[int]) -> list[Any]:
         offset = self.base.num_vertices
         return [
@@ -443,15 +438,4 @@ class GraphOverlayState:
         }
 
 
-def edge_valid_mask(src_col, dst_col, num_rows: int) -> np.ndarray:
-    """The is-an-edge mask of an edge table version (both endpoints
-    non-NULL) — the row space every overlay delta is tracked in."""
-    valid = np.ones(num_rows, dtype=np.bool_)
-    if src_col.mask is not None:
-        valid &= ~src_col.mask
-    if dst_col.mask is not None:
-        valid &= ~dst_col.mask
-    return valid
-
-
-__all__ = ["GraphOverlayState", "OverlayDomain", "edge_valid_mask"]
+__all__ = ["GraphOverlayState", "OverlayDomain"]

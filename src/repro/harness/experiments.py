@@ -138,21 +138,23 @@ def fig1b(
     For each scale factor and batch size k, runs batched Q13 over k
     uniform pairs and reports latency / k — the paper's amortization
     metric.  The decrease should be near-linear in k because one CSR
-    build serves the whole batch.
+    build serves the whole batch.  Each repeat times every batch size in
+    turn, so a slow spell of the machine lands on all points alike.
     """
     rows = []
     for sf in scale_factors:
         network = generate(sf, scale=scale, seed=seed)
         db = databases[sf] if databases else make_database(network)
-        for batch_size in batch_sizes:
-            samples = []
-            for repeat in range(repeats):
+        samples: dict[int, list[float]] = {b: [] for b in batch_sizes}
+        for repeat in range(repeats):
+            for batch_size in batch_sizes:
                 pairs = random_pairs(
                     network, batch_size, seed=seed + sf * 1000 + repeat
                 )
                 elapsed, _ = time_call(lambda: run_q13_batch(db, pairs))
-                samples.append(elapsed / batch_size)
-            stats = LatencyStats.from_samples(samples)
+                samples[batch_size].append(elapsed / batch_size)
+        for batch_size in batch_sizes:
+            stats = LatencyStats.from_samples(samples[batch_size])
             rows.append(
                 {
                     "scale_factor": sf,

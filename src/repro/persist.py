@@ -42,10 +42,13 @@ Optimizer statistics recorded by ``ANALYZE`` are persisted alongside the
 schemas and restored on load, so a reloaded database plans with real
 selectivities instead of magic-number fallbacks until the next ANALYZE.
 
-Built graph indices are persisted too (format v3): each index's vertex
-dictionary and CSR arrays land in ``graphindex-<name>.npz`` and are
-seeded straight into the reloaded database's index cache, so the first
-graph query after ``load()`` pays no lazy rebuild.
+Graph indices are persisted as *definitions* only (the
+``graph_indices`` block): the first path query after ``load()``
+rebuilds each index from the memory-mapped edge columns through the
+ordinary cache-miss path, which costs about as much as reading a saved
+CSR back would.  Format-v3 and older v4 images also carry a
+``graph_index_files`` block and ``graphindex-<name>.npz`` CSR archives;
+readers ignore both, so those indices rebuild lazily too.
 """
 
 from __future__ import annotations
@@ -81,8 +84,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: index CSRs (``graphindex-<name>.npz``); version 4 replaced the
 #: per-table npz archive with a ``<table>.tbl/`` directory of raw,
 #: mmap-able per-column ``.npy`` files in their resting encodings, plus
-#: persisted zone maps.  Every older layout still loads (v1/v2/v3 keep
-#: the eager npz reader; missing blocks degrade gracefully).
+#: persisted zone maps.  Images no longer carry CSRs and readers skip
+#: any they find: indices rebuild from the columns on first use.  Every
+#: older layout still loads (v1/v2/v3 keep the eager npz reader; missing
+#: blocks degrade gracefully).
 _FORMAT_VERSION = 4
 _SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
@@ -206,7 +211,6 @@ def _write_image(
             index_name: list(spec)
             for index_name, spec in db.graph_indices.specs().items()
         },
-        "graph_index_files": _write_graph_indices(db, snapshot, directory),
         "stats": _dump_stats(db, snapshot),
     }
     if checkpoint_lsn is not None:
@@ -381,77 +385,6 @@ def _load_column_v4(
     if not compression:
         column = Column(type_, column.data, column.mask)
     return column
-
-
-# ---------------------------------------------------------------------------
-# graph index CSRs
-# ---------------------------------------------------------------------------
-def _write_graph_indices(db: "Database", snapshot: Snapshot, directory: str) -> dict:
-    """Persist each *built* graph index's domain + CSR, so ``load()``
-    restores prepared indices instead of rebuilding them lazily on the
-    first query.  Only libraries already in the cache — and built from
-    exactly the table version being saved — are serialized: ``save()``
-    never pays a CSR build for an index nobody queried (nor evicts hot
-    cache entries doing so); an unbuilt/stale index simply rebuilds
-    lazily after load, as in pre-v3 images.  An index carrying a live
-    overlay delta is compacted into a canonical CSR first
-    (``library_for_save``), so images never contain overlay state —
-    a reloaded database starts from a fresh base and re-accumulates
-    deltas as DML arrives.  Filenames use a ``-`` that
-    no SQL identifier can contain, so they can never collide with a
-    ``<table>.npz`` archive.
-    """
-    files = {}
-    for index_name, spec in db.graph_indices.specs().items():
-        table = spec[0]
-        library = db.graph_indices.library_for_save(
-            index_name, snapshot.table_version(table).version_id
-        )
-        if library is None:
-            continue  # never built (or stale): lazy rebuild after load
-        values = library.domain.values
-        domain_kind = "object" if values.dtype == np.dtype(object) else "numeric"
-        if domain_kind == "object":
-            values = np.array(
-                ["" if v is None else v for v in values], dtype=np.str_
-            )
-        file_name = f"graphindex-{index_name}.npz"
-        np.savez_compressed(
-            os.path.join(directory, file_name),
-            domain_values=values,
-            indptr=library.csr.indptr,
-            dst=library.csr.dst,
-            src=library.csr.src,
-            edge_rows=library.csr.edge_rows,
-        )
-        files[index_name] = {"file": file_name, "domain_kind": domain_kind}
-    return files
-
-
-def _restore_graph_indices(db: "Database", directory: str, meta: dict) -> None:
-    from .graph import GraphLibrary
-
-    for index_name, entry in meta.get("graph_index_files", {}).items():
-        path = os.path.join(directory, entry["file"])
-        if not os.path.exists(path):  # pragma: no cover - defensive
-            continue
-        archive = np.load(path)
-        values = archive["domain_values"]
-        if entry.get("domain_kind") == "object":
-            decoded = np.empty(len(values), dtype=object)
-            for i, value in enumerate(values):
-                decoded[i] = str(value)
-            values = decoded
-        db.graph_indices.seed(
-            index_name,
-            GraphLibrary.from_parts(
-                values,
-                archive["indptr"],
-                archive["dst"],
-                archive["src"],
-                archive["edge_rows"],
-            ),
-        )
 
 
 def _swap_into_place(staging: str, target: str, faults=None) -> None:
@@ -781,6 +714,5 @@ def _load_image(directory: str, options: dict) -> "tuple[Database, int]":
             table.insert_columns(columns)
     for index_name, spec in meta.get("graph_indices", {}).items():
         db.graph_indices.create(index_name, *spec)
-    _restore_graph_indices(db, directory, meta)
     _restore_stats(db, meta.get("stats", {}))
     return db, int(meta.get("wal", {}).get("checkpoint_lsn", 0))

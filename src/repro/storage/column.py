@@ -557,17 +557,20 @@ class Column:
                     data = self.data.astype(target.numpy_dtype)
             return Column(target, data, mask)
         if target == DataType.VARCHAR:
-            data = np.empty(len(self), dtype=object)
-            for i in range(len(self)):
-                v = self.value(i)
-                if v is None:
-                    data[i] = ""
-                elif source == DataType.DATE:
-                    data[i] = days_to_date(v).isoformat()
-                elif source == DataType.BOOLEAN:
-                    data[i] = "true" if v else "false"
-                else:
-                    data[i] = str(v)
+            if source == DataType.DATE:
+                # few distinct days: format each once (NULL slots may
+                # hold any value, so they format day 0 instead)
+                days = self.data if mask is None else np.where(mask, 0, self.data)
+                days, inverse = np.unique(days, return_inverse=True)
+                texts = [days_to_date(d).isoformat() for d in days.tolist()]
+                data = np.array(texts, dtype=object)[inverse.reshape(-1)]
+            elif source == DataType.BOOLEAN:
+                data = np.where(self.data, "true", "false").astype(object)
+            else:
+                # str() of each Python value: floats keep -0.0 and nan
+                data = np.array(list(map(str, self.data.tolist())), dtype=object)
+            if mask is not None:
+                data[mask] = ""
             return Column(target, data, mask)
         if source == DataType.VARCHAR:
             return Column.from_values(target, [_parse_string(v, target) for v in self.to_pylist()])

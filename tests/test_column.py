@@ -129,3 +129,58 @@ class TestCast:
 
         col = Column.from_values(DataType.DATE, ["2010-03-24"])
         assert col.to_pylist(decode_dates=True) == [dt.date(2010, 3, 24)]
+
+
+def _varchar_by_row_loop(column: Column) -> list:
+    """CAST to VARCHAR one row at a time: the definition the vectorized
+    cast must reproduce."""
+    from repro.storage.types import days_to_date
+
+    out = []
+    for i in range(len(column)):
+        v = column.value(i)
+        if v is None:
+            out.append("")
+        elif column.type == DataType.DATE:
+            out.append(days_to_date(v).isoformat())
+        elif column.type == DataType.BOOLEAN:
+            out.append("true" if v else "false")
+        else:
+            out.append(str(v))
+    return out
+
+
+@pytest.mark.parametrize(
+    "type_, values",
+    [
+        (DataType.INTEGER, [0, -7, None, 2**31 - 1, -(2**31), 42, None]),
+        (DataType.BIGINT, [2**63 - 1, -(2**63), None, 10**15, 0]),
+        (
+            DataType.DOUBLE,
+            [1.5, -0.0, 0.0, float("nan"), None, 1e16, 1e-7, float("inf"),
+             -float("inf"), 0.1 + 0.2, 123456789.0],
+        ),
+        (DataType.BOOLEAN, [True, None, False, True]),
+        (DataType.DATE, ["2010-03-24", None, "1970-01-01", "2010-03-24", "1969-12-31"]),
+        (DataType.INTEGER, []),
+    ],
+)
+def test_cast_to_varchar_matches_row_loop(type_, values):
+    column = Column.from_values(type_, values)
+    cast = column.cast(DataType.VARCHAR)
+    assert cast.type == DataType.VARCHAR
+    assert cast.data.dtype == np.dtype(object)
+    assert list(cast.data) == _varchar_by_row_loop(column)
+    assert cast.to_pylist() == [
+        None if v is None else s
+        for v, s in zip(values, _varchar_by_row_loop(column))
+    ]
+
+
+def test_cast_date_to_varchar_ignores_null_slot_payload():
+    column = Column(
+        DataType.DATE,
+        np.array([14692, np.iinfo(np.int64).min], dtype=np.int64),
+        np.array([False, True]),
+    )
+    assert column.cast(DataType.VARCHAR).to_pylist() == ["2010-03-24", None]

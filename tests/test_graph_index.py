@@ -1,5 +1,5 @@
 """Graph index tests — the paper's Section 6 future work, implemented:
-persistent CSRs keyed on the edge table, invalidated by updates."""
+prepared CSRs cached per edge-table version and maintained across DML."""
 
 import pytest
 
@@ -235,7 +235,7 @@ class TestConcurrentTranspose:
             [rng.integers(0, 2000, 100_000), rng.integers(0, 2000, 100_000)]
         )
         source.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
-        source.execute(Q13, (0, 1))  # cache the CSR so save() persists it
+        source.execute(Q13, (0, 1))
         source.save(str(tmp_path / "image"))
         pairs = [tuple(int(v) for v in rng.integers(0, 2000, 2)) for _ in range(12)]
         expected = [source.execute(Q13, pair).scalar() for pair in pairs]
@@ -273,4 +273,27 @@ class TestConcurrentTranspose:
         stats = traversals(db)
         assert stats["transpose_builds"] == 1
         assert stats["bidirectional_pairs"] == threads * len(pairs)
+        # the image holds no CSR: the sessions' concurrent first
+        # queries share one rebuild
+        assert db.graph_indices.stats()["builds"] == 1
         db.close()
+
+
+class TestSharedBuild:
+    def test_failed_build_reaches_the_caller_and_is_retried(
+        self, db, monkeypatch
+    ):
+        from repro.api import GraphIndexManager
+
+        db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+        db.graph_indices.clear_cache()
+
+        def failing(*args):
+            raise MemoryError("no room for the CSR")
+
+        monkeypatch.setattr(GraphIndexManager, "_build_library", failing)
+        with pytest.raises(MemoryError):
+            db.lookup_graph_index("edges", "s", "d")
+        monkeypatch.undo()
+        assert db.lookup_graph_index("edges", "s", "d") is not None
+        assert db.graph_indices._building == {}

@@ -53,6 +53,83 @@ class TestVertexDomain:
         assert domain.encode(np.array([1]))[0] == NOT_A_VERTEX
 
 
+def _reference_domain(src, dst):
+    """The dictionary by definition: sorted unique keys, and each
+    endpoint's id is its key's position among them."""
+    keys = np.concatenate([src, dst]) if len(src) or len(dst) else src
+    values = np.unique(keys)
+    if values.dtype.kind in "iu":
+        ids = lambda k: np.searchsorted(values, k).astype(np.int64)  # noqa: E731
+    else:
+        lookup = {key: i for i, key in enumerate(values)}
+        ids = lambda k: np.array([lookup[x] for x in k], dtype=np.int64)  # noqa: E731
+    return values, ids(src), ids(dst)
+
+
+_I64 = np.iinfo(np.int64)
+_rng = np.random.default_rng(7)
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        pytest.param(
+            _rng.integers(0, 500, 400), _rng.integers(0, 500, 400), id="dense"
+        ),
+        pytest.param(
+            _rng.integers(0, 10**9, 300), _rng.integers(0, 10**9, 300), id="sparse"
+        ),
+        pytest.param(
+            _rng.integers(-50, 50, 200), _rng.integers(-80, 10, 200), id="negative"
+        ),
+        pytest.param(
+            np.array([_I64.min, 0, _I64.max, 5]),
+            np.array([_I64.max, _I64.min, 5, -1]),
+            id="int64-extremes",
+        ),
+        pytest.param(
+            np.array([2**64 - 1, 3, 2**63], dtype=np.uint64),
+            np.array([3, 2**63 + 1, 0], dtype=np.uint64),
+            id="uint64",
+        ),
+        pytest.param(
+            _rng.integers(0, 300, 500).astype(np.uint64),
+            _rng.integers(0, 300, 500).astype(np.uint64),
+            id="uint64-dense",
+        ),
+        pytest.param(
+            _rng.integers(-128, 128, 600).astype(np.int8),
+            _rng.integers(-128, 128, 600).astype(np.int8),
+            id="int8-full-span",
+        ),
+        pytest.param(
+            _rng.integers(10, 40, 300).astype(np.int32),
+            _rng.integers(10, 40, 300).astype(np.int32),
+            id="int32",
+        ),
+        pytest.param(np.array([42]), np.array([42]), id="single-vertex"),
+        pytest.param(
+            np.empty(0, np.int64), np.empty(0, np.int64), id="empty"
+        ),
+        pytest.param(
+            np.array(["x", "y", "bob", "x"], dtype=object),
+            np.array(["ada", "x", "zed", "bob"], dtype=object),
+            id="strings",
+        ),
+    ],
+)
+def test_one_pass_domain_matches_unique_and_searchsorted(src, dst):
+    values, src_ids, dst_ids = _reference_domain(src, dst)
+    domain, got_src, got_dst = VertexDomain.from_edges(src, dst)
+    assert domain.values.dtype == values.dtype
+    assert np.array_equal(domain.values, values)
+    for got, want in ((got_src, src_ids), (got_dst, dst_ids)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert np.array_equal(VertexDomain(src, dst).values, values)
+    assert np.array_equal(domain.encode(src), src_ids)
+
+
 class TestCSR:
     def test_prefix_sum_layout(self):
         # paper: edges sorted by S; outgoing edges of η live in

@@ -228,43 +228,69 @@ class TestStatsPersistence:
         assert loaded.table_stats() == {}
 
 
-class TestGraphIndexPersistence:
-    """Format v3: built CSR indices are saved and seeded on load."""
+def _path_rows(rows):
+    """Result rows with each nested path replaced by its edge rows."""
+    return [
+        tuple(v.to_rows() if hasattr(v, "to_rows") else v for v in row)
+        for row in rows
+    ]
 
-    def test_csr_archive_written_and_no_rebuild_on_load(self, tmp_path, chain_db):
+
+class TestGraphIndexPersistence:
+    """Images hold graph-index definitions, not CSRs: the first path
+    query after load rebuilds each index from the columns."""
+
+    def test_image_holds_no_csr_and_first_query_builds_once(
+        self, tmp_path, chain_db
+    ):
         chain_db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
         target = tmp_path / "db"
         chain_db.save(str(target))
-        assert (target / "graphindex-gi.npz").exists()
+        assert not list(target.glob("graphindex-*"))
+        assert "graph_index_files" not in json.loads(
+            (target / "catalog.json").read_text()
+        )
         loaded = Database.load(str(target))
-        # the first graph query is served from the seeded cache: a hit,
-        # zero builds
-        assert loaded.execute(
-            "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 5 OVER edges EDGE (s, d)"
-        ).scalar() == 1
+        assert loaded.graph_indices.stats()["builds"] == 0  # lazy
+        sql = "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER edges EDGE (s, d)"
+        assert loaded.execute(sql, (1, 5)).scalar() == 1
+        assert loaded.graph_indices.stats()["builds"] == 1
+        for pair in [(1, 4), (2, 5), (5, 1)]:
+            loaded.execute(sql, pair)
         stats = loaded.graph_indices.stats()
-        assert stats["builds"] == 0
-        assert stats["hits"] >= 1
+        assert stats["builds"] == 1
+        assert stats["hits"] >= 3
 
-    def test_seeded_csr_matches_a_fresh_build(self, tmp_path, social_db):
+    def test_rebuilt_index_answers_like_the_saved_database(
+        self, tmp_path, social_db
+    ):
         social_db.execute(
             "CREATE GRAPH INDEX fr ON friends EDGE (person1, person2)"
         )
+        queries = [
+            "SELECT CHEAPEST SUM(k: weight) WHERE ? REACHES ? "
+            "OVER friends k EDGE (person1, person2)",
+            "SELECT CHEAPEST SUM(1) AS (cost, path) WHERE ? REACHES ? "
+            "OVER friends EDGE (person1, person2)",
+            "SELECT CHEAPEST SUM(k: weight) AS (cost, path) WHERE ? REACHES ? "
+            "OVER friends k EDGE (person1, person2)",
+        ]
+        pairs = [(933, 8333), (8333, 4139), (933, 933), (1, 933)]
+        before = [
+            _path_rows(social_db.execute(sql, pair).rows())
+            for sql in queries
+            for pair in pairs
+        ]
         social_db.save(str(tmp_path / "db"))
         loaded = Database.load(str(tmp_path / "db"))
-        fresh = Database.load(str(tmp_path / "db"))
-        fresh.graph_indices._cache.clear()  # force a rebuild on `fresh`
-        sql = (
-            "SELECT CHEAPEST SUM(k: weight) WHERE ? REACHES ? "
-            "OVER friends k EDGE (person1, person2)"
-        )
-        for src, dst in [(933, 8333), (8333, 4139), (933, 933), (1, 933)]:
-            assert (
-                loaded.execute(sql, (src, dst)).rows()
-                == fresh.execute(sql, (src, dst)).rows()
-            )
-        assert loaded.graph_indices.stats()["builds"] == 0
-        assert fresh.graph_indices.stats()["builds"] >= 1
+        after = [
+            _path_rows(loaded.execute(sql, pair).rows())
+            for sql in queries
+            for pair in pairs
+        ]
+        assert after == before
+        assert any(rows and rows[0][-1] for rows in after)  # paths compared
+        assert loaded.graph_indices.stats()["builds"] == 1
 
     def test_string_keyed_domain_round_trips(self, tmp_path):
         db = Database()
@@ -280,7 +306,46 @@ class TestGraphIndexPersistence:
         assert loaded.execute(
             "SELECT CHEAPEST SUM(1) WHERE 'ada' REACHES 'cyd' OVER se EDGE (s, d)"
         ).scalar() == 2
-        assert loaded.graph_indices.stats()["builds"] == 0
+        assert loaded.graph_indices.stats()["builds"] == 1
+
+    @pytest.mark.parametrize("archive", ["csr", "corrupt"])
+    def test_image_carrying_an_old_csr_archive_loads(
+        self, tmp_path, chain_db, archive
+    ):
+        # images from before indices were rebuilt on load carry a
+        # graph_index_files block and a CSR archive; readers skip both
+        chain_db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+        target = tmp_path / "db"
+        chain_db.save(str(target))
+        path = target / "graphindex-gi.npz"
+        if archive == "csr":
+            # a stale CSR of the chain without its 4 -> 5 edge
+            np.savez_compressed(
+                str(path),
+                domain_values=np.array([1, 2, 3, 4, 5]),
+                indptr=np.array([0, 2, 3, 4, 4, 4]),
+                dst=np.array([1, 4, 2, 3]),
+                src=np.array([0, 0, 1, 2]),
+                edge_rows=np.array([0, 3, 1, 2]),
+            )
+        else:
+            path.write_bytes(b"PK\x03\x04 not a zip archive")
+        meta = json.loads((target / "catalog.json").read_text())
+        meta["graph_index_files"] = {
+            "gi": {"file": path.name, "domain_kind": "numeric"}
+        }
+        (target / "catalog.json").write_text(json.dumps(meta))
+        loaded = Database.load(str(target))
+        rows = loaded.execute(
+            "SELECT CHEAPEST SUM(e: w) AS (cost, path) WHERE 1 REACHES 5 "
+            "OVER edges e EDGE (s, d)"
+        ).rows()
+        cost, path_table = rows[0]
+        assert cost == 4
+        assert [r[:2] for r in path_table.to_rows()] == [
+            (1, 2), (2, 3), (3, 4), (4, 5)
+        ]
+        assert loaded.graph_indices.stats()["builds"] == 1
 
     def test_dml_after_load_invalidates_seeded_csr(self, tmp_path, chain_db):
         chain_db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
@@ -289,7 +354,7 @@ class TestGraphIndexPersistence:
         loaded.execute("INSERT INTO edges VALUES (5, 6, 1)")
         assert loaded.execute(
             "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 6 OVER edges EDGE (s, d)"
-        ).scalar() == 2  # sees the new edge: the stale CSR was dropped
+        ).scalar() == 2  # the index is built from the current columns
         assert loaded.graph_indices.stats()["builds"] >= 1
 
     def test_unbuilt_index_is_not_force_built_by_save(self, tmp_path, chain_db):
