@@ -52,7 +52,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from contextlib import nullcontext
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import (
     CatalogError,
@@ -106,7 +106,6 @@ from .storage import (
     Table,
     TableVersion,
     WriteInfo,
-    build_appended_columns,
     bulk_columns,
     concat_for_append,
     days_to_date,
@@ -114,8 +113,10 @@ from .storage import (
     factorize_counters,
     read_csv_vectors,
     read_npz_vectors,
+    row_vectors,
 )
 from .storage.spill import SpillCounters, SpillManager
+from .storage.wal import WriteAheadLog
 
 
 #: Leading words of the statement kinds the plan cache can hold; other
@@ -561,9 +562,11 @@ class Appender:
     :meth:`~repro.session.Session.appender`).  Each :meth:`append` call
     takes whole **column vectors** — numpy arrays ride the vectorized
     ingest path, lists the chunked per-value coercion path — and commits
-    them as ONE columnar batch: one new table version, zone maps extended
-    over the tail, graph overlays fed the append delta.  No per-row
-    Python loop anywhere.
+    them as ONE columnar batch through the database's one append path,
+    the same one INSERT and COPY take: one new table version, zone maps
+    extended over the tail, graph overlays fed the append delta, one
+    ``append`` WAL record (the columns as npy blobs).  No per-row Python
+    loop anywhere.
 
     With a session whose transaction is open, appends buffer into the
     transaction (visible to its own statements, published on COMMIT,
@@ -595,36 +598,12 @@ class Appender:
             raise ExecutionError("appender is closed")
         db = self._database
         db._check_open()
-        txn = db._active_transaction(self._session)
-        if txn is not None:
-            version = txn.snapshot.table_version(self.table)
-            fresh = bulk_columns(
-                version.schema, values, db.exec_pool.context(), columns
-            )
-            count = len(fresh[0]) if fresh else 0
-            if count == 0:
-                return 0
-            combined = [
-                concat_for_append(old, new)
-                for old, new in zip(version.columns, fresh)
-            ]
-            txn.record_write(self.table, combined)
-            return count
-        with db._write_locks({self.table}):
-            table = db.catalog.get(self.table)
-            fresh = bulk_columns(
-                table.schema, values, db.exec_pool.context(), columns
-            )
-            if not fresh or len(fresh[0]) == 0:
-                return 0
-            if db.wal is None:
-                return table.insert_columns(fresh)
-            # bulk batches log columnar (raw npy blobs), not row JSON
-            with db.wal.mutex:
-                lsn = db.wal.log_append(table.name, fresh)
-                count = table.insert_columns(fresh)
-        db.wal.sync(lsn)
-        return count
+        return db._append(
+            self.table,
+            lambda schema: values,
+            columns,
+            db._active_transaction(self._session),
+        )
 
     def append_rows(self, rows: Iterable[Sequence[Any]]) -> int:
         """Row-tuple convenience: transpose into column vectors and
@@ -854,8 +833,6 @@ class Database:
                     "durability=...) to pair the log with a database "
                     "directory (and recover whatever is already there)"
                 )
-            from .storage.wal import WriteAheadLog
-
             self.wal = WriteAheadLog.create(
                 wal_dir, durability=durability, faults=self.faults
             )
@@ -1146,11 +1123,7 @@ class Database:
         # entry.deps already names every referenced table: no need to
         # re-walk the plan tree per execution on the cache-hit hot path
         if entry.kind == "insert":
-            if txn is not None:
-                return self._txn_insert(txn, entry.bound, entry.plan, params)
-            with self._write_locks({entry.bound.table}):
-                snapshot = self.pin_snapshot(entry.tables())
-                return self._run_insert(entry.bound, entry.plan, params, snapshot)
+            return self._insert(entry.bound, entry.plan, params, txn, entry.deps)
         return self._execute_query_plan(
             entry.plan, params, tables=entry.tables(), txn=txn
         )
@@ -1387,24 +1360,15 @@ class Database:
         return self.catalog.create_table(name, Schema(columns))
 
     def insert_rows(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
+        """Append row tuples (in the table's column order); returns the
+        count.  The rows are transposed into column vectors and take the
+        append path every INSERT, COPY and appender batch takes, logged
+        as one ``insert`` WAL record (the rows as JSON) like an INSERT."""
         target = self.catalog.get(table)
-        if self.wal is None:
-            return target.insert_rows(rows)
-        rows = list(rows)
-        if not rows:
-            return 0
-        with self._write_locks({target.name}):
-            version = target.current()
-            combined = build_appended_columns(
-                version.schema, version.columns, rows
-            )
-            with self.wal.mutex:
-                lsn = self.wal.log_insert(target.name, rows)
-                target.replace_columns(
-                    combined, WriteInfo("append", appended=len(rows))
-                )
-        self.wal.sync(lsn)
-        return len(rows)
+        vectors = row_vectors(target.schema, rows)
+        return self._append(
+            target.name, lambda schema: vectors, log=WriteAheadLog.log_insert
+        )
 
     def appender(
         self, table: str, *, session: Optional[Session] = None
@@ -1486,6 +1450,66 @@ class Database:
             if self.catalog.has(name):
                 locks[name] = self.catalog.get(name).lock
         return LockSet(locks, set(locks))
+
+    # ------------------------------------------------------------------
+    # the append path
+    # ------------------------------------------------------------------
+    def _append(
+        self,
+        name: str,
+        source: Callable[[Schema], Any],
+        columns: Optional[Sequence[str]] = None,
+        txn: Optional[Transaction] = None,
+        *,
+        log: Callable[..., int] = WriteAheadLog.log_append,
+    ) -> int:
+        """Append one batch to table ``name``; returns its row count.
+
+        The one append path of INSERT, COPY, :meth:`Appender.append` and
+        :meth:`insert_rows`.  ``source(schema)`` returns per-column
+        vectors (lists, arrays or result columns) aligned with
+        ``columns`` (None: all, in table order; unnamed ones fill with
+        NULLs), which :func:`~repro.storage.bulk_columns` builds and
+        validates.  Inside ``txn`` the batch buffers into the
+        transaction.  Otherwise it is built under the table's write
+        lock, then logged with ``log`` (:meth:`WriteAheadLog.log_append`,
+        or ``log_insert`` for SQL INSERT and :meth:`insert_rows`),
+        installed and synced — validated first, so a rejected batch
+        leaves no record.  An empty batch writes nothing."""
+        locks = nullcontext() if txn is not None else self._write_locks({name})
+        with locks:
+            version = (
+                txn.snapshot.table_version(name)
+                if txn is not None
+                else self.catalog.get(name).current()
+            )
+            fresh = bulk_columns(
+                version.schema,
+                source(version.schema),
+                self.exec_pool.context(),
+                columns,
+            )
+            count = len(fresh[0]) if fresh else 0
+            if count == 0:
+                return 0
+            if txn is not None:
+                txn.record_write(
+                    name,
+                    [
+                        concat_for_append(old, new)
+                        for old, new in zip(version.columns, fresh)
+                    ],
+                )
+                return count
+            with self._wal_lock():
+                lsn = (
+                    log(self.wal, name, fresh)
+                    if self.wal is not None
+                    else None
+                )
+                self.catalog.get(name).insert_columns(fresh)
+        self._wal_sync(lsn)
+        return count
 
     def _execute_query_plan(
         self,
@@ -1590,15 +1614,19 @@ class Database:
             )
         if isinstance(bound, BoundInsert):
             plan = self._optimize(bound.plan)
-            if txn is not None:
-                return self._txn_insert(txn, bound, plan, params)
-            with self._write_locks({bound.table}):
-                snapshot = self.pin_snapshot(
-                    referenced_tables(plan) | {bound.table}
-                )
-                return self._run_insert(bound, plan, params, snapshot)
+            return self._insert(
+                bound, plan, params, txn, referenced_tables(plan)
+            )
         if isinstance(bound, BoundCopy):
-            return self._run_copy(bound, txn)
+            # the file's contents are logged, not its path: recovery
+            # must not depend on the file still existing (or matching)
+            count = self._append(
+                bound.table,
+                lambda schema: self._copy_vectors(bound, schema),
+                bound.columns or None,
+                txn,
+            )
+            return Result(None, rowcount=count)
         if isinstance(bound, BoundCreateTableAs):
             snapshot = self.pin_snapshot(referenced_tables(bound.plan))
             return self._run_create_table_as(bound, params, snapshot)
@@ -1801,58 +1829,36 @@ class Database:
             new_columns[position] = Column(declared, data, mask if mask.any() else None)
         return new_columns, int(hit.sum())
 
-    def _insert_rows_for(
-        self, bound: BoundInsert, plan, params: tuple, snapshot: Snapshot
-    ) -> list[tuple]:
-        """Materialize an INSERT's source rows (snapshot reads), widened
-        to the target schema when an explicit column list was given."""
-        schema = snapshot.table_version(bound.table).schema
-        ctx = ExecContext(self, params, snapshot=snapshot)
-        batch = execute_plan(plan, ctx)
-        incoming = batch.to_rows()
-        if not bound.columns:
-            return incoming
-        positions = [schema.index_of(c) for c in bound.columns]
-        width = len(schema)
-        rows = []
-        for row in incoming:
-            full: list[Any] = [None] * width
-            for position, value in zip(positions, row):
-                full[position] = value
-            rows.append(tuple(full))
-        return rows
-
-    def _run_insert(
-        self, bound: BoundInsert, plan, params: tuple, snapshot: Snapshot
+    def _insert(
+        self,
+        bound: BoundInsert,
+        plan,
+        params: tuple,
+        txn: Optional[Transaction],
+        reads: Iterable[str],
     ) -> Result:
-        rows = self._insert_rows_for(bound, plan, params, snapshot)
-        table = self.catalog.get(bound.table)
-        if self.wal is None or not rows:
-            count = table.insert_rows(rows)
-            return Result(None, rowcount=count)
-        # validate + coerce *before* logging: a rejected INSERT must
-        # not leave a record that recovery would replay.  The caller
-        # holds the table's write lock, so current() is stable.
-        version = table.current()
-        combined = build_appended_columns(version.schema, version.columns, rows)
-        with self.wal.mutex:
-            lsn = self.wal.log_insert(table.name, rows)
-            table.replace_columns(
-                combined, WriteInfo("append", appended=len(rows))
+        """Run an INSERT (VALUES, prepared or INSERT … SELECT): its
+        result columns take the one append path, logged as an
+        ``insert`` record.  Outside a transaction the statement reads a
+        snapshot pinned under the target's write lock."""
+
+        def result_columns(schema: Schema) -> list[Column]:
+            snapshot = (
+                txn.snapshot
+                if txn is not None
+                else self.pin_snapshot({bound.table, *reads})
             )
-        self.wal.sync(lsn)
-        return Result(None, rowcount=len(rows))
+            ctx = ExecContext(self, params, snapshot=snapshot)
+            return execute_plan(plan, ctx).columns
 
-    def _txn_insert(
-        self, txn: Transaction, bound: BoundInsert, plan, params: tuple
-    ) -> Result:
-        """Buffer an INSERT inside a transaction: append to the
-        overlay's table version, never the live table."""
-        rows = self._insert_rows_for(bound, plan, params, txn.snapshot)
-        version = txn.snapshot.table_version(bound.table)
-        columns = build_appended_columns(version.schema, version.columns, rows)
-        txn.record_write(bound.table, columns)
-        return Result(None, rowcount=len(rows))
+        count = self._append(
+            bound.table,
+            result_columns,
+            bound.columns or None,
+            txn,
+            log=WriteAheadLog.log_insert,
+        )
+        return Result(None, rowcount=count)
 
     def _copy_vectors(self, bound: BoundCopy, schema: Schema):
         """Read a COPY statement's source file into per-column vectors."""
@@ -1885,54 +1891,6 @@ class Database:
             raise ExecutionError(
                 f"COPY: cannot read {bound.path!r}: {exc}"
             ) from None
-
-    def _run_copy(self, bound: BoundCopy, txn: Optional[Transaction]) -> Result:
-        """``COPY <table> FROM '<file>'`` — the bulk-ingest fast path.
-
-        Reads the whole file into per-column vectors and commits them as
-        ONE columnar batch through :func:`~repro.storage.bulk_columns`
-        (morsel-parallel on the shared kernel pool): one new table
-        version, zone maps extended over the appended tail, graph
-        overlays fed the append delta.  Inside a transaction the batch
-        buffers into the transaction's table version like any other DML
-        (MVCC and first-committer-wins unchanged)."""
-        if txn is not None:
-            version = txn.snapshot.table_version(bound.table)
-            vectors = self._copy_vectors(bound, version.schema)
-            fresh = bulk_columns(
-                version.schema,
-                vectors,
-                self.exec_pool.context(),
-                bound.columns or None,
-            )
-            count = len(fresh[0]) if fresh else 0
-            if count:
-                combined = [
-                    concat_for_append(old, new)
-                    for old, new in zip(version.columns, fresh)
-                ]
-                txn.record_write(bound.table, combined)
-            return Result(None, rowcount=count)
-        with self._write_locks({bound.table}):
-            table = self.catalog.get(bound.table)
-            vectors = self._copy_vectors(bound, table.schema)
-            fresh = bulk_columns(
-                table.schema,
-                vectors,
-                self.exec_pool.context(),
-                bound.columns or None,
-            )
-            if not fresh or len(fresh[0]) == 0:
-                return Result(None, rowcount=0)
-            if self.wal is None:
-                return Result(None, rowcount=table.insert_columns(fresh))
-            # the file's contents are logged, not its path: recovery
-            # must not depend on the CSV still existing (or matching)
-            with self.wal.mutex:
-                lsn = self.wal.log_append(table.name, fresh)
-                count = table.insert_columns(fresh)
-        self.wal.sync(lsn)
-        return Result(None, rowcount=count)
 
 
 def connect(**kwargs: Any) -> Database:

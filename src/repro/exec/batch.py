@@ -82,11 +82,6 @@ class Batch:
             raise ExecutionError("relabel arity mismatch")
         return Batch(schema, self.columns)
 
-    def to_rows(self) -> list[tuple]:
-        return [
-            tuple(col.value(i) for col in self.columns) for i in range(self.num_rows)
-        ]
-
 
 class ZeroColumnBatch(Batch):
     """A batch with no columns but a definite row count.

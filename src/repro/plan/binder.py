@@ -263,7 +263,9 @@ class Binder:
             return self._bind_insert_values(stmt)
         if isinstance(stmt, ast.InsertSelect):
             plan = self.bind_query(stmt.query, {})
-            return BoundInsert(stmt.table.lower(), stmt.columns, plan)
+            return BoundInsert(
+                stmt.table.lower(), self._column_list(stmt, "INSERT"), plan
+            )
         if isinstance(stmt, ast.Copy):
             return self._bind_copy(stmt)
         if isinstance(stmt, ast.CreateTableAs):
@@ -319,18 +321,27 @@ class Binder:
             self._fresh_column(f"col{j}", column_types[j]) for j in range(width)
         )
         return BoundInsert(
-            stmt.table.lower(), stmt.columns, lp.LValues(tuple(bound_rows), schema)
+            stmt.table.lower(),
+            self._column_list(stmt, "INSERT"),
+            lp.LValues(tuple(bound_rows), schema),
         )
 
-    def _bind_copy(self, stmt: ast.Copy) -> BoundCopy:
+    def _column_list(self, stmt, verb: str) -> tuple[str, ...]:
+        """An INSERT's or COPY's explicit column list, lowercased, each
+        name checked to exist in the target table and to be listed once."""
         table = self.catalog.get(stmt.table)
         columns = tuple(c.lower() for c in stmt.columns)
         seen: set[str] = set()
         for name in columns:
             table.schema.index_of(name)  # raises CatalogError if unknown
             if name in seen:
-                raise BindError(f"column {name!r} listed twice in COPY")
+                raise BindError(f"column {name!r} listed twice in {verb}")
             seen.add(name)
+        return columns
+
+    def _bind_copy(self, stmt: ast.Copy) -> BoundCopy:
+        table = self.catalog.get(stmt.table)
+        columns = self._column_list(stmt, "COPY")
         fmt: Optional[str] = None
         header = True
         delimiter = ","

@@ -1,20 +1,20 @@
-"""Bulk columnar ingest: building table columns without a per-row
-Python loop.
+"""Columnar batch building: the one builder behind every append.
 
-The row INSERT path (``build_appended_columns``) funnels every value
-through ``coerce_python_value`` inside a Python loop — fine for a
-handful of rows, fatal for the LDBC ingest phase.  :func:`bulk_column`
-accepts whole value vectors instead:
+SQL INSERT, COPY, the appender and ``Database.insert_rows`` all hand
+:func:`bulk_columns` their batch as per-column vectors, and it returns
+validated table columns without a per-row Python loop where it can:
 
-* numpy arrays of a numeric/bool dtype take a **vectorized** path —
-  one dtype check + ``astype`` per morsel, optionally fanned across the
+* numpy arrays of a numeric/bool dtype, and integer/boolean result
+  columns without NULLs, take a **vectorized** path — one dtype and
+  range check + ``astype`` per morsel, optionally fanned across the
   shared :class:`~repro.exec.parallel.ExecPool` (the same duck-typed
-  ``runner`` protocol ``Column.factorize`` uses), with null masks and
-  integrality checks computed as array ops;
-* lists and object arrays (strings, dates, values mixed with ``None``)
-  take a **chunked** path that runs ``Column.from_values`` per morsel —
-  the exact per-value coercion of the row path, so results stay
-  bit-identical to row-at-a-time INSERT by construction.
+  ``runner`` protocol ``Column.factorize`` uses), with integrality
+  checks computed as array ops;
+* lists, object arrays (strings, dates, values mixed with ``None``)
+  and other result columns take a **chunked** path that runs
+  ``Column.from_values`` per morsel — ``coerce_python_value`` on each
+  value, so both paths accept the same values and raise the same
+  errors.
 
 Both paths yield plain immutable :class:`Column` objects, so everything
 downstream (MVCC versioning, zone-map extension, resting encodings,
@@ -30,11 +30,16 @@ import numpy as np
 from ..errors import TypeError_
 from .column import Column
 from .schema import Schema
-from .types import DataType
+from .types import INTEGRAL_RANGES, DataType
 
-#: int32 bounds for the INTEGER overflow check on the vectorized path
-#: (the row path raises from ``np.fromiter`` instead of wrapping).
-_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+#: Result-column types whose NULL-free data converts vectorized into
+#: the target types below with the value path's exact outcome; other
+#: pairs (DOUBLE into an integer, anything into BOOLEAN or VARCHAR)
+#: differ in what they accept or in the error message.
+_VECTOR_SOURCES = frozenset({DataType.BOOLEAN, DataType.INTEGER, DataType.BIGINT})
+_VECTOR_TARGETS = frozenset(
+    {DataType.INTEGER, DataType.BIGINT, DataType.DOUBLE, DataType.DATE}
+)
 
 
 def _spans(n: int, runner) -> "list[tuple[int, int]] | None":
@@ -80,7 +85,7 @@ def _vector_column(
         return Column(type_, out, None)
     if type_ in (DataType.INTEGER, DataType.BIGINT, DataType.DATE):
         if kind == "f":
-            # the row path accepts integral floats only; NaN/fractional
+            # the value path accepts integral floats only; NaN/fractional
             # values must fail here exactly as coerce_python_value would
             spans = _spans(n, runner)
 
@@ -102,11 +107,13 @@ def _vector_column(
                 )
         elif kind not in "iub":
             raise TypeError_(f"expected {type_}, got dtype {values.dtype}")
-        if type_ == DataType.INTEGER and n:
-            low = values.min()
-            high = values.max()
-            if low < _INT32_MIN or high > _INT32_MAX:
-                raise TypeError_("integer value out of INTEGER range")
+        if n and not np.can_cast(values.dtype, target):
+            # only a dtype wider than the column's can hold values out of
+            # range; compared against high + 1, which a float max meets
+            # exactly (2**63 - 1 would round up and let 2**63 through)
+            low, high = INTEGRAL_RANGES[type_]
+            if values.min() < low or values.max() >= high + 1:
+                raise TypeError_(f"integer value out of {type_.name} range")
         out = np.empty(n, dtype=target)
         spans = _spans(n, runner)
 
@@ -123,7 +130,7 @@ def _vector_column(
 
 
 def _chunked_column(type_: DataType, values: Sequence[Any], runner) -> Column:
-    """Per-morsel ``Column.from_values`` — row-path coercion semantics,
+    """Per-morsel ``Column.from_values`` — per-value coercion semantics,
     chunked so big object batches still parallelize."""
     n = len(values)
     spans = _spans(n, runner)
@@ -146,19 +153,31 @@ def _chunked_column(type_: DataType, values: Sequence[Any], runner) -> Column:
 def bulk_column(
     type_: DataType, values, runner=None
 ) -> Column:
-    """Build one column from a value vector (ndarray, list, or an
-    existing :class:`Column`, which passes through after a type check).
+    """Build one column from a value vector: an ndarray, a list, or an
+    existing :class:`Column` such as a statement's result column.
+
+    A column of the target type stored in that type's dtype passes
+    through.  Any other column is coerced as its Python values would
+    be: integral or boolean data without NULLs bound for a numeric or
+    DATE column takes the vectorized path (which accepts exactly those
+    values and raises the same range error); everything else goes value
+    by value.  Integer arithmetic labels its result INTEGER but holds
+    it as int64, so such a column is range-checked and narrowed here.
 
     ``runner`` is the morsel-parallel protocol (``active_for`` /
     ``spans`` / ``map``) — pass ``ExecPool.context()`` to fan large
     batches across the shared kernel pool.
     """
     if isinstance(values, Column):
-        if values.type != type_:
-            raise TypeError_(
-                f"column of type {values.type} cannot ingest into {type_}"
-            )
-        return values
+        if values.type == type_ and values.data.dtype == type_.numpy_dtype:
+            return values
+        if (
+            values.mask is None
+            and values.type in _VECTOR_SOURCES
+            and type_ in _VECTOR_TARGETS
+        ):
+            return _vector_column(type_, values.data, runner)
+        return _chunked_column(type_, values.to_pylist(), runner)
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise TypeError_("ingest vectors must be one-dimensional")

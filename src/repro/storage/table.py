@@ -35,6 +35,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import CatalogError, TypeError_
 from .column import Column
+from .ingest import bulk_columns
 from .locks import RWLock
 from .schema import Schema
 
@@ -151,21 +152,18 @@ def concat_for_append(old: Column, new: Column) -> Column:
     return combined
 
 
-def build_appended_columns(
-    schema: Schema, columns: Sequence[Column], rows: list[Sequence[Any]]
-) -> list[Column]:
-    """``columns`` with ``rows`` appended (validating width per row)."""
+def row_vectors(schema: Schema, rows: Iterable[Sequence[Any]]) -> list[tuple]:
+    """Transpose row tuples (in schema order) into per-column value
+    lists for :func:`~repro.storage.ingest.bulk_columns`, checking each
+    row's width."""
+    rows = list(rows)
     width = len(schema)
     for row in rows:
         if len(row) != width:
             raise TypeError_(
                 f"row has {len(row)} values, table has {width} columns"
             )
-    new_columns = []
-    for i, col_def in enumerate(schema):
-        fresh = Column.from_values(col_def.type, [row[i] for row in rows])
-        new_columns.append(concat_for_append(columns[i], fresh))
-    return new_columns
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def validate_columns(schema: Schema, columns: Sequence[Column]) -> int:
@@ -258,16 +256,16 @@ class Table:
 
     # ------------------------------------------------------------------
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append rows (sequences matching the schema order); returns count."""
+        """Append rows (sequences matching the schema order); returns count.
+
+        The rows are transposed and built into columns by
+        :func:`~repro.storage.ingest.bulk_columns`, then committed
+        through :meth:`insert_columns`."""
         rows = list(rows)
         if not rows:
             return 0
-        with self.lock.write_locked():
-            self._publish(
-                build_appended_columns(self.schema, self._current.columns, rows),
-                WriteInfo("append", appended=len(rows)),
-            )
-        return len(rows)
+        vectors = row_vectors(self.schema, rows)
+        return self.insert_columns(bulk_columns(self.schema, vectors))
 
     def insert_columns(self, columns: Sequence[Column]) -> int:
         """Append pre-built columns (must match schema types and lengths).

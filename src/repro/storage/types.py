@@ -161,6 +161,23 @@ def infer_literal_type(value: Any) -> DataType:
     raise TypeError_(f"cannot infer SQL type for {value!r}")
 
 
+#: Inclusive bounds of the integral storage types, checked per value so
+#: an out-of-range integer is a typed error rather than numpy's
+#: OverflowError when the column array is built.
+INTEGRAL_RANGES = {
+    DataType.INTEGER: (-(2**31), 2**31 - 1),
+    DataType.BIGINT: (-(2**63), 2**63 - 1),
+    DataType.DATE: (-(2**63), 2**63 - 1),
+}
+
+
+def _in_range(value: int, type_: DataType) -> int:
+    low, high = INTEGRAL_RANGES[type_]
+    if low <= value <= high:
+        return value
+    raise TypeError_(f"integer value out of {type_.name} range")
+
+
 def coerce_python_value(value: Any, type_: DataType) -> Any:
     """Convert a Python value to the internal representation of ``type_``.
 
@@ -177,9 +194,9 @@ def coerce_python_value(value: Any, type_: DataType) -> Any:
         if isinstance(value, (bool, np.bool_)):
             return int(value)
         if isinstance(value, (int, np.integer)):
-            return int(value)
+            return _in_range(int(value), type_)
         if isinstance(value, (float, np.floating)) and float(value).is_integer():
-            return int(value)
+            return _in_range(int(value), type_)
         raise TypeError_(f"expected {type_}, got {value!r}")
     if type_ == DataType.DOUBLE:
         if isinstance(value, (bool, np.bool_)):
@@ -199,6 +216,6 @@ def coerce_python_value(value: Any, type_: DataType) -> Any:
         if isinstance(value, str):
             return parse_date_literal(value)
         if isinstance(value, (int, np.integer)):
-            return int(value)
+            return _in_range(int(value), type_)
         raise TypeError_(f"expected date, got {value!r}")
     raise TypeError_(f"cannot store Python value into {type_}")

@@ -19,8 +19,10 @@ CRC32-checksummed::
 The JSON header carries the record's monotonic LSN, its kind, and the
 kind-specific fields; bulk column payloads ride as raw ``np.save``
 blobs after it.  Records are *logical*: recovery replays them through
-the same write paths the live engine uses (``insert_rows``,
-``insert_columns``, ``replace_columns`` with the original
+the same write paths the live engine uses (``insert`` rows through
+``Table.insert_rows``, which builds them into columns with
+``bulk_columns`` as every append is built; other records through
+``insert_columns`` or ``replace_columns`` with the original
 :class:`~repro.storage.table.WriteInfo`), so statistics, zone maps and
 graph-index overlays come back exactly as a live run would have left
 them.
@@ -106,18 +108,10 @@ def _fsync_dir(path: str) -> None:
 # ---------------------------------------------------------------------------
 # value + column serialization
 # ---------------------------------------------------------------------------
-# Row values are encoded as JSON with the same date tagging the wire
-# protocol uses ({"$": "date", "v": "..."}); duplicated here rather
-# than imported because repro.server pulls in repro.api and the WAL
-# sits below both.
-def _encode_value(value):
-    if isinstance(value, datetime.date) and not isinstance(value, datetime.datetime):
-        return {"$": "date", "v": value.isoformat()}
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
+# ``insert`` records hold plain JSON values built from the appended
+# columns (DATE as its day number).  Records written before that hold
+# the statement's own values, dates tagged the way the wire protocol
+# tags them ({"$": "date", "v": "..."}); replay decodes both.
 def _decode_value(value):
     if isinstance(value, dict) and value.get("$") == "date":
         return datetime.date.fromisoformat(value["v"])
@@ -555,11 +549,16 @@ class WriteAheadLog:
             self._batch_cond.notify_all()
 
     # -- record builders (caller holds mutex) ---------------------------
-    def log_insert(self, table: str, rows) -> int:
-        encoded = [[_encode_value(value) for value in row] for row in rows]
-        return self._append("insert", {"table": table, "rows": encoded}, [])
+    def log_insert(self, table: str, columns) -> int:
+        """An appended batch as JSON rows: a one-row record is a sixth
+        the size of the npy form of :meth:`log_append`, which matters
+        for single-row INSERTs."""
+        rows = list(zip(*(column.to_pylist() for column in columns)))
+        return self._append("insert", {"table": table, "rows": rows}, [])
 
     def log_append(self, table: str, columns) -> int:
+        """An appended batch as npy column blobs (compact for bulk
+        batches)."""
         descs, blobs = [], []
         for column in columns:
             desc, parts = _column_parts(column)

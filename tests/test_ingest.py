@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import Database, TypeError_
-from repro.errors import TransactionConflictError
+from repro.errors import BindError, TransactionConflictError
 from repro.storage import (
     ZONE_ROWS,
     Column,
@@ -157,6 +157,12 @@ class TestBulkColumn:
         with pytest.raises(TypeError_):
             bulk_column(DataType.INTEGER, np.array([2**40], dtype=np.int64))
 
+    def test_float_range_check_is_exact(self):
+        with pytest.raises(TypeError_, match="out of BIGINT range"):
+            bulk_column(DataType.BIGINT, np.array([2.0**63]))
+        col = bulk_column(DataType.BIGINT, np.array([-(2.0**63), 2.0**62]))
+        assert list(col.data) == [-(2**63), 2**62]
+
     def test_type_mismatches_rejected(self):
         with pytest.raises(TypeError_):
             bulk_column(DataType.BOOLEAN, np.array([1, 0]))
@@ -255,6 +261,94 @@ class TestAppenderEquivalence:
 
         with pytest.raises(ExecutionError):
             app.append({"a": [2]})
+
+
+# ---------------------------------------------------------------------------
+# out-of-range integers: a typed error on every entry point
+# ---------------------------------------------------------------------------
+def _load_literal(db, tmp_path, value):
+    db.execute(f"INSERT INTO t VALUES ({value})")
+
+
+def _load_prepared(db, tmp_path, value):
+    db.execute("INSERT INTO t VALUES (?)", (value,))
+
+
+def _load_appender_list(db, tmp_path, value):
+    db.appender("t").append([[1, value]])
+
+
+def _load_appender_ndarray(db, tmp_path, value):
+    # 2**40 fits an int64 array; 2**70 only an object array
+    db.appender("t").append([np.array([1, value])])
+
+
+def _load_copy_csv(db, tmp_path, value):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"a\n1\n{value}\n")
+    db.execute(f"COPY t FROM '{path}'")
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        _load_literal,
+        _load_prepared,
+        _load_appender_list,
+        _load_appender_ndarray,
+        _load_copy_csv,
+    ],
+    ids=lambda load: load.__name__[len("_load_"):],
+)
+@pytest.mark.parametrize(
+    "type_name, value",
+    [("INTEGER", 2**40), ("BIGINT", 2**70)],
+    ids=["INTEGER", "BIGINT"],
+)
+def test_out_of_range_integer_is_typed(db, tmp_path, load, type_name, value):
+    db.execute(f"CREATE TABLE t (a {type_name})")
+    with pytest.raises(TypeError_, match=f"out of {type_name} range"):
+        load(db, tmp_path, value)
+    assert db.execute("SELECT count(*) FROM t").scalar() == 0
+
+
+def test_insert_select_arithmetic_overflow_is_typed(db):
+    # INTEGER + INTEGER is labelled INTEGER but computed in int64
+    db.execute("CREATE TABLE s (x INTEGER)")
+    db.execute("CREATE TABLE t (a INTEGER)")
+    db.execute(f"INSERT INTO s VALUES ({2**31 - 1})")
+    with pytest.raises(TypeError_, match="out of INTEGER range"):
+        db.execute("INSERT INTO t SELECT x + 1 FROM s")
+    assert db.execute("SELECT count(*) FROM t").scalar() == 0
+
+
+def test_insert_select_arithmetic_keeps_int32_across_reopen(tmp_path):
+    path = str(tmp_path / "db")
+    db = Database.open(path, durability="commit")
+    db.execute("CREATE TABLE s (x INTEGER)")
+    db.execute("CREATE TABLE t (a INTEGER)")
+    db.execute(f"INSERT INTO s VALUES ({2**31 - 2}), (-5)")
+    db.execute("INSERT INTO t SELECT x + 1 FROM s")
+    assert db.table("t").current().columns[0].data.dtype == np.int32
+    db.close()
+    reopened = Database.open(path, durability="commit")
+    try:
+        assert reopened.recovery_info["replayed"] > 0
+        assert reopened.execute("SELECT a FROM t ORDER BY a").rows() == [
+            (-4,),
+            (2**31 - 1,),
+        ]
+        assert reopened.table("t").current().columns[0].data.dtype == np.int32
+    finally:
+        reopened.close()
+
+
+def test_insert_column_listed_twice_is_rejected(db):
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+    with pytest.raises(BindError, match="'a' listed twice in INSERT"):
+        db.execute("INSERT INTO t (a, a) VALUES (1, 2)")
+    with pytest.raises(BindError, match="'a' listed twice in INSERT"):
+        db.execute("INSERT INTO t (a, a) SELECT 1, 2")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro import (
     ServerShutdownError,
     StatementTimeoutError,
     TransactionConflictError,
+    TypeError_,
 )
 from repro.client import Client
 from repro.server import ReproServer, ServerThread, default_queue_depth
@@ -175,6 +176,15 @@ class TestTypedErrorsOverWire:
         with Client(*served.address) as client:
             with pytest.raises(CatalogError, match="'nope'"):
                 client.execute("SELECT 1 FROM nope")
+
+    def test_out_of_range_integer_round_trips_typed(self, served):
+        with Client(*served.address) as client:
+            client.execute("CREATE TABLE big (a INTEGER)")
+            stmt = client.prepare("INSERT INTO big VALUES (?)")
+            with pytest.raises(TypeError_) as excinfo:
+                stmt.execute((2**40,))
+            assert excinfo.value.code == "TYPE_ERROR"
+            assert "out of INTEGER range" in str(excinfo.value)
 
     def test_no_tracebacks_cross_the_wire(self, served):
         with Client(*served.address) as client:

@@ -150,6 +150,60 @@ class TestRoundTrip:
         assert dump(recovered) == expected
         recovered.close()
 
+    def test_record_kind_per_entry_point(self, tmp_path):
+        """Row-shaped writes log one JSON ``insert`` record, bulk
+        batches one npy ``append`` record: a single-row INSERT logged
+        as npy blobs would be six times larger."""
+        target = str(tmp_path / "db")
+        db = Database.open(target, durability="commit")
+        db.execute("CREATE TABLE t (a BIGINT, b VARCHAR, c DOUBLE)")
+        db.execute("INSERT INTO t VALUES (?, ?, ?)", (1, "x", 2.0))
+        db.insert_rows("t", [(2, None, 3.5)])
+        db.appender("t").append({"a": np.arange(3), "c": [0.5, None, 1.0]})
+        db.close()
+        records = scan_wal(default_wal_directory(target), repair=False).records
+        assert [r.kind for r in records] == [
+            "create_table", "insert", "insert", "append"
+        ]
+        assert records[1].header["rows"] == [[1, "x", 2.0]]
+        assert records[2].header["rows"] == [[2, None, 3.5]]
+        assert [d["t"] for d in records[3].header["cols"]] == [
+            "bigint", "varchar", "double"
+        ]
+
+    def test_committed_wal_v4_fixture_replays(self, tmp_path):
+        """A format-4 image plus a log written by the engine before
+        every append shared one path: ``insert`` records holding DATE
+        strings, tagged dates, day numbers, NULLs and integral floats,
+        an INSERT … SELECT, an ``append``, a ``delete``, an ``update``
+        and a committed transaction all replay to the rows the writer
+        saw."""
+        import datetime
+
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "wal_v4")
+        target = tmp_path / "db"
+        shutil.copytree(os.path.join(fixture, "db"), target)
+        shutil.copytree(os.path.join(fixture, "db.wal"), str(target) + ".wal")
+        db = Database.open(str(target), durability="off")
+        assert db.recovery_info["replayed"] == 9
+        date = datetime.date
+        assert db.execute("SELECT * FROM people ORDER BY id").rows() == [
+            (1, "ann", date(1990, 1, 2), 1.5, 10),
+            (2, "bea", date(1985, 6, 30), 2.0, 3),
+            (3, None, date(2001, 2, 3), None, 7),
+            (4, "dee", None, 9.5, None),
+            (5, None, None, None, None),
+            (6, "eve", date(1970, 1, 5), 0.25, 2**40),
+        ]
+        assert db.execute("SELECT * FROM edges ORDER BY s").rows() == [
+            (1, 2, 1.5),
+            (2, 3, 2.0),
+            (6, 7, 0.25),
+            (11, 12, None),
+            (20, 21, 1.0),
+        ]
+        db.close()
+
     def test_off_databases_write_no_log(self, tmp_path):
         db = Database(durability="off")
         db.executescript(SETUP)
