@@ -1,19 +1,24 @@
 """Experiment: cost-based optimizer wins on the LDBC workload.
 
-Two measurements over the same generated social network, comparing the
-full optimizer (``Database()``) against the legacy-rewriter baseline
-(``Database(optimizer=False)``):
+Two measurements over one generated social network, each comparing
+the engine's optimized plan against a baseline plan built by the test
+tree's reference planner (``tests/reference_plan.py``: the bound plan,
+lowered by the optimizer's lowering after only the named logical
+passes):
 
 * **graph pushdown** — the Figure-1b batch query wrapped in a derived
   table with a selective predicate on the *source* endpoints.  The
   optimizer pushes the predicate through the projection into the graph
   select's input, so the runtime solves shortest paths only for the
-  qualifying pairs; the baseline solves the whole batch and filters
-  afterwards.
+  qualifying pairs; the baseline (no logical pass) solves the whole
+  batch and filters afterwards.
 * **join reordering** — a three-relation join written in a bad
-  syntactic order (``persons × persons`` first).  The baseline
-  materializes the cross product; the optimizer reorders so both joins
-  are equi hash joins.
+  syntactic order (``persons × persons`` first).  The baseline runs
+  the pushdown pass only, so it measures the reorder pass alone:
+  pushdown turns the predicates into join conditions, but the first
+  join pairs ``persons`` with ``persons``, has no equi key and stays a
+  cross product; the optimizer reorders so both joins are equi hash
+  joins.
 
 Correctness is asserted on every run (both plans must return identical
 results); the speedup assertions require the optimized plan to beat the
@@ -22,14 +27,20 @@ unoptimized one.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import Database
 from repro.ldbc import load_into, random_pairs
+from repro.plan.optimizer import pushdown
 
 from conftest import SCALE_FACTORS
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_plan import reference_plan, run_plan  # noqa: E402
 
 #: Batch size for the pushdown experiment; only ~1/16 of the pairs
 #: survive the source predicate.
@@ -53,20 +64,17 @@ REORDER_SQL = (
 
 @pytest.fixture(scope="module")
 def engines(networks):
-    """(optimized, baseline) databases over a mid-size bench network —
-    large enough to measure, small enough that the *unoptimized* plans
-    (cross products, full-batch traversals) stay tractable."""
+    """(network, database) over a mid-size bench network — large enough
+    to measure, small enough that the baseline plans (a cross product,
+    full-batch traversals) stay tractable."""
     sf = sorted(SCALE_FACTORS)[(len(SCALE_FACTORS) - 1) // 2]
     network = networks[sf]
-    optimized = Database()
-    baseline = Database(optimizer=False, parameterize=False)
-    for db in (optimized, baseline):
-        load_into(db, network)
-        db.execute("CREATE TABLE pairs (src BIGINT, dst BIGINT)")
-        pairs = random_pairs(network, BATCH_PAIRS, seed=42)
-        db.table("pairs").insert_rows(pairs)
-    optimized.execute("ANALYZE")
-    return network, optimized, baseline
+    db = Database()
+    load_into(db, network)
+    db.execute("CREATE TABLE pairs (src BIGINT, dst BIGINT)")
+    db.table("pairs").insert_rows(random_pairs(network, BATCH_PAIRS, seed=42))
+    db.execute("ANALYZE")
+    return network, db
 
 
 def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
@@ -90,7 +98,7 @@ def _report(title: str, baseline_s: float, optimized_s: float) -> None:
 
 class TestGraphPushdown:
     def test_pushed_down_cheapest_path_beats_unoptimized(self, engines, capsys):
-        network, optimized, baseline = engines
+        network, optimized = engines
         # cutoff keeping roughly 1/SELECTIVE_FRACTION of the batch
         srcs = sorted(
             row[0] for row in optimized.execute("SELECT src FROM pairs").rows()
@@ -104,7 +112,8 @@ class TestGraphPushdown:
         graph_line = next(i for i, l in enumerate(lines) if "GraphSelect" in l)
         assert any("Filter" in l for l in lines[graph_line:]), plan
 
-        base_s, base_rows = _best_of(lambda: baseline.execute(sql).rows())
+        baseline = reference_plan(optimized, sql)
+        base_s, base_rows = _best_of(lambda: run_plan(optimized, baseline))
         opt_s, opt_rows = _best_of(lambda: optimized.execute(sql).rows())
         assert sorted(opt_rows) == sorted(base_rows)
         with capsys.disabled():
@@ -117,7 +126,7 @@ class TestGraphPushdown:
 
 class TestJoinReorder:
     def test_reordered_join_beats_syntactic_order(self, engines, capsys):
-        network, optimized, baseline = engines
+        network, optimized = engines
         ids = network.person_ids
         cutoff = int(ids[len(ids) // 4])
         sql = REORDER_SQL.format(cutoff=cutoff)
@@ -126,7 +135,8 @@ class TestJoinReorder:
         plan = optimized.explain(sql)
         assert "CrossJoin" not in plan, plan
 
-        base_s, base_rows = _best_of(lambda: baseline.execute(sql).rows())
+        baseline = reference_plan(optimized, sql, passes=(pushdown,))
+        base_s, base_rows = _best_of(lambda: run_plan(optimized, baseline))
         opt_s, opt_rows = _best_of(lambda: optimized.execute(sql).rows())
         assert opt_rows == base_rows
         with capsys.disabled():

@@ -34,7 +34,7 @@ Two caches sit behind the SQL surface, both thread-safe, LRU-bounded and
 invalidated by DML/DDL on the tables they depend on:
 
 * the **plan cache** (``plan_cache_capacity``, default 128) keyed on SQL
-  text — repeat executions skip parse → bind → rewrite; hit/miss
+  text — repeat executions skip parse → bind → optimize; hit/miss
   counters appear in ``EXPLAIN`` output and profiler reports;
 * the **graph-index cache** inside :class:`GraphIndexManager`
   (``graph_cache_capacity``, default 16) holding prepared domain+CSR
@@ -90,6 +90,7 @@ from .plan import (
     explain_physical,
     optimize,
 )
+from .plan.optimizer import map_expr
 from .session import PlanCache, Session, Transaction, referenced_tables
 from .sql import parse_script, parse_statement
 from .sql.normalize import merge_params, normalize_statement
@@ -632,20 +633,10 @@ class Database:
     Parameters
     ----------
     plan_cache_capacity:
-        LRU bound of the prepared-statement plan cache (SQL text → plan).
+        LRU bound of the prepared-statement plan cache (SQL text → plan;
+        statements differing only in literals share one plan).
     graph_cache_capacity:
         LRU bound of the graph-index cache (built domain+CSR libraries).
-    optimizer:
-        When True (default) statements run through the full cost-based
-        optimizer (generalized filter pushdown, statistics-driven join
-        reordering, hash-join build-side selection, projection pruning,
-        graph-operator pushdown).  When False only the paper's legacy
-        rewriter runs — the baseline for equivalence testing and
-        benchmarks.
-    parameterize:
-        When True (default) plan-cache keys are additionally normalized
-        (literals become parameters, :mod:`repro.sql.normalize`) so
-        textually different statements share one cached plan.
     vectorized:
         When True (default) key-driven operators (DISTINCT, GROUP BY,
         equi-join probing, set operations, ORDER BY, recursive-CTE
@@ -735,8 +726,6 @@ class Database:
         *,
         plan_cache_capacity: int = 128,
         graph_cache_capacity: int = 16,
-        optimizer: bool = True,
-        parameterize: bool = True,
         vectorized: bool = True,
         exec_workers: int | str | None = "auto",
         morsel_rows: Optional[int] = None,
@@ -765,8 +754,6 @@ class Database:
             capacity=plan_cache_capacity,
             stats_marker=lambda name: self.stats.marker(name),
         )
-        self.optimizer_enabled = bool(optimizer)
-        self.parameterize = bool(parameterize)
         self.vectorized = bool(vectorized)
         self.kernel_counters = KernelCounters()
         #: Compressed-storage knob: when True (default), ANALYZE and
@@ -847,9 +834,12 @@ class Database:
 
     def _optimize(self, plan):
         """Lower a bound logical plan through the optimizer."""
-        return optimize(
-            plan, self.catalog, self.stats, enabled=self.optimizer_enabled
-        )
+        return optimize(plan, self.catalog, self.stats)
+
+    def _optimize_expr(self, expr):
+        """Optimize the subquery plans inside a DELETE/UPDATE predicate
+        or SET value (bound as a bare expression, not a plan)."""
+        return map_expr(expr, plan_fn=self._optimize)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1070,26 +1060,16 @@ class Database:
         if entry is not None:
             return entry, None, True, None
         normalized = (
-            normalize_statement(sql)
-            if self.parameterize and _cacheable_statement(sql)
-            else None
+            normalize_statement(sql) if _cacheable_statement(sql) else None
         )
         if normalized is not None:
             key, slots = normalized
             entry = self.plan_cache.get_normalized(key, snapshot)
             if entry is not None:
                 return entry, None, True, slots
-        statement = parse_statement(sql)
-        bound = Binder(self.catalog).bind_statement(statement)
-        if isinstance(bound, BoundQuery):
-            entry = self.plan_cache.put(
-                sql, self._optimize(bound.plan), snapshot=snapshot
-            )
-        elif isinstance(bound, BoundInsert):
-            entry = self.plan_cache.put_insert(
-                sql, bound, self._optimize(bound.plan), snapshot=snapshot
-            )
-        else:
+        bound = Binder(self.catalog).bind_statement(parse_statement(sql))
+        entry = self._cache_plan(sql, bound, snapshot=snapshot)
+        if entry is None:
             return None, bound, False, None
         if normalized is not None and self.plan_cache.note_normalized_candidate(
             normalized[0], sql
@@ -1104,18 +1084,21 @@ class Database:
         if self.plan_cache.contains_normalized(key):
             return
         try:
-            statement = parse_statement(key)
-            bound = Binder(self.catalog).bind_statement(statement)
-            if isinstance(bound, BoundQuery):
-                self.plan_cache.put(
-                    key, self._optimize(bound.plan), normalized=True
-                )
-            elif isinstance(bound, BoundInsert):
-                self.plan_cache.put_insert(
-                    key, bound, self._optimize(bound.plan), normalized=True
-                )
+            bound = Binder(self.catalog).bind_statement(parse_statement(key))
+            self._cache_plan(key, bound, normalized=True)
         except ReproError:
             pass
+
+    def _cache_plan(self, key: str, bound, **options):
+        """Optimize a bound query or INSERT and file it in the plan cache
+        under ``key``; None for statements the cache does not hold."""
+        if isinstance(bound, BoundQuery):
+            return self.plan_cache.put(key, self._optimize(bound.plan), **options)
+        if isinstance(bound, BoundInsert):
+            return self.plan_cache.put_insert(
+                key, bound, self._optimize(bound.plan), **options
+            )
+        return None
 
     def _execute_cached(
         self, entry, params: tuple, txn: Optional[Transaction] = None
@@ -1768,19 +1751,31 @@ class Database:
         self._wal_sync(lsn)
         return Result(None, rowcount=batch.num_rows)
 
+    def _target_rows(self, bound, ctx: ExecContext):
+        """A DELETE/UPDATE target's rows (``bound.scan`` is full-width:
+        batch rows are table rows) and the mask its WHERE selects."""
+        import numpy as np
+
+        batch = execute_plan(bound.scan, ctx)
+        if bound.predicate is None:
+            return batch, np.ones(batch.num_rows, dtype=np.bool_)
+        predicate = ctx.eval(self._optimize_expr(bound.predicate), batch)
+        hit = predicate.data.astype(np.bool_)
+        if predicate.mask is not None:
+            hit &= ~predicate.mask
+        return batch, hit
+
     def _delete_columns(
         self, bound: BoundDelete, params: tuple, snapshot: Snapshot
     ) -> tuple[list[Column], int, "Any"]:
         """The surviving column set, deleted-row count and dropped
-        positions (pre-delete row order — ``bound.scan`` is the raw
-        unoptimized table scan, so batch rows align with table rows) of
-        a DELETE, computed from the snapshot without touching the live
-        table.  The dropped positions feed the graph overlay's delete
-        tombstones."""
+        positions (pre-delete row order) of a DELETE, computed from the
+        snapshot without touching the live table.  The dropped positions
+        feed the graph overlay's delete tombstones."""
         import numpy as np
 
         ctx = ExecContext(self, params, snapshot=snapshot)
-        batch = execute_plan(bound.scan, ctx)
+        batch, drop = self._target_rows(bound, ctx)
         if bound.predicate is None:
             schema = snapshot.table_version(bound.table).schema
             return (
@@ -1788,10 +1783,6 @@ class Database:
                 batch.num_rows,
                 np.arange(batch.num_rows, dtype=np.int64),
             )
-        predicate = ctx.eval(bound.predicate, batch)
-        drop = predicate.data.astype(np.bool_)
-        if predicate.mask is not None:
-            drop = drop & ~predicate.mask
         return (
             [c.filter(~drop) for c in batch.columns],
             int(drop.sum()),
@@ -1803,22 +1794,13 @@ class Database:
     ) -> tuple[list[Column], int]:
         """The rewritten column set (and hit count) of an UPDATE,
         computed from the snapshot without touching the live table."""
-        import numpy as np
-
         schema = snapshot.table_version(bound.table).schema
         ctx = ExecContext(self, params, snapshot=snapshot)
-        batch = execute_plan(bound.scan, ctx)
-        if bound.predicate is not None:
-            predicate = ctx.eval(bound.predicate, batch)
-            hit = predicate.data.astype(np.bool_)
-            if predicate.mask is not None:
-                hit = hit & ~predicate.mask
-        else:
-            hit = np.ones(batch.num_rows, dtype=np.bool_)
+        batch, hit = self._target_rows(bound, ctx)
         new_columns = list(batch.columns)
         for position, expr in bound.assignments:
             declared = schema.columns[position].type
-            fresh = ctx.eval(expr, batch)
+            fresh = ctx.eval(self._optimize_expr(expr), batch)
             if fresh.type != declared:
                 fresh = fresh.cast(declared)
             old = new_columns[position]

@@ -152,12 +152,6 @@ class ExecContext:
 
 
 def execute_plan(plan: pp.PhysicalNode, ctx: ExecContext) -> Batch:
-    if isinstance(plan, lp.LogicalNode):
-        # compatibility shim: callers holding a bare logical plan get a
-        # trivial (pass-free) lowering
-        from ..plan.optimizer import lower_plan
-
-        plan = lower_plan(plan, ctx.catalog)
     handler = _DISPATCH.get(type(plan))
     if handler is None:
         raise NotSupportedError(f"no executor for {type(plan).__name__}")

@@ -21,10 +21,8 @@ from .binder import (
     BoundRollback,
     BoundUpdate,
 )
-from .logical import explain
-from .optimizer import Estimator, lower_plan, optimize
+from .optimizer import optimize
 from .physical import PhysicalNode, explain as explain_physical
-from .rewriter import rewrite
 
 __all__ = [
     "exprs",
@@ -46,11 +44,7 @@ __all__ = [
     "BoundExplain",
     "BoundInsert",
     "BoundQuery",
-    "Estimator",
     "PhysicalNode",
-    "explain",
     "explain_physical",
-    "lower_plan",
     "optimize",
-    "rewrite",
 ]

@@ -6,7 +6,8 @@ front-end (Section 3.1):
 * a ``REACHES`` predicate found in the WHERE conjunction always becomes a
   **graph select** over the FROM result ("the semantic stage of the
   compiler always creates a graph select when detecting a reachability
-  predicate"); the graph-join unfolding happens later, in the rewriter;
+  predicate"); the graph-join unfolding happens later, in the
+  optimizer's pushdown pass;
 * ``CHEAPEST SUM`` projection items are matched to their reachability
   predicate through the tuple variable (the explicit binding is mandatory
   only when several predicates exist), type-checked (weights numeric; the
@@ -29,6 +30,7 @@ from ..sql import ast
 from ..storage import Catalog, DataType, parse_type_name, promote
 from . import exprs as bx
 from . import logical as lp
+from . import physical as pp
 
 _AGG_FUNCS = frozenset({"count", "sum", "min", "max", "avg"})
 
@@ -115,14 +117,14 @@ class BoundCopy:
 @dataclass(frozen=True)
 class BoundDelete:
     table: str
-    scan: lp.LogicalNode
+    scan: pp.PScan  # full-width and unfiltered: its rows are table rows
     predicate: Optional[bx.BoundExpr]
 
 
 @dataclass(frozen=True)
 class BoundUpdate:
     table: str
-    scan: lp.LogicalNode
+    scan: pp.PScan  # as in BoundDelete
     #: (column position in the table schema, bound value expression)
     assignments: tuple[tuple[int, bx.BoundExpr], ...]
     predicate: Optional[bx.BoundExpr]
@@ -373,12 +375,12 @@ class Binder:
             fmt = "npz" if str(stmt.path).lower().endswith(".npz") else "csv"
         return BoundCopy(table.name, columns, stmt.path, fmt, header, delimiter)
 
-    def _table_scan_scope(self, table_name: str) -> tuple[lp.LScan, Scope]:
+    def _table_scan_scope(self, table_name: str) -> tuple[pp.PScan, Scope]:
         table = self.catalog.get(table_name)
         columns = tuple(self._fresh_column(c.name, c.type) for c in table.schema)
         scope = Scope()
         scope.add(table.name, columns)
-        return lp.LScan(table.name, columns), scope
+        return pp.PScan(table.name, columns), scope
 
     def _bind_delete(self, stmt: ast.Delete) -> BoundDelete:
         scan, scope = self._table_scan_scope(stmt.table)

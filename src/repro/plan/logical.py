@@ -5,7 +5,8 @@ The inventory mirrors the MonetDB relational AST the paper extends
 **graph select** ``σ̂_P̄(T, E)`` and **graph join** ``⋈̂_P̄(T1, T2, E)``.
 The binder always emits :class:`LGraphSelect`; :class:`LGraphJoin` "is
 only unfolded in the query rewriter when it recognizes the sequence of a
-cross product plus a graph select" (see :mod:`repro.plan.rewriter`).
+cross product plus a graph select" — here, by the optimizer's pushdown
+pass (:func:`repro.plan.optimizer.pushdown`).
 
 Every operator exposes ``schema``: an ordered list of :class:`PlanColumn`
 (col_id, name, type).  Column ids are unique across one bound statement.
@@ -289,7 +290,8 @@ class LGraphSelect(LogicalNode):
 
 @dataclass(frozen=True)
 class LGraphJoin(LogicalNode):
-    """Graph join ⋈̂ = σ̂(T1 × T2, E); produced only by the rewriter."""
+    """Graph join ⋈̂ = σ̂(T1 × T2, E); produced only by the optimizer's
+    pushdown pass."""
 
     left: LogicalNode
     right: LogicalNode
@@ -326,25 +328,3 @@ class LUnnest(LogicalNode):
     def children(self):
         return (self.input,)
 
-
-def explain(node: LogicalNode, indent: int = 0) -> str:
-    """Readable multi-line plan rendering (the EXPLAIN output)."""
-    pad = "  " * indent
-    name = type(node).__name__[1:]
-    details = ""
-    if isinstance(node, LScan):
-        details = f" {node.table}"
-    elif isinstance(node, LJoin):
-        details = f" [{node.kind}]"
-    elif isinstance(node, LSetOp):
-        details = f" [{node.op}{' all' if node.all else ''}]"
-    elif isinstance(node, (LGraphSelect, LGraphJoin)):
-        n_paths = sum(1 for c in node.spec.cheapest if c.path)
-        details = f" [cheapest={len(node.spec.cheapest)} paths={n_paths}]"
-    elif isinstance(node, LRecursive):
-        details = f" {node.cte_name}"
-    cols = ", ".join(f"{c.name}" for c in node.schema)
-    lines = [f"{pad}{name}{details} -> ({cols})"]
-    for child in node.children:
-        lines.append(explain(child, indent + 1))
-    return "\n".join(lines)

@@ -1,17 +1,17 @@
 """The cost-based optimizer: logical rewriting, statistics-driven join
 ordering and lowering to the physical plan.
 
-The pipeline replaces the old ``parse → bind → rewrite →
-interpret-logical`` stack with ``parse → bind → optimize →
-physical-plan → execute``:
+:func:`optimize` is the only path from a bound plan to a physical
+plan (``parse → bind → optimize → physical-plan → execute``):
 
 1. **Pushdown passes** (fixpoint, on the logical plan) generalize the
-   paper's Section-3.1 rewriter: filters move through inner joins and
+   paper's Section-3.1 rewrite: filters move through inner joins and
    cross products, below set operations, sorts, DISTINCT, projections
    and aggregations, and — the paper-specific payoff — into the inputs
    of graph select / graph join, so the graph runtime solves shortest
-   paths only for pre-filtered endpoint rows.  The legacy graph-join
-   unfolding rule ("a cross product plus a graph select") runs in the
+   paths only for pre-filtered endpoint rows.  The graph-join
+   unfolding rule ("graph joins are only unfolded … when it recognizes
+   the sequence of a cross product plus a graph select") runs in the
    same fixpoint.
 2. **Join reordering**: maximal inner/cross-join regions of three or
    more relations are flattened and rebuilt greedily, smallest
@@ -20,13 +20,9 @@ physical-plan → execute``:
 3. **Lowering** produces :mod:`repro.plan.physical` operators: hash
    joins carry their key pairs and a build side chosen by estimated
    input size; scans are narrowed to the referenced columns (projection
-   pruning); every node gets an estimated cardinality and cumulative
-   cost.  Subquery plans inside expressions are optimized recursively.
-
-``optimize(plan, catalog, stats)`` is the only entry point the engine
-uses; ``enabled=False`` lowers through the legacy rewriter only (same
-physical execution, no statistics-driven decisions), which the
-equivalence oracle and the benchmarks use as the baseline.
+   pruning) and carry zone-map filters; every node gets an estimated
+   cardinality and cumulative cost.  Subquery plans inside expressions
+   are optimized recursively.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from ..storage.zonemap import ZonePredicate
 from . import exprs as bx
 from . import logical as lp
 from . import physical as pp
-from .rewriter import rewrite as legacy_rewrite
 
 #: Fallback selectivities when statistics cannot answer.
 DEFAULT_EQ_SELECTIVITY = 0.1
@@ -667,11 +662,10 @@ def _greedy_join(
 # lowering (logical -> physical)
 # ---------------------------------------------------------------------------
 class _Lowering:
-    def __init__(self, catalog, stats, est: Estimator, enabled: bool):
+    def __init__(self, catalog, stats, est: Estimator):
         self.catalog = catalog
         self.stats = stats
         self.est = est
-        self.enabled = enabled
         self.cte_rows: dict[str, float] = {}
 
     # -- helpers -------------------------------------------------------
@@ -679,7 +673,7 @@ class _Lowering:
         return map_expr(expr, plan_fn=self._subplan)
 
     def _subplan(self, plan):
-        return optimize(plan, self.catalog, self.stats, enabled=self.enabled)
+        return optimize(plan, self.catalog, self.stats)
 
     def _exprs(self, exprs) -> tuple:
         return tuple(self._expr(e) for e in exprs)
@@ -713,8 +707,6 @@ class _Lowering:
     def lower(
         self, node: lp.LogicalNode, required: Optional[set[int]]
     ) -> pp.PhysicalNode:
-        if not self.enabled:
-            required = None  # projection pruning is an optimizer pass
         method = self._DISPATCH.get(type(node))
         if method is None:
             raise NotImplementedError(
@@ -750,9 +742,9 @@ class _Lowering:
         child_req = None
         if required is not None:
             child_req = required | self._refs(predicate)
-        child = self.lower(node.input, child_req)
-        if self.enabled:
-            child = self._attach_zone_filter(child, predicate)
+        child = self._attach_zone_filter(
+            self.lower(node.input, child_req), predicate
+        )
         sel = self.est.selectivity(predicate)
         return pp.PFilter(
             child,
@@ -760,8 +752,7 @@ class _Lowering:
             child.schema,
             est_rows=max(child.est_rows * sel, 0.0),
             est_cost=child.est_cost + child.est_rows,
-            streamable=self.enabled
-            and not _has_subquery(predicate)
+            streamable=not _has_subquery(predicate)
             and self._streams_over_scan(child),
         )
 
@@ -896,8 +887,7 @@ class _Lowering:
             node.schema,
             est_rows=rows,
             est_cost=child.est_cost + child.est_rows,
-            streamable=self.enabled
-            and not group_exprs
+            streamable=not group_exprs
             and bool(aggs)
             and all(self._streamable_agg(a) for a in aggs)
             and self._streams_over_scan(child),
@@ -939,8 +929,7 @@ class _Lowering:
     def _lower_limit(self, node: lp.LLimit, required):
         child = self.lower(node.input, required)
         if (
-            self.enabled
-            and node.limit is not None
+            node.limit is not None
             and isinstance(child, pp.PSort)
             and child.limit is None
         ):
@@ -1008,13 +997,9 @@ class _Lowering:
         if node.kind == "left":
             rows = max(rows, left.est_rows)
         if pairs:
-            build_left = (
-                self.enabled
-                and node.kind == "inner"
-                and left.est_rows < right.est_rows
-            )
+            build_left = node.kind == "inner" and left.est_rows < right.est_rows
             probe_zone: tuple = ()
-            if self.enabled and node.kind == "inner":
+            if node.kind == "inner":
                 probe_zone = self._probe_zone_marks(
                     tuple(pairs), left, right, build_left
                 )
@@ -1234,34 +1219,10 @@ class _Lowering:
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry point
 # ---------------------------------------------------------------------------
-def optimize(
-    plan: lp.LogicalNode,
-    catalog,
-    stats=None,
-    *,
-    enabled: bool = True,
-) -> pp.PhysicalNode:
-    """Optimize a bound logical plan and lower it to a physical plan.
-
-    With ``enabled=False`` only the paper's legacy rewriter runs (filter
-    pushdown through cross products + graph-join unfolding) and the
-    lowering makes no statistics-driven decisions — the baseline the
-    equivalence oracle and benchmarks compare against.
-    """
-    origins = collect_origins(plan)
-    est = Estimator(catalog, stats, origins)
-    if enabled:
-        plan = pushdown(plan)
-        plan = reorder_joins(plan, est)
-    else:
-        plan = legacy_rewrite(plan)
-    lowering = _Lowering(catalog, stats, est, enabled)
-    return lowering.positional(plan)
-
-
-def lower_plan(plan: lp.LogicalNode, catalog, stats=None) -> pp.PhysicalNode:
-    """Trivial lowering without optimization passes (compatibility shim
-    for callers holding a bare logical plan)."""
-    return optimize(plan, catalog, stats, enabled=False)
+def optimize(plan: lp.LogicalNode, catalog, stats=None) -> pp.PhysicalNode:
+    """Optimize a bound logical plan and lower it to a physical plan."""
+    est = Estimator(catalog, stats, collect_origins(plan))
+    plan = reorder_joins(pushdown(plan), est)
+    return _Lowering(catalog, stats, est).positional(plan)

@@ -9,7 +9,8 @@ validated table columns without a per-row Python loop where it can:
   range check + ``astype`` per morsel, optionally fanned across the
   shared :class:`~repro.exec.parallel.ExecPool` (the same duck-typed
   ``runner`` protocol ``Column.factorize`` uses), with integrality
-  checks computed as array ops;
+  checks computed as array ops; a unicode array bound for VARCHAR is
+  stored with one ``astype(object)``;
 * lists, object arrays (strings, dates, values mixed with ``None``)
   and other result columns take a **chunked** path that runs
   ``Column.from_values`` per morsel — ``coerce_python_value`` on each
@@ -84,9 +85,10 @@ def _vector_column(
             _map(runner, spans, cast)
         return Column(type_, out, None)
     if type_ in (DataType.INTEGER, DataType.BIGINT, DataType.DATE):
-        if kind == "f":
-            # the value path accepts integral floats only; NaN/fractional
-            # values must fail here exactly as coerce_python_value would
+        if kind == "f" and type_ != DataType.DATE:
+            # the value path accepts integral floats only (and no float
+            # as a DATE); NaN/fractional values must fail here exactly
+            # as coerce_python_value would
             spans = _spans(n, runner)
 
             def check(span: "tuple[int, int]") -> bool:
@@ -183,8 +185,12 @@ def bulk_column(
             raise TypeError_("ingest vectors must be one-dimensional")
         if values.dtype.kind in "bifu":
             return _vector_column(type_, values, runner)
-        # unicode/object arrays (strings, dates, mixed-with-None) fall
-        # through to per-value coercion — np.str_ is a str subclass
+        if values.dtype.kind == "U" and type_ == DataType.VARCHAR:
+            # a unicode array holds only str and no NULL; astype(object)
+            # yields Python str values, as the value path stores them
+            return Column(type_, values.astype(object), None)
+        # other unicode/object arrays (dates, mixed-with-None) fall
+        # through to per-value coercion
     return _chunked_column(type_, list(values), runner)
 
 

@@ -1,11 +1,13 @@
 """Binder tests for the graph extension: REACHES / CHEAPEST SUM semantics
-(Section 2 rules) and the rewriter's graph-join unfolding (Section 3.1)."""
+(Section 2 rules) and the graph-join unfolding (Section 3.1) that the
+optimizer's pushdown pass applies to the bound plan."""
 
 import pytest
 
 from repro import Database
 from repro.errors import BindError, NotSupportedError
-from repro.plan import Binder, BoundQuery, logical as lp, rewrite
+from repro.plan import Binder, BoundQuery, logical as lp
+from repro.plan.optimizer import pushdown
 from repro.sql import parse_statement
 from repro.storage import DataType
 
@@ -221,7 +223,7 @@ class TestCheapestBinding:
 
 class TestGraphJoinRewrite:
     def test_cross_product_plus_graph_select_unfolds(self, db):
-        plan = rewrite(
+        plan = pushdown(
             bind(
                 db,
                 "SELECT a.id, b.id FROM vp a, vp b "
@@ -232,7 +234,7 @@ class TestGraphJoinRewrite:
         assert len(find(plan, lp.LGraphSelect)) == 0
 
     def test_same_side_endpoints_stay_graph_select(self, db):
-        plan = rewrite(
+        plan = pushdown(
             bind(
                 db,
                 "SELECT a.id FROM vp a, vp b "
@@ -242,7 +244,7 @@ class TestGraphJoinRewrite:
         assert len(find(plan, lp.LGraphJoin)) == 0
 
     def test_filters_push_through_cross_before_unfolding(self, db):
-        plan = rewrite(
+        plan = pushdown(
             bind(
                 db,
                 "SELECT a.id, b.id FROM vp a, vp b "
@@ -258,5 +260,5 @@ class TestGraphJoinRewrite:
             "SELECT a.id, b.id, CHEAPEST SUM(1) AS c FROM vp a, vp b "
             "WHERE a.id REACHES b.id OVER e EDGE (s, d)",
         )
-        rewritten = rewrite(bound)
+        rewritten = pushdown(bound)
         assert [c.col_id for c in bound.schema] == [c.col_id for c in rewritten.schema]

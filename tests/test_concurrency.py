@@ -127,13 +127,12 @@ class TestPlanCache:
         assert rows == [(1, 2)]
 
     def test_lru_capacity_bounds_entries(self):
-        # parameterize=False: with literal normalization on, these
-        # statements would all share one normalized plan instead of
-        # filling the exact-text LRU
-        db = Database(plan_cache_capacity=4, parameterize=False)
+        # statements that differ in shape, not only in literals: the
+        # normalized index cannot fold them into one shared plan
+        db = Database(plan_cache_capacity=4)
         db.execute("CREATE TABLE t (a INT)")
         for i in range(10):
-            db.execute(f"SELECT a + {i} FROM t")
+            db.execute("SELECT " + ", ".join(["a"] * (i + 1)) + " FROM t")
         stats = db.plan_cache.stats()
         assert stats["entries"] <= 4
         assert stats["evictions"] >= 6

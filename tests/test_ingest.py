@@ -166,6 +166,11 @@ class TestBulkColumn:
     def test_type_mismatches_rejected(self):
         with pytest.raises(TypeError_):
             bulk_column(DataType.BOOLEAN, np.array([1, 0]))
+        # no float is a date, integral or not, in either form
+        with pytest.raises(TypeError_):
+            bulk_column(DataType.DATE, np.array([1.0]))
+        with pytest.raises(TypeError_):
+            bulk_column(DataType.DATE, [1.0])
         with pytest.raises(TypeError_):
             bulk_column(DataType.VARCHAR, [1, 2])
         with pytest.raises(TypeError_):
@@ -174,6 +179,19 @@ class TestBulkColumn:
     def test_unicode_array_takes_coercion_path(self):
         got = bulk_column(DataType.VARCHAR, np.array(["a", "bb", "ccc"]))
         assert got.data.dtype == object and list(got.data) == ["a", "bb", "ccc"]
+
+    def test_unicode_array_matches_list_as_python_str(self, db):
+        words = ["a", "bb", "", "ccc"]
+        from_array = bulk_column(DataType.VARCHAR, np.array(words))
+        assert_columns_identical(
+            from_array, bulk_column(DataType.VARCHAR, words)
+        )
+        assert all(type(v) is str for v in from_array.data)
+        db.execute("CREATE TABLE t (s VARCHAR)")
+        db.appender("t").append([np.array(words)])
+        rows = db.execute("SELECT s FROM t").rows()
+        assert rows == [(w,) for w in words]
+        assert all(type(s) is str for (s,) in rows)
 
     def test_bulk_columns_fills_missing_with_nulls(self):
         from repro.storage import Schema

@@ -3,10 +3,13 @@ join reordering, plan-cache parameterization and materialization guards.
 """
 
 import io
+from dataclasses import replace
 
 import pytest
 
+from reference_plan import reference_plan, reference_rows, run_plan
 from repro import Database
+from repro.plan import physical as pp
 from repro.cli import Shell
 from repro.errors import CatalogError, ExecutionError, ResourceLimitError
 
@@ -122,16 +125,6 @@ class TestPhysicalExplain:
         text = social.explain("SELECT p1 FROM knows")
         scan_line = next(l for l in text.splitlines() if "Scan knows" in l)
         assert "w" not in scan_line.split("->")[1]
-
-    def test_pruning_disabled_without_optimizer(self, social):
-        baseline = Database(optimizer=False)
-        baseline.executescript(
-            "CREATE TABLE knows (p1 INT, p2 INT, w DOUBLE);"
-            "INSERT INTO knows VALUES (1,2,1.0)"
-        )
-        text = baseline.explain("SELECT p1 FROM knows")
-        scan_line = next(l for l in text.splitlines() if "Scan knows" in l)
-        assert "w" in scan_line.split("->")[1]
 
     def test_filter_pushed_into_graph_select_input(self, social):
         text = social.explain(
@@ -281,15 +274,6 @@ class TestParameterization:
             "SELECT id FROM persons WHERE id = 10"
         ).rows() == [(10,)]
 
-    def test_parameterize_off(self):
-        db = Database(parameterize=False)
-        db.execute("CREATE TABLE t (x INT)")
-        db.execute("SELECT x FROM t WHERE x = 1")
-        db.execute("SELECT x FROM t WHERE x = 2")
-        stats = db.plan_cache.stats()
-        assert stats["normalized_hits"] == 0
-        assert stats["normalized_entries"] == 0
-
 
 # ---------------------------------------------------------------------------
 # materialization guards (MAX_CROSS_ROWS on every fallback path)
@@ -370,36 +354,35 @@ class TestShellStats:
 
 
 # ---------------------------------------------------------------------------
-# optimizer on/off behavioural parity on hand-picked cases
+# optimized plans vs the pass-free reference plan on hand-picked cases
 # ---------------------------------------------------------------------------
+def _with_build_side(plan, build_left):
+    """``plan`` with every hash join's build side forced to one side (and
+    its probe-side zone marks, which name the other side's columns after
+    the flip, dropped: they are a skipping hint only)."""
+    updates = {
+        name: _with_build_side(getattr(plan, name), build_left)
+        for name in ("input", "left", "right")
+        if isinstance(getattr(plan, name, None), pp.PhysicalNode)
+    }
+    if isinstance(plan, pp.PHashJoin):
+        updates.update(build_left=build_left, probe_zone=())
+    return replace(plan, **updates) if updates else plan
+
+
 class TestOptimizerToggle:
     def test_left_join_results_match(self, social):
-        baseline = Database(optimizer=False)
-        baseline.executescript(
-            """
-            CREATE TABLE persons (id INT, name VARCHAR);
-            CREATE TABLE knows (p1 INT, p2 INT, w DOUBLE);
-            INSERT INTO persons VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d');
-            INSERT INTO knows VALUES (1,2,1.0),(2,3,1.0),(3,4,2.0);
-            """
-        )
         sql = (
             "SELECT p.id, k.p2 FROM persons p LEFT JOIN knows k "
             "ON p.id = k.p1 WHERE p.id > 1 ORDER BY 1, 2"
         )
-        assert social.execute(sql).rows() == baseline.execute(sql).rows()
+        assert social.execute(sql).rows() == reference_rows(social, sql)
 
     def test_build_side_does_not_change_row_order(self, social):
-        # knows (3 rows) joined with persons (4 rows): build side differs
-        # from probe side, output order must match the canonical plan
+        # knows (3 rows) joined with persons (4 rows): the output order
+        # must not depend on which side the hash join builds on
         sql = "SELECT k.p1, p.name FROM knows k JOIN persons p ON k.p1 = p.id"
-        baseline = Database(optimizer=False)
-        baseline.executescript(
-            """
-            CREATE TABLE persons (id INT, name VARCHAR);
-            CREATE TABLE knows (p1 INT, p2 INT, w DOUBLE);
-            INSERT INTO persons VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d');
-            INSERT INTO knows VALUES (1,2,1.0),(2,3,1.0),(3,4,2.0);
-            """
-        )
-        assert social.execute(sql).rows() == baseline.execute(sql).rows()
+        plan = reference_plan(social, sql)
+        probe_left = run_plan(social, _with_build_side(plan, False))
+        assert run_plan(social, _with_build_side(plan, True)) == probe_left
+        assert social.execute(sql).rows() == probe_left

@@ -1,11 +1,12 @@
 """Property-based optimizer correctness oracle.
 
 Every fuzzed query (reusing the generators of ``test_fuzz``) runs twice
-— once through the full cost-based optimizer and once through the
-legacy-rewriter baseline (``Database(optimizer=False)``) — over two
-databases holding identical data.  Sorted result multisets must match
-exactly: pushdown, join reordering, build-side selection and projection
-pruning may change plans, never answers.
+over the same data — once through the engine (plan cache, literal
+normalization, every optimizer pass) and once through the reference
+planner of ``reference_plan`` (the exact text, bound and lowered with no
+logical pass).  Sorted result multisets must match exactly: pushdown,
+graph-join unfolding, join reordering and parameterized plan sharing
+may change plans, never answers.
 """
 
 import random
@@ -13,6 +14,7 @@ import random
 import pytest
 
 from repro import Database, ReproError
+from reference_plan import reference_rows
 from test_fuzz import random_graph_query, random_query
 
 SCHEMA = """
@@ -31,24 +33,21 @@ def _sorted_rows(rows):
 
 
 @pytest.fixture(scope="module")
-def engines():
-    optimized = Database()
-    baseline = Database(optimizer=False, parameterize=False)
-    optimized.executescript(SCHEMA)
-    baseline.executescript(SCHEMA)
-    optimized.execute("ANALYZE")  # the optimizer should also be fed stats
-    return optimized, baseline
+def engine():
+    db = Database()
+    db.executescript(SCHEMA)
+    db.execute("ANALYZE")  # the optimizer should also be fed stats
+    return db
 
 
-def assert_equivalent(engines, sql, params=()):
-    optimized, baseline = engines
+def assert_equivalent(db, sql, params=()):
     try:
-        expected = baseline.execute(sql, params).rows()
+        expected = reference_rows(db, sql, params)
         expected_error = None
     except ReproError as exc:
         expected, expected_error = None, exc
     try:
-        actual = optimized.execute(sql, params).rows()
+        actual = db.execute(sql, params).rows()
         actual_error = None
     except ReproError as exc:
         actual, actual_error = None, exc
@@ -56,24 +55,24 @@ def assert_equivalent(engines, sql, params=()):
         # both pipelines must agree that the statement fails
         assert (expected_error is None) == (actual_error is None), (
             f"only one pipeline failed for {sql!r}: "
-            f"baseline={expected_error!r} optimized={actual_error!r}"
+            f"reference={expected_error!r} optimized={actual_error!r}"
         )
         return
     assert _sorted_rows(actual) == _sorted_rows(expected), sql
 
 
 class TestOptimizerEquivalence:
-    def test_relational_fuzz_corpus(self, engines):
+    def test_relational_fuzz_corpus(self, engine):
         rng = random.Random(20260729)
         for _ in range(250):
-            assert_equivalent(engines, random_query(rng))
+            assert_equivalent(engine, random_query(rng))
 
-    def test_graph_fuzz_corpus(self, engines):
+    def test_graph_fuzz_corpus(self, engine):
         rng = random.Random(172)
         for _ in range(150):
-            assert_equivalent(engines, random_graph_query(rng))
+            assert_equivalent(engine, random_graph_query(rng))
 
-    def test_join_reorder_shapes(self, engines):
+    def test_join_reorder_shapes(self, engine):
         rng = random.Random(9)
         predicates = [
             "t1.a = t2.a",
@@ -89,9 +88,9 @@ class TestOptimizerEquivalence:
                 "SELECT t1.a, t2.d, e.w FROM t1, t2, e "
                 f"WHERE {pred} ORDER BY 1, 2, 3"
             )
-            assert_equivalent(engines, sql)
+            assert_equivalent(engine, sql)
 
-    def test_setop_and_subquery_shapes(self, engines):
+    def test_setop_and_subquery_shapes(self, engine):
         statements = [
             "SELECT a FROM (SELECT a FROM t1 UNION SELECT a FROM t2) u "
             "WHERE a > 1",
@@ -108,9 +107,9 @@ class TestOptimizerEquivalence:
             "SELECT * FROM (SELECT sum(a) AS s FROM t2) x WHERE x.s > 0",
         ]
         for sql in statements:
-            assert_equivalent(engines, sql)
+            assert_equivalent(engine, sql)
 
-    def test_graph_pushdown_shapes(self, engines):
+    def test_graph_pushdown_shapes(self, engine):
         statements = [
             # predicate above a derived graph select: pushed into the input
             "SELECT * FROM (SELECT p.src, p.dst, CHEAPEST SUM(1) AS hops "
@@ -121,14 +120,14 @@ class TestOptimizerEquivalence:
             "WHERE a.a REACHES b.a OVER e EDGE (s, d) AND a.a > 1 AND b.a < 9",
         ]
         for sql in statements:
-            assert_equivalent(engines, sql)
+            assert_equivalent(engine, sql)
 
-    def test_parameterized_statements(self, engines):
+    def test_parameterized_statements(self, engine):
         rng = random.Random(33)
         for _ in range(30):
             source, dest = rng.randint(0, 6), rng.randint(0, 6)
             assert_equivalent(
-                engines,
+                engine,
                 "SELECT CHEAPEST SUM(k: w) WHERE ? REACHES ? "
                 "OVER e k EDGE (s, d)",
                 (source, dest),

@@ -1,9 +1,12 @@
-"""Unit tests of the plan rewriter (Section 3.1's optimizer stage)."""
+"""Unit tests of the paper's Section-3.1 rewrite rules — filter pushdown
+through cross products and graph-join unfolding — as the optimizer's
+logical pushdown pass applies them."""
 
 import pytest
 
 from repro import Database
-from repro.plan import Binder, BoundQuery, logical as lp, rewrite
+from repro.plan import Binder, BoundQuery, logical as lp
+from repro.plan.optimizer import pushdown
 from repro.sql import parse_statement
 
 
@@ -41,18 +44,18 @@ def nodes_of(plan, node_type):
 
 class TestFilterPushdown:
     def test_left_only_filter_pushed_left(self, db):
-        plan = rewrite(plan_of(db, "SELECT a.x FROM a, b WHERE a.x = 1"))
+        plan = pushdown(plan_of(db, "SELECT a.x FROM a, b WHERE a.x = 1"))
         joins = nodes_of(plan, lp.LJoin)
         assert joins, "cross join survives"
         assert nodes_of(joins[0].left, lp.LFilter)
 
     def test_right_only_filter_pushed_right(self, db):
-        plan = rewrite(plan_of(db, "SELECT a.x FROM a, b WHERE b.y = 1"))
+        plan = pushdown(plan_of(db, "SELECT a.x FROM a, b WHERE b.y = 1"))
         joins = nodes_of(plan, lp.LJoin)
         assert nodes_of(joins[0].right, lp.LFilter)
 
     def test_cross_side_filter_becomes_join_condition(self, db):
-        plan = rewrite(plan_of(db, "SELECT a.x FROM a, b WHERE a.x = b.y"))
+        plan = pushdown(plan_of(db, "SELECT a.x FROM a, b WHERE a.x = b.y"))
         joins = nodes_of(plan, lp.LJoin)
         # predicate references both sides: the cross product turns into an
         # inner join so the executor can hash on the equi-keys
@@ -78,7 +81,7 @@ class TestFilterPushdown:
 
 class TestGraphJoinUnfolding:
     def test_basic_unfold(self, db):
-        plan = rewrite(
+        plan = pushdown(
             plan_of(
                 db,
                 "SELECT a.x, b.y FROM a, b WHERE a.x REACHES b.y OVER e EDGE (s, d)",
@@ -88,7 +91,7 @@ class TestGraphJoinUnfolding:
         assert len(nodes_of(plan, lp.LGraphSelect)) == 0
 
     def test_unfold_through_pushed_filters(self, db):
-        plan = rewrite(
+        plan = pushdown(
             plan_of(
                 db,
                 "SELECT a.x FROM a, b WHERE a.tag = 'p' AND b.tag = 'q' "
@@ -102,7 +105,7 @@ class TestGraphJoinUnfolding:
         assert nodes_of(graph_joins[0].right, lp.LFilter)
 
     def test_no_unfold_when_endpoints_on_one_side(self, db):
-        plan = rewrite(
+        plan = pushdown(
             plan_of(
                 db,
                 "SELECT a.x FROM a, b WHERE a.x REACHES a.x OVER e EDGE (s, d)",
@@ -112,13 +115,13 @@ class TestGraphJoinUnfolding:
         assert len(nodes_of(plan, lp.LGraphSelect)) == 1
 
     def test_no_unfold_for_single_table(self, db):
-        plan = rewrite(
+        plan = pushdown(
             plan_of(db, "SELECT a.x FROM a WHERE a.x REACHES a.x OVER e EDGE (s, d)")
         )
         assert len(nodes_of(plan, lp.LGraphJoin)) == 0
 
     def test_unfold_inside_derived_table(self, db):
-        plan = rewrite(
+        plan = pushdown(
             plan_of(
                 db,
                 "SELECT * FROM (SELECT a.x AS p, b.y AS q FROM a, b "
@@ -128,7 +131,7 @@ class TestGraphJoinUnfolding:
         assert len(nodes_of(plan, lp.LGraphJoin)) == 1
 
     def test_three_way_cross_unfolds_outermost(self, db):
-        plan = rewrite(
+        plan = pushdown(
             plan_of(
                 db,
                 "SELECT 1 FROM a, a a2, b "
@@ -139,20 +142,20 @@ class TestGraphJoinUnfolding:
         assert len(nodes_of(plan, lp.LGraphJoin)) == 1
 
     def test_rewrite_is_idempotent(self, db):
-        once = rewrite(
+        once = pushdown(
             plan_of(
                 db,
                 "SELECT a.x, b.y FROM a, b WHERE a.x REACHES b.y OVER e EDGE (s, d)",
             )
         )
-        twice = rewrite(once)
+        twice = pushdown(once)
         assert len(nodes_of(twice, lp.LGraphJoin)) == 1
 
     def test_results_identical_with_and_without_join_form(self, db):
         db.execute("INSERT INTO a VALUES (1, 'p'), (2, 'q')")
         db.execute("INSERT INTO b VALUES (2, 'r'), (3, 's')")
         db.execute("INSERT INTO e VALUES (1, 2, 1), (2, 3, 1)")
-        # join form (rewritten) vs select form over an pre-built cross
+        # join form (unfolded) vs select form over an pre-built cross
         join_form = db.execute(
             "SELECT a.x, b.y, CHEAPEST SUM(1) AS c FROM a, b "
             "WHERE a.x REACHES b.y OVER e EDGE (s, d) ORDER BY 1, 2"
