@@ -229,7 +229,9 @@ class GraphIndexManager:
     (built on its first single-target query) until it is evicted.  The
     traversal counters (:meth:`note_solve`) count every path statement,
     indexed or not: transposes built, pairs answered bidirectionally and
-    forward traversals.
+    forward traversals.  ``weight_builds``/``weight_hits`` count the
+    weighted views (:meth:`~repro.graph.GraphLibrary.weighted_view`)
+    indexed libraries built or served for weighted CHEAPEST SUMs.
     """
 
     def __init__(
@@ -265,6 +267,8 @@ class GraphIndexManager:
         self.transpose_builds = 0
         self.bidirectional_pairs = 0
         self.forward_traversals = 0
+        self.weight_builds = 0
+        self.weight_hits = 0
 
     def create(self, name: str, table: str, src_col: str, dst_col: str) -> None:
         schema = self._catalog.get(table).schema
@@ -536,6 +540,15 @@ class GraphIndexManager:
             self.bidirectional_pairs += result.bidirectional_pairs
             self.forward_traversals += result.forward_traversals
 
+    def note_weighted_view(self, built: bool) -> None:
+        """Count one weighted CHEAPEST SUM served from an indexed
+        library's weighted views: built here, or a hit."""
+        with self._mutex:
+            if built:
+                self.weight_builds += 1
+            else:
+                self.weight_hits += 1
+
     def stats(self) -> dict[str, int]:
         with self._mutex:
             return {
@@ -553,6 +566,8 @@ class GraphIndexManager:
                 "transpose_builds": self.transpose_builds,
                 "bidirectional_pairs": self.bidirectional_pairs,
                 "forward_traversals": self.forward_traversals,
+                "weight_builds": self.weight_builds,
+                "weight_hits": self.weight_hits,
             }
 
 

@@ -148,16 +148,27 @@ def _combine_masks(*columns: Column) -> np.ndarray | None:
 
 
 def _align_numeric(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray, DataType]:
-    """Promote two numeric (or date) columns to a common numpy dtype."""
+    """Promote two numeric (or date) columns to a common numpy dtype.
+
+    An operand already of that dtype is returned as is, not copied:
+    callers only read the arrays."""
     lt, rt = left.type, right.type
     if lt == DataType.VARCHAR or rt == DataType.VARCHAR:
         raise TypeError_("expected numeric operands")
     if DataType.DOUBLE in (lt, rt):
-        return left.data.astype(np.float64), right.data.astype(np.float64), DataType.DOUBLE
+        return (
+            left.data.astype(np.float64, copy=False),
+            right.data.astype(np.float64, copy=False),
+            DataType.DOUBLE,
+        )
     out_type = DataType.BIGINT
     if lt == rt and lt in (DataType.INTEGER, DataType.BOOLEAN, DataType.DATE):
         out_type = lt if lt != DataType.BOOLEAN else DataType.INTEGER
-    return left.data.astype(np.int64), right.data.astype(np.int64), out_type
+    return (
+        left.data.astype(np.int64, copy=False),
+        right.data.astype(np.int64, copy=False),
+        out_type,
+    )
 
 
 def _evaluate_compare(op: str, left: Column, right: Column) -> Column:

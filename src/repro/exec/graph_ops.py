@@ -17,14 +17,20 @@ stage (Section 3.1):
    into the edge batch (Section 3.3).
 
 The graph-index cache (the paper's Section 6 future work) keys a
-prepared, *unweighted* domain+CSR on (table, S, D, table version); a
-weighted query re-attaches its weight vector through the CSR's stored
-edge permutation, skipping the sort and dictionary build.  A library the
-index serves also keeps its transpose, so its unweighted single-target
-pairs — point Q13 and most of batched Q13 — run bidirectional search;
-a library built for an un-indexed statement keeps forward BFS (see
+prepared, *unweighted* domain+CSR on (table, S, D, table version).  A
+library the index serves also keeps its weighted views, keyed by the
+weight expression (columns by edge-table name, host parameters by their
+bound values) and the edge-table version: step 3 — evaluating, checking
+and gathering the weights into CSR order — runs once per expression and
+table version, and later statements reuse it.  A weight expression the
+key cannot name (a subquery, say) and a library built for an un-indexed
+statement build their view for the one statement.  An indexed library
+also keeps its transpose, so its unweighted single-target pairs — point
+Q13 and most of batched Q13 — run bidirectional search; a library built
+for an un-indexed statement keeps forward BFS (see
 :mod:`repro.graph.library`).  Every library call reports which searches
-ran to the database's graph-index counters.
+ran to the database's graph-index counters, and every weighted view an
+indexed library serves counts as a weight build or hit there.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ import numpy as np
 
 from ..errors import GraphRuntimeError, ResourceLimitError
 from ..graph import GraphLibrary
-from ..graph.csr import CSRGraph, check_weights
 from ..nested import NestedTableValue
+from ..plan import exprs as bx
 from ..plan import logical as lp
 from ..plan import physical as pp
 from ..storage import Column, DataType
@@ -98,10 +104,9 @@ def _encode_endpoints(
 
 def _materialize_weights(
     ctx: ExecContext, edge_batch: Batch, cheapest: lp.CheapestSpec, valid: np.ndarray
-) -> Optional[np.ndarray]:
-    """Weight vector for one CHEAPEST SUM (None for the unweighted case)."""
-    if cheapest.constant_one:
-        return None
+) -> np.ndarray:
+    """The weight vector of one weighted CHEAPEST SUM, one value per
+    edge row with non-NULL endpoints."""
     column = ctx.eval(cheapest.weight, edge_batch)
     if column.mask is not None and (column.mask & valid).any():
         raise GraphRuntimeError("CHEAPEST SUM weight must not be NULL")
@@ -110,32 +115,116 @@ def _materialize_weights(
     weights = column.data
     if weights.dtype.kind not in "iuf":
         raise GraphRuntimeError("CHEAPEST SUM weight must be numeric")
-    return weights[valid]
+    return weights if valid.all() else weights[valid]
+
+
+class _Unkeyable(Exception):
+    """The weight expression holds a node :func:`_weight_key` cannot name."""
+
+
+def _weight_key(expr: bx.BoundExpr, edge_plan: pp.PScan, params: tuple):
+    """A hashable key for what ``expr`` computes over the edge table, or
+    None when it cannot be named (subqueries, aggregates, unknown nodes).
+
+    Columns become edge-table column names, since column ids differ
+    between plans of one query; host parameters become their bound
+    values, since literal normalization turns constants into
+    parameters.
+    """
+    names = {column.col_id: column.name.lower() for column in edge_plan.schema}
+
+    def key(node):
+        if isinstance(node, bx.BColumn):
+            if node.col_id not in names:  # an outer query's column
+                raise _Unkeyable(node.name)
+            return ("column", names[node.col_id])
+        if isinstance(node, bx.BParam):
+            if node.index >= len(params):  # the executor reports it
+                raise _Unkeyable("parameter")
+            value = params[node.index]
+            return ("param", type(value), value)
+        if isinstance(node, bx.BLiteral):
+            return ("literal", node.type, type(node.value), node.value)
+        if isinstance(node, bx.BCall):
+            return ("call", node.op, node.type, *map(key, node.args))
+        if isinstance(node, bx.BCast):
+            return ("cast", node.type, key(node.operand))
+        if isinstance(node, bx.BIsNull):
+            return ("isnull", node.negated, key(node.operand))
+        if isinstance(node, bx.BInList):
+            return ("in", node.negated, key(node.operand), *map(key, node.items))
+        if isinstance(node, bx.BCase):
+            whens = tuple((key(test), key(then)) for test, then in node.whens)
+            otherwise = None if node.else_ is None else key(node.else_)
+            return ("case", node.type, whens, otherwise)
+        raise _Unkeyable(type(node).__name__)
+
+    try:
+        result = key(expr)
+    except _Unkeyable:
+        return None
+    try:
+        hash(result)
+    except TypeError:  # an unhashable parameter value
+        return None
+    return result
+
+
+def _weighted_library(
+    ctx: ExecContext,
+    base: GraphLibrary,
+    version_id: Optional[int],
+    edge_plan,
+    edge_batch: Batch,
+    cheapest: lp.CheapestSpec,
+    valid: np.ndarray,
+) -> GraphLibrary:
+    """The weighted view of ``base`` for one CHEAPEST SUM.
+
+    A library a graph index holds keeps its views per (weight key,
+    table version); any other library, or a weight without a key, builds
+    the view for this statement only."""
+
+    def weights() -> np.ndarray:
+        return _materialize_weights(ctx, edge_batch, cheapest, valid)
+
+    key = None
+    if base.indexed and version_id is not None:
+        key = _weight_key(cheapest.weight, edge_plan, ctx.params)
+    if key is None:
+        return base.with_weights(weights())
+    view, built = base.weighted_view(key, version_id, weights)
+    ctx.database.graph_indices.note_weighted_view(built)
+    return view
 
 
 def _library_from_cache(ctx: ExecContext, edge_plan, spec: lp.GraphSpec):
     """Reuse a prepared domain+CSR when a graph index covers this edge plan.
 
-    The lookup is pinned to the statement's snapshot version of the edge
-    table, so a cached CSR built from a newer committed state is never
-    served to an older snapshot (and vice versa).
+    Returns (library or None, the snapshot's edge-table version id or
+    None).  The lookup is pinned to the statement's snapshot version of
+    the edge table, so a cached CSR built from a newer committed state
+    is never served to an older snapshot (and vice versa).
     """
     database = ctx.database
     if database is None or not isinstance(edge_plan, pp.PScan):
-        return None
+        return None, None
     if len(spec.src_cols) != 1:
-        return None  # graph indices cover single-attribute keys only
+        return None, None  # graph indices cover single-attribute keys only
     table_version = (
         ctx.snapshot.table_version(edge_plan.table)
         if ctx.snapshot is not None
         else None
     )
-    return database.lookup_graph_index(
+    library = database.lookup_graph_index(
         edge_plan.table,
         spec.src_cols[0].name,
         spec.dst_cols[0].name,
         table_version=table_version,
     )
+    if table_version is None:
+        return library, None
+    return library, table_version.version_id
 
 
 def _prepare_libraries(
@@ -148,42 +237,26 @@ def _prepare_libraries(
     libraries share its vertex domain and CSR ordering.
     """
     src, dst, valid = _edge_keys(edge_batch, spec)
-    base = _library_from_cache(ctx, edge_plan, spec)
+    base, version_id = _library_from_cache(ctx, edge_plan, spec)
     if base is None:
         # only a graph-index miss needs the filtered key copies
         base = GraphLibrary(src[valid], dst[valid])
     weighted: list[tuple[lp.CheapestSpec, GraphLibrary]] = []
     for cheapest in spec.cheapest:
-        weights = _materialize_weights(ctx, edge_batch, cheapest, valid)
-        if weights is None:
+        if cheapest.constant_one:
             weighted.append((cheapest, base))
         else:
-            weighted.append((cheapest, _attach_weights(base, weights)))
+            weighted.append(
+                (
+                    cheapest,
+                    _weighted_library(
+                        ctx, base, version_id, edge_plan, edge_batch, cheapest, valid
+                    ),
+                )
+            )
     # map positions in the filtered edge set back to edge-batch rows
     original_rows = np.flatnonzero(valid).astype(np.int64)
     return base, weighted, original_rows
-
-
-def _attach_weights(base: GraphLibrary, weights: np.ndarray) -> GraphLibrary:
-    """A weighted view sharing the base library's domain and CSR order
-    (weights validated by :func:`~repro.graph.csr.check_weights`)."""
-    check_weights(weights)
-    if weights.dtype.kind in "iu":
-        weights = weights.astype(np.int64)
-    else:
-        weights = weights.astype(np.float64)
-    csr = base.csr
-    return GraphLibrary.from_csr(
-        base.domain,
-        CSRGraph(
-            num_vertices=csr.num_vertices,
-            indptr=csr.indptr,
-            dst=csr.dst,
-            src=csr.src,
-            weights=weights[csr.edge_rows],
-            edge_rows=csr.edge_rows,
-        ),
-    )
 
 
 def _solve(ctx: ExecContext, library: GraphLibrary, sources, dests, **wants):

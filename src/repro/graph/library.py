@@ -61,18 +61,23 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..errors import GraphRuntimeError
 from .bfs import bfs, reconstruct_path
 from .bidirectional import bidirectional_distance, reverse_csr
-from .csr import CSRGraph, build_csr
+from .csr import CSRGraph, build_csr, check_weights
 from .dijkstra import dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
 
 #: Below this many valid pairs a batch is always solved serially.
 PARALLEL_MIN_PAIRS = 32
+
+#: Weighted views (one per weight expression) an indexed library keeps
+#: for its newest table version.
+WEIGHTED_VIEWS = 4
 
 
 @dataclass
@@ -106,6 +111,13 @@ class GraphLibrary:
     index definition, and the first path query after a load rebuilds
     the library from the columns, since one build costs little more
     than reading a stored CSR back.
+
+    A weighted CHEAPEST SUM runs on a weighted view
+    (:meth:`with_weights`): the same domain and CSR with a weight per
+    CSR slot.  An indexed library keeps the views it built
+    (:meth:`weighted_view`), keyed by the caller's weight-expression key
+    and the edge-table version, so a weighted query evaluates and
+    gathers its weights once per table version.
     """
 
     def __init__(
@@ -129,6 +141,10 @@ class GraphLibrary:
         self.indexed = False
         self._reverse_csr: CSRGraph | None = None
         self._reverse_lock = threading.Lock()
+        #: (table version id, {weight key: weighted view}) — the views
+        #: of the newest version a statement asked for
+        self._views: tuple[int, dict] = (-1, {})
+        self._views_lock = threading.Lock()
 
     @classmethod
     def from_csr(cls, domain, csr: CSRGraph) -> "GraphLibrary":
@@ -154,6 +170,61 @@ class GraphLibrary:
                 return self._reverse_csr, False
             self._reverse_csr = reverse_csr(self.csr)
             return self._reverse_csr, True
+
+    def with_weights(self, weights: np.ndarray) -> "GraphLibrary":
+        """A weighted view sharing this library's domain and CSR order.
+
+        ``weights`` holds one value per edge in the order the library was
+        built from; it is validated by
+        :func:`~repro.graph.csr.check_weights` and gathered into CSR
+        order."""
+        check_weights(weights)
+        weights = weights.astype(
+            np.int64 if weights.dtype.kind in "iu" else np.float64, copy=False
+        )
+        csr = self.csr
+        return GraphLibrary.from_csr(
+            self.domain,
+            CSRGraph(
+                num_vertices=csr.num_vertices,
+                indptr=csr.indptr,
+                dst=csr.dst,
+                src=csr.src,
+                weights=weights[csr.edge_rows],
+                edge_rows=csr.edge_rows,
+            ),
+        )
+
+    def weighted_view(
+        self, key, version_id: int, weights: Callable[[], np.ndarray]
+    ) -> tuple["GraphLibrary", bool]:
+        """The weighted view for ``key`` at table version ``version_id``
+        and whether this call built it.
+
+        ``weights()`` produces the edge weights on a miss.  Views are
+        kept for the newest version asked for only, at most
+        :data:`WEIGHTED_VIEWS` keys (the oldest build goes first); a view
+        for an older version (a pinned snapshot) is built and not kept.
+        Builds run under a lock, like the transpose's, so concurrent
+        statements build a view once, and a build that raises keeps
+        nothing.
+        """
+        version, views = self._views
+        if version == version_id and key in views:
+            return views[key], False
+        with self._views_lock:
+            version, views = self._views
+            if version == version_id and key in views:
+                return views[key], False
+            view = self.with_weights(weights())
+            if version_id >= version:
+                # a new dict each time: readers may hold the old one
+                views = dict(views) if version == version_id else {}
+                views[key] = view
+                if len(views) > WEIGHTED_VIEWS:
+                    del views[next(iter(views))]
+                self._views = (version_id, views)
+            return view, True
 
     # ------------------------------------------------------------------
     def encode_endpoints(

@@ -18,7 +18,8 @@ the ``TableVersion`` chain through the table write listeners:
   the *current* filtered edge batch — what weighted queries and nested
   path reconstruction rely on) stays intact across row compaction;
 * **updates** that do not touch the endpoint columns are free — the
-  topology is unchanged and weights re-attach per statement anyway.
+  topology is unchanged, and the library's weighted views are keyed by
+  table version, so the next weighted query builds its view afresh.
 
 Queries are served a **merged** library: base CSR minus tombstones plus
 the overlay, stitched in ``O(E + k log k)`` (``k`` = overlay edges)

@@ -551,10 +551,9 @@ class Column:
             if target == DataType.BOOLEAN:
                 data = self.data.astype(np.bool_)
             else:
-                if target.is_integral and source == DataType.DOUBLE:
-                    data = np.trunc(self.data).astype(target.numpy_dtype)
-                else:
-                    data = self.data.astype(target.numpy_dtype)
+                # a float-to-integer astype truncates toward zero, as
+                # SQL's CAST does
+                data = self.data.astype(target.numpy_dtype)
             return Column(target, data, mask)
         if target == DataType.VARCHAR:
             if source == DataType.DATE:

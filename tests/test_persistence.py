@@ -292,6 +292,29 @@ class TestGraphIndexPersistence:
         assert any(rows and rows[0][-1] for rows in after)  # paths compared
         assert loaded.graph_indices.stats()["builds"] == 1
 
+    def test_weighted_q14_after_load_caches_its_weights(
+        self, tmp_path, social_db
+    ):
+        social_db.execute(
+            "CREATE GRAPH INDEX fr ON friends EDGE (person1, person2)"
+        )
+        sql = (
+            "SELECT CHEAPEST SUM(k: CAST(weight * 10 AS bigint)) AS (cost, path) "
+            "WHERE ? REACHES ? OVER friends k EDGE (person1, person2)"
+        )
+        pairs = [(933, 8333), (8333, 4139)]
+        before = [_path_rows(social_db.execute(sql, p).rows()) for p in pairs]
+        social_db.save(str(tmp_path / "db"))
+        loaded = Database.load(str(tmp_path / "db"))
+        after = [_path_rows(loaded.execute(sql, p).rows()) for p in pairs]
+        assert after == before
+        assert all(rows and rows[0][-1] for rows in after)  # paths compared
+        stats = loaded.graph_indices.stats()
+        # the rebuilt base library built the weights once and served the
+        # second statement from its cached view
+        assert stats["builds"] == 1
+        assert (stats["weight_builds"], stats["weight_hits"]) == (1, 1)
+
     def test_string_keyed_domain_round_trips(self, tmp_path):
         db = Database()
         db.executescript(
