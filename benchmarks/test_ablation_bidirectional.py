@@ -4,18 +4,45 @@ The paper expects "to significantly improve the BFS implementation"
 (Section 4).  Bidirectional search is that improvement for the
 single-pair case: with the CSR (and its transpose) already prepared — a
 graph index — the per-query work drops from O(b^d) to O(b^(d/2))
-explored vertices.  The engine makes this choice itself: every
-unweighted source group with one distinct target on an indexed library
-runs bidirectional search, everything else forward BFS.  This ablation
-times the two kernels the choice is between, on the same pairs.
+explored vertices.  The engine makes this choice itself: outside the
+lane kernel's batches, every unweighted source group with one distinct
+target on an indexed library runs bidirectional search, everything else
+forward BFS.  This ablation times the two kernels the choice is between,
+on the same pairs.
+
+Path-free batches of at least ``LANE_MIN_PAIRS`` distinct pairs on an
+indexed library run the lane kernel, which answers up to 64 pairs per
+bit-parallel bidirectional traversal.
+:func:`test_lanes_against_per_pair_search` times it against one
+bidirectional search per pair at 1–256 pairs and writes the table to
+``BENCH_lanes.json`` (``REPRO_BENCH_LANES_OUT`` names the path); it is
+the evidence for :data:`~repro.graph.LANE_MIN_PAIRS`.
 """
+
+import json
+import os
+import statistics
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from repro.graph import GraphLibrary, bfs, bidirectional_distance
+from repro.graph import (
+    LANE_MIN_PAIRS,
+    LANE_WIDTH,
+    GraphLibrary,
+    bfs,
+    bidirectional_distance,
+    lane_distances,
+)
 
-from conftest import SCALE_FACTORS
+from conftest import SCALE_FACTORS, bench_out_path
+
+LANES_OUT = bench_out_path("REPRO_BENCH_LANES_OUT", "BENCH_lanes.json")
+BATCH_SIZES = (1, 2, 4, 8, 16, 64, 256)
+#: timed batches per size; each point is the median
+BATCH_REPEATS = 7
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +89,82 @@ def test_bidirectional_agrees_on_bench_graph(prepared):
             library.csr, library.reverse, source, target
         )
         assert distance == reference.cost(target)
+
+
+def _lanes(library, sources, targets):
+    return np.concatenate(
+        [
+            lane_distances(
+                library.csr,
+                library.reverse,
+                sources[i : i + LANE_WIDTH],
+                targets[i : i + LANE_WIDTH],
+            )
+            for i in range(0, len(sources), LANE_WIDTH)
+        ]
+    )
+
+
+def _per_pair(library, sources, targets):
+    found = [
+        bidirectional_distance(library.csr, library.reverse, int(s), int(t))[0]
+        for s, t in zip(sources, targets)
+    ]
+    return np.asarray([-1 if d is None else d for d in found], dtype=np.int64)
+
+
+def _timed(run, *args):
+    start = time.perf_counter()
+    result = run(*args)
+    return time.perf_counter() - start, result
+
+
+def test_lanes_against_per_pair_search(prepared, networks, capsys):
+    library, _ = prepared
+    network = networks[max(SCALE_FACTORS)]
+    rng = np.random.default_rng(43)
+    rows = []
+    for size in BATCH_SIZES:
+        lanes_s, pairs_s = [], []
+        for repeat in range(BATCH_REPEATS):
+            sources = library.domain.encode(rng.choice(network.person_ids, size=size))
+            targets = library.domain.encode(rng.choice(network.person_ids, size=size))
+            # alternate which kernel runs first, so neither always runs warm
+            order = (_lanes, _per_pair) if repeat % 2 == 0 else (_per_pair, _lanes)
+            timed = {run: _timed(run, library, sources, targets) for run in order}
+            assert np.array_equal(timed[_lanes][1], timed[_per_pair][1])
+            lanes_s.append(timed[_lanes][0])
+            pairs_s.append(timed[_per_pair][0])
+        lanes_ms = statistics.median(lanes_s) * 1e3
+        pairs_ms = statistics.median(pairs_s) * 1e3
+        rows.append(
+            {
+                "pairs": size,
+                "lanes_ms": round(lanes_ms, 3),
+                "per_pair_ms": round(pairs_ms, 3),
+                "speedup": round(pairs_ms / lanes_ms, 2),
+            }
+        )
+    report = {
+        "benchmark": "lanes_vs_per_pair",
+        "graph": {
+            "vertices": int(library.csr.num_vertices),
+            "edges": int(library.csr.num_edges),
+        },
+        "cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "repeats": BATCH_REPEATS,
+        "lane_min_pairs": LANE_MIN_PAIRS,
+        "rows": rows,
+    }
+    LANES_OUT.write_text(json.dumps(report, indent=2) + "\n")
+    with capsys.disabled():
+        table = ", ".join(
+            f"{r['pairs']}: {r['lanes_ms']} / {r['per_pair_ms']}" for r in rows
+        )
+        print(f"\nlanes vs per-pair (median ms): {table}")
+    # four words of lanes against 256 searches: a several-fold margin
+    assert rows[-1]["lanes_ms"] < rows[-1]["per_pair_ms"]

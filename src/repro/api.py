@@ -226,10 +226,11 @@ class GraphIndexManager:
 
     Every library the cache holds is marked
     :attr:`~repro.graph.GraphLibrary.indexed`, so it keeps its transpose
-    (built on its first single-target query) until it is evicted.  The
-    traversal counters (:meth:`note_solve`) count every path statement,
-    indexed or not: transposes built, pairs answered bidirectionally and
-    forward traversals.  ``weight_builds``/``weight_hits`` count the
+    (built on its first unweighted query that uses one) until it is
+    evicted.  The traversal counters (:meth:`note_solve`) count every
+    path statement, indexed or not: transposes built, pairs answered
+    bidirectionally, pairs answered by the lane kernel and forward
+    traversals.  ``weight_builds``/``weight_hits`` count the
     weighted views (:meth:`~repro.graph.GraphLibrary.weighted_view`)
     indexed libraries built or served for weighted CHEAPEST SUMs.
     """
@@ -266,6 +267,7 @@ class GraphIndexManager:
         self.overlay_merges = 0
         self.transpose_builds = 0
         self.bidirectional_pairs = 0
+        self.lane_pairs = 0
         self.forward_traversals = 0
         self.weight_builds = 0
         self.weight_hits = 0
@@ -538,6 +540,7 @@ class GraphIndexManager:
         with self._mutex:
             self.transpose_builds += result.transpose_builds
             self.bidirectional_pairs += result.bidirectional_pairs
+            self.lane_pairs += result.lane_pairs
             self.forward_traversals += result.forward_traversals
 
     def note_weighted_view(self, built: bool) -> None:
@@ -565,6 +568,7 @@ class GraphIndexManager:
                 "overlay_merges": self.overlay_merges,
                 "transpose_builds": self.transpose_builds,
                 "bidirectional_pairs": self.bidirectional_pairs,
+                "lane_pairs": self.lane_pairs,
                 "forward_traversals": self.forward_traversals,
                 "weight_builds": self.weight_builds,
                 "weight_hits": self.weight_hits,

@@ -20,7 +20,7 @@ Meta commands:
 * ``\\graph [index]`` — graph-overlay state per index (base/overlay edge
   counts, tombstones), the compaction threshold, overlay hit/merge
   counters and which searches served path statements (bidirectional
-  pairs, forward traversals, transposes built)
+  pairs, lane-kernel pairs, forward traversals, transposes built)
 * ``\\workers [n|auto]`` — show / resize the one worker pool shared by
   the morsel kernels and shortest-path batches, plus its counters
 * ``\\save <dir>`` / ``\\open <dir>`` — persist / load the database
@@ -263,6 +263,7 @@ class Shell:
             cache = self.db.cache_stats()["graph_index_cache"]
             self.write(
                 f"traversals: bidirectional_pairs={cache['bidirectional_pairs']} "
+                f"lane_pairs={cache['lane_pairs']} "
                 f"forward={cache['forward_traversals']} "
                 f"transpose_builds={cache['transpose_builds']}"
             )

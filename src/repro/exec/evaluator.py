@@ -7,7 +7,8 @@ Implements SQL semantics over the column representation:
 * AND/OR follow Kleene three-valued logic;
 * ``||`` concatenation operates on strings (non-strings are cast);
 * host parameters are materialized as constant columns from the values
-  supplied at execution time;
+  supplied at execution time, except that a non-NULL numeric literal or
+  parameter operand of arithmetic stays a 0-d value numpy broadcasts;
 * uncorrelated subqueries (scalar / IN / EXISTS) are evaluated once per
   batch through a callback into the plan executor.
 
@@ -28,6 +29,7 @@ from ..plan import exprs as bx
 from ..storage import (
     Column,
     DataType,
+    coerce_python_value,
     days_to_date,
     infer_literal_type,
     parse_date_literal,
@@ -122,6 +124,14 @@ def _evaluate_call(expr: bx.BCall, batch: Batch, ctx: EvalContext) -> Column:
     if op == "not":
         operand = evaluate(expr.args[0], batch, ctx)
         return Column(DataType.BOOLEAN, ~operand.data.astype(np.bool_), operand.mask)
+    if op in _ARITH_OPS:
+        left, right = (_scalar_operand(a, ctx) for a in expr.args)
+        if left is None or right is None:  # a 0-d side broadcasts
+            if left is None:
+                left = evaluate(expr.args[0], batch, ctx)
+            if right is None:
+                right = evaluate(expr.args[1], batch, ctx)
+            return _evaluate_arith(op, left, right)
     args = [evaluate(a, batch, ctx) for a in expr.args]
     if op in _COMPARE_OPS:
         return _evaluate_compare(op, args[0], args[1])
@@ -130,11 +140,31 @@ def _evaluate_call(expr: bx.BCall, batch: Batch, ctx: EvalContext) -> Column:
     if op == "neg":
         col = args[0]
         return Column(col.type, -col.data, col.mask)
-    if op in ("+", "-", "*", "/", "%"):
+    if op in _ARITH_OPS:
         return _evaluate_arith(op, args[0], args[1])
     if op == "like":
         return _evaluate_like(args[0], args[1])
     return _evaluate_scalar_func(op, args, batch.num_rows, expr.type)
+
+
+_ARITH_OPS = ("+", "-", "*", "/", "%")
+
+
+def _scalar_operand(expr: bx.BoundExpr, ctx: EvalContext) -> Column | None:
+    """A non-NULL numeric literal or parameter as a 0-d column, which
+    arithmetic broadcasts over the other operand instead of copying it
+    to every row; None for any other operand."""
+    if isinstance(expr, bx.BLiteral):
+        value, type_ = expr.value, expr.type or DataType.INTEGER
+    elif isinstance(expr, bx.BParam):
+        value = _param_value(ctx, expr.index)
+        type_ = None if value is None else infer_literal_type(value)
+    else:
+        return None
+    if value is None or not type_.is_numeric:
+        return None
+    value = coerce_python_value(value, type_)
+    return Column(type_, np.asarray(value, dtype=type_.numpy_dtype))
 
 
 def _combine_masks(*columns: Column) -> np.ndarray | None:
@@ -230,6 +260,8 @@ def _compare_arrays(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_arith(op: str, left: Column, right: Column) -> Column:
+    """``left op right``; at most one operand may be a 0-d column (see
+    :func:`_scalar_operand`), so the result has the other's length."""
     mask = _combine_masks(left, right)
     # DATE ± days
     if left.type == DataType.DATE and right.type.is_integral and op in ("+", "-"):
@@ -250,7 +282,7 @@ def _evaluate_arith(op: str, left: Column, right: Column) -> Column:
             data = ldata.astype(np.float64) / rdata.astype(np.float64)
         divzero = rdata == 0
         if divzero.any():
-            mask = (mask.copy() if mask is not None else np.zeros(len(ldata), np.bool_))
+            mask = (mask.copy() if mask is not None else np.zeros(len(data), np.bool_))
             mask |= divzero  # SQL: division by zero -> NULL (lenient mode)
             data = np.where(divzero, 0.0, data)
     else:  # %
@@ -258,7 +290,7 @@ def _evaluate_arith(op: str, left: Column, right: Column) -> Column:
         safe = np.where(divzero, 1, rdata)
         data = _fmod(ldata, safe)
         if divzero.any():
-            mask = (mask.copy() if mask is not None else np.zeros(len(ldata), np.bool_))
+            mask = (mask.copy() if mask is not None else np.zeros(len(data), np.bool_))
             mask |= divzero
     return Column(out_type, data, mask)
 

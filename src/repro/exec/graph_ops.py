@@ -25,12 +25,17 @@ and gathering the weights into CSR order — runs once per expression and
 table version, and later statements reuse it.  A weight expression the
 key cannot name (a subquery, say) and a library built for an un-indexed
 statement build their view for the one statement.  An indexed library
-also keeps its transpose, so its unweighted single-target pairs — point
-Q13 and most of batched Q13 — run bidirectional search; a library built
-for an un-indexed statement keeps forward BFS (see
-:mod:`repro.graph.library`).  Every library call reports which searches
-ran to the database's graph-index counters, and every weighted view an
-indexed library serves counts as a weight build or hit there.
+also keeps its transpose, so its unweighted path-free calls of several
+pairs — batched Q13, REACHES filters, reachability-only graph joins —
+run the lane kernel, a bit-parallel bidirectional BFS answering 64
+pairs per traversal, and its other unweighted single-target pairs —
+point Q13 — run bidirectional search; a library built for an
+un-indexed statement keeps forward BFS (see :mod:`repro.graph.library`).
+A graph-index hit gathers no endpoint keys, and the NULL-endpoint
+filter and the row map a path needs cost nothing when every row is an
+edge.  Every library call reports which searches ran to the database's
+graph-index counters, and every weighted view an indexed library
+serves counts as a weight build or hit there.
 """
 
 from __future__ import annotations
@@ -73,14 +78,22 @@ def _composite_array(columns: list) -> np.ndarray:
     return out
 
 
-def _edge_keys(edge_batch: Batch, spec: lp.GraphSpec):
-    """Raw S/D key arrays plus the row filter removing NULL endpoints."""
-    src_columns = [edge_batch.column_by_id(c.col_id) for c in spec.src_cols]
-    dst_columns = [edge_batch.column_by_id(c.col_id) for c in spec.dst_cols]
-    valid = np.ones(edge_batch.num_rows, dtype=np.bool_)
-    for column in src_columns + dst_columns:
-        valid &= ~column.null_mask()
-    return _composite_array(src_columns), _composite_array(dst_columns), valid
+def _endpoint_columns(edge_batch: Batch, spec: lp.GraphSpec):
+    return (
+        [edge_batch.column_by_id(c.col_id) for c in spec.src_cols],
+        [edge_batch.column_by_id(c.col_id) for c in spec.dst_cols],
+    )
+
+
+def _edge_filter(edge_batch: Batch, spec: lp.GraphSpec) -> Optional[np.ndarray]:
+    """The rows whose endpoints are all non-NULL (the edges), or None
+    when every row is one — then nothing is allocated."""
+    valid = None
+    for columns in _endpoint_columns(edge_batch, spec):
+        for column in columns:
+            if column.mask is not None:
+                valid = ~column.mask if valid is None else valid & ~column.mask
+    return None if valid is None or valid.all() else valid
 
 
 def _encode_endpoints(
@@ -103,19 +116,23 @@ def _encode_endpoints(
 
 
 def _materialize_weights(
-    ctx: ExecContext, edge_batch: Batch, cheapest: lp.CheapestSpec, valid: np.ndarray
+    ctx: ExecContext,
+    edge_batch: Batch,
+    cheapest: lp.CheapestSpec,
+    valid: Optional[np.ndarray],
 ) -> np.ndarray:
     """The weight vector of one weighted CHEAPEST SUM, one value per
-    edge row with non-NULL endpoints."""
+    edge row with non-NULL endpoints (``valid``, None when every row)."""
     column = ctx.eval(cheapest.weight, edge_batch)
-    if column.mask is not None and (column.mask & valid).any():
+    nulls = column.mask if valid is None or column.mask is None else column.mask & valid
+    if nulls is not None and nulls.any():
         raise GraphRuntimeError("CHEAPEST SUM weight must not be NULL")
     if column.type is not None and not column.type.is_numeric:
         raise GraphRuntimeError("CHEAPEST SUM weight must be numeric")
     weights = column.data
     if weights.dtype.kind not in "iuf":
         raise GraphRuntimeError("CHEAPEST SUM weight must be numeric")
-    return weights if valid.all() else weights[valid]
+    return weights if valid is None else weights[valid]
 
 
 class _Unkeyable(Exception):
@@ -177,7 +194,7 @@ def _weighted_library(
     edge_plan,
     edge_batch: Batch,
     cheapest: lp.CheapestSpec,
-    valid: np.ndarray,
+    valid: Optional[np.ndarray],
 ) -> GraphLibrary:
     """The weighted view of ``base`` for one CHEAPEST SUM.
 
@@ -232,15 +249,20 @@ def _prepare_libraries(
 ):
     """One GraphLibrary per distinct weighting (plus the unweighted base).
 
-    Returns (base_library, [(cheapest_spec, library)]).  ``base_library``
-    answers the pure reachability question and is unweighted; per-spec
-    libraries share its vertex domain and CSR ordering.
+    Returns (base_library, [(cheapest_spec, library)], original_rows).
+    ``base_library`` answers the pure reachability question and is
+    unweighted; per-spec libraries share its vertex domain and CSR
+    ordering.  ``original_rows`` maps a library's edge positions back to
+    edge-batch rows when a path is asked for and some row is no edge
+    (a NULL endpoint); otherwise it is None and positions are rows.
     """
-    src, dst, valid = _edge_keys(edge_batch, spec)
     base, version_id = _library_from_cache(ctx, edge_plan, spec)
+    valid = _edge_filter(edge_batch, spec)
     if base is None:
-        # only a graph-index miss needs the filtered key copies
-        base = GraphLibrary(src[valid], dst[valid])
+        src, dst = (_composite_array(c) for c in _endpoint_columns(edge_batch, spec))
+        if valid is not None:
+            src, dst = src[valid], dst[valid]
+        base = GraphLibrary(src, dst)
     weighted: list[tuple[lp.CheapestSpec, GraphLibrary]] = []
     for cheapest in spec.cheapest:
         if cheapest.constant_one:
@@ -254,8 +276,9 @@ def _prepare_libraries(
                     ),
                 )
             )
-    # map positions in the filtered edge set back to edge-batch rows
-    original_rows = np.flatnonzero(valid).astype(np.int64)
+    original_rows = None
+    if valid is not None and any(c.path is not None for c in spec.cheapest):
+        original_rows = np.flatnonzero(valid)
     return base, weighted, original_rows
 
 
@@ -268,20 +291,28 @@ def _solve(ctx: ExecContext, library: GraphLibrary, sources, dests, **wants):
     return result
 
 
+def _path_value(
+    edge_batch: Batch, original_rows: Optional[np.ndarray], path: Optional[np.ndarray]
+) -> NestedTableValue:
+    """One path (filtered-edge positions, None when unconnected) as a
+    nested-table value over the edge batch."""
+    if path is None:
+        path = np.empty(0, np.int64)
+    elif original_rows is not None:
+        path = original_rows[path]
+    return NestedTableValue(edge_batch, path)
+
+
 def _path_column(
     edge_batch: Batch,
-    original_rows: np.ndarray,
+    original_rows: Optional[np.ndarray],
     paths: list[Optional[np.ndarray]],
     keep: np.ndarray,
 ) -> Column:
     """Wrap per-pair path row ids (filtered-edge positions) as values."""
     data = np.empty(int(keep.sum()), dtype=object)
-    cursor = 0
-    for position in np.flatnonzero(keep):
-        path = paths[position]
-        rows = original_rows[path] if path is not None else np.empty(0, np.int64)
-        data[cursor] = NestedTableValue(edge_batch, rows)
-        cursor += 1
+    for cursor, position in enumerate(np.flatnonzero(keep)):
+        data[cursor] = _path_value(edge_batch, original_rows, paths[position])
     return Column(DataType.NESTED_TABLE, data)
 
 
@@ -404,11 +435,9 @@ def _exec_graph_join(plan: pp.PGraphJoin, ctx: ExecContext) -> Batch:
         if cheapest.path is not None:
             data = np.empty(len(flat), dtype=object)
             for out_i, grid_i in enumerate(flat):
-                path = solution.paths[grid_i]
-                rows = (
-                    original_rows[path] if path is not None else np.empty(0, np.int64)
+                data[out_i] = _path_value(
+                    edge_batch, original_rows, solution.paths[grid_i]
                 )
-                data[out_i] = NestedTableValue(edge_batch, rows)
             extra_schema.append(cheapest.path)
             extra_columns.append(Column(DataType.NESTED_TABLE, data))
     out = out.append_columns(extra_schema, extra_columns)

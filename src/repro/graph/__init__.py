@@ -10,9 +10,13 @@ earliest relaxation round that reaches that cost wins, then the
 smallest CSR slot within the round, so predecessor trees and paths are
 deterministic.  This replaces the paper's "Dijkstra combined with the
 Radix Queue" (Section 3.2), which settles one vertex per step.
-An unweighted source group with one distinct target, on a library a
-graph index holds, runs bidirectional BFS over the CSR and its
-transpose instead of a forward BFS.
+On a library a graph index holds, an unweighted call that returns no
+path and has at least ``LANE_MIN_PAIRS`` distinct pairs runs the lane
+kernel (:mod:`~repro.graph.lanes`): a bit-parallel bidirectional BFS
+with one (source, target) pair per bit of a ``uint64`` word, 64 pairs
+per traversal.  Other unweighted source groups with one distinct
+target there run bidirectional BFS over the CSR and its transpose
+instead of a forward BFS.
 """
 
 from .bfs import UNREACHED, TraversalResult, bfs, reconstruct_path
@@ -20,7 +24,13 @@ from .bidirectional import bidirectional_distance, reverse_csr
 from .csr import CSRGraph, build_csr, expand_frontier
 from .dijkstra import dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
-from .library import PARALLEL_MIN_PAIRS, GraphLibrary, ShortestPathResult
+from .lanes import LANE_WIDTH, lane_distances
+from .library import (
+    LANE_MIN_PAIRS,
+    PARALLEL_MIN_PAIRS,
+    GraphLibrary,
+    ShortestPathResult,
+)
 from .overlay import GraphOverlayState, OverlayDomain
 
 __all__ = [
@@ -30,6 +40,9 @@ __all__ = [
     "reconstruct_path",
     "bidirectional_distance",
     "reverse_csr",
+    "LANE_WIDTH",
+    "LANE_MIN_PAIRS",
+    "lane_distances",
     "CSRGraph",
     "build_csr",
     "expand_frontier",

@@ -16,45 +16,61 @@ and the requested shortest paths" — here a boolean connectivity mask per
 input pair, a cost array, and per-pair paths as arrays of original
 edge-table row ids.
 
-Pairs are grouped by source so that all pairs sharing a source reuse one
-traversal; each traversal terminates early once its targets are settled.
-Reachability-only queries still run the search and discard the paths,
-exactly like the prototype ("the library still performs a BFS ...
-discarding the computed shortest paths").  Which search serves a group
-follows from the library and the group, never from an option:
+Which search serves a call follows from the library and the call, never
+from an option:
 
-* an unweighted group with exactly one distinct target, on a library a
-  graph index holds (:attr:`GraphLibrary.indexed`), runs bidirectional
-  BFS (:func:`~repro.graph.bidirectional.bidirectional_distance`) over
-  the forward CSR and the library's transpose.  On a small-world graph
-  it meets after about deg(s) + deg(t) edges where a forward BFS
-  gathers most of the graph.  The transpose is built once per indexed
-  library, under a lock and before any shard is dealt, and lives as
-  long as the library;
-* any other unweighted group — several targets (graph joins, repeated
-  sources), or a library built ad hoc for one statement, which would
-  throw the O(E) transpose away — runs one level-synchronous forward
-  BFS (:func:`~repro.graph.bfs.bfs`);
-* weighted groups run the Δ-stepping kernel
-  (:func:`~repro.graph.dijkstra.dijkstra`) for integer and float weights
-  alike, where the paper used Dijkstra with a radix queue.  Δ comes from
-  the graph, not from a parameter, and an equal-cost tie goes to the
-  earliest relaxation round reaching the final cost, then to the
-  smallest CSR slot within that round.
+* an unweighted, path-free call (batched Q13, a REACHES filter, a
+  reachability-only graph join) on a library a graph index holds
+  (:attr:`GraphLibrary.indexed`), with at least :data:`LANE_MIN_PAIRS`
+  distinct (source, target) pairs, runs the lane kernel
+  (:func:`~repro.graph.lanes.lane_distances`): a bit-parallel
+  bidirectional BFS answering up to 64 distinct pairs per traversal,
+  one pair per bit of a ``uint64`` word.  Reachability-only calls get
+  their answer from the distances and nothing is discarded;
+* every other call groups its pairs by source, so pairs sharing a
+  source reuse one search that stops once its targets are settled.
+  Reachability-only calls among them still run the search and discard
+  the paths, exactly like the prototype ("the library still performs a
+  BFS ... discarding the computed shortest paths"):
+
+  - an unweighted group with exactly one distinct target, on an indexed
+    library, runs bidirectional BFS
+    (:func:`~repro.graph.bidirectional.bidirectional_distance`) over the
+    forward CSR and the library's transpose.  On a small-world graph it
+    meets after about deg(s) + deg(t) edges where a forward BFS gathers
+    most of the graph.  Point Q13 is such a group;
+  - any other unweighted group — several targets in a call that asks
+    for paths or has fewer than :data:`LANE_MIN_PAIRS` pairs, or a
+    library built ad hoc for one statement, which would throw the O(E)
+    transpose away — runs one level-synchronous forward BFS
+    (:func:`~repro.graph.bfs.bfs`);
+  - weighted groups run the Δ-stepping kernel
+    (:func:`~repro.graph.dijkstra.dijkstra`) for integer and float
+    weights alike, where the paper used Dijkstra with a radix queue.  Δ
+    comes from the graph, not from a parameter, and an equal-cost tie
+    goes to the earliest relaxation round reaching the final cost, then
+    to the smallest CSR slot within that round.
+
+The lane kernel and bidirectional search use the library's transpose,
+built once per indexed library, under a lock and before any work is
+dealt, and kept as long as the library.
 
 Costs never depend on the search.  Paths are shortest paths and do not
 depend on the run or the worker count, but a bidirectional path may be
 a different shortest path than forward BFS's smallest-slot tree yields.
 
-Batches large enough to matter run on the statement's shared exec pool
-(:class:`~repro.exec.parallel.ExecPool`, sized by ``Database(exec_workers=)``):
-source groups are dealt round-robin onto one shard per pool worker and
-handed to ``par.map("paths", ...)`` as leaf tasks; each shard traverses
-independently (the CSRs are immutable and every shard writes disjoint
+Calls run on the statement's shared exec pool
+(:class:`~repro.exec.parallel.ExecPool`, sized by ``Database(exec_workers=)``)
+when there is work for more than one worker.  The lane kernel deals one
+64-pair word per task, and only when a call has two words or more.  The
+per-group searches still count pairs: a call with at least
+:data:`PARALLEL_MIN_PAIRS` valid pairs deals its source groups
+round-robin onto one shard per pool worker (each shard traverses
+independently; the CSRs are immutable and every shard writes disjoint
 slots of the output arrays).  Without a parallel context —
-``exec_workers=1`` or ``vectorized=False`` — and for batches below
-:data:`PARALLEL_MIN_PAIRS` pairs, the batch is solved serially, so
-per-pair latency never pays a thread hand-off.
+``exec_workers=1`` or ``vectorized=False`` — or below those sizes, the
+call is solved serially, so per-pair latency never pays a thread
+hand-off.
 """
 
 from __future__ import annotations
@@ -66,14 +82,23 @@ from typing import Callable
 import numpy as np
 
 from ..errors import GraphRuntimeError
-from .bfs import bfs, reconstruct_path
+from .bfs import UNREACHED, bfs, reconstruct_path
 from .bidirectional import bidirectional_distance, reverse_csr
 from .csr import CSRGraph, build_csr, check_weights
 from .dijkstra import dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
+from .lanes import LANE_WIDTH, lane_distances
 
-#: Below this many valid pairs a batch is always solved serially.
+#: Below this many valid pairs the per-group searches run serially.
 PARALLEL_MIN_PAIRS = 32
+
+#: Distinct pairs from which an unweighted, path-free call on an indexed
+#: library runs the lane kernel.  One word costs about as much as two
+#: bidirectional searches: for 4 pairs it took 0.24 ms against 0.44 ms
+#: on the LDBC bench graph (1,650 vertices, one CPU; the table in
+#: ``BENCH_lanes.json`` from ``benchmarks/test_ablation_bidirectional.py``)
+#: and 0.36 against 0.43 ms on the e2ebench graph (399,980 edges).
+LANE_MIN_PAIRS = 4
 
 #: Weighted views (one per weight expression) an indexed library keeps
 #: for its newest table version.
@@ -90,14 +115,16 @@ class ShortestPathResult:
     int64 array of edge-table row ids, or None when not connected.
 
     The counts say which searches served the call: distinct pairs
-    answered by bidirectional search, forward traversals (BFS or
-    Δ-stepping) and transposes built.
+    answered by bidirectional search, distinct pairs answered by the
+    lane kernel, forward traversals (BFS or Δ-stepping) and transposes
+    built.
     """
 
     connected: np.ndarray
     costs: np.ndarray | None
     paths: list[np.ndarray | None] | None
     bidirectional_pairs: int = 0
+    lane_pairs: int = 0
     forward_traversals: int = 0
     transpose_builds: int = 0
 
@@ -136,8 +163,9 @@ class GraphLibrary:
         self.csr = csr
         self.weighted = csr.weights is not None
         #: True once a graph index holds this library (set by the index
-        #: cache): only then do single-target unweighted groups pay for
-        #: a transpose, which later statements reuse
+        #: cache): only then do unweighted calls pay for a transpose
+        #: (lane kernel, bidirectional search), which later statements
+        #: reuse
         self.indexed = False
         self._reverse_csr: CSRGraph | None = None
         self._reverse_lock = threading.Lock()
@@ -270,10 +298,9 @@ class GraphLibrary:
 
         ``par`` is the statement's
         :class:`~repro.exec.parallel.ParallelContext` (None solves
-        serially): a batch of at least :data:`PARALLEL_MIN_PAIRS` valid
-        pairs spreads its source groups over the pool's workers.
-        Results are identical for any worker count.  The module
-        docstring gives the rule choosing each group's search.
+        serially).  Results are identical for any worker count.  The
+        module docstring gives the rule choosing the search and when
+        the pool takes part.
         """
         if len(src_ids) != len(dst_ids):
             raise GraphRuntimeError("source and destination vectors differ in length")
@@ -288,10 +315,21 @@ class GraphLibrary:
         costs = np.full(n_pairs, -1, dtype=cost_dtype) if (want_cost or want_path) else None
         paths: list[np.ndarray | None] | None = [None] * n_pairs if want_path else None
         result = ShortestPathResult(connected, costs, paths)
-        # group pairs by encoded source: one search per distinct source
         valid_positions = np.flatnonzero(valid)
         if len(valid_positions) == 0:
             return result
+        if self.indexed and not self.weighted and not want_path:
+            # one lane per distinct pair, in (source, target) order
+            n = self.csr.num_vertices
+            keys = src_ids[valid_positions] * n + dst_ids[valid_positions]
+            pairs, inverse = np.unique(keys, return_inverse=True)
+            if len(pairs) >= LANE_MIN_PAIRS:
+                found = self._solve_lanes(pairs // n, pairs % n, result, par)[inverse]
+                connected[valid_positions] = found != UNREACHED
+                if costs is not None:
+                    costs[valid_positions] = found
+                return result
+        # group pairs by encoded source: one search per distinct source
         order = valid_positions[np.argsort(src_ids[valid_positions], kind="stable")]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(src_ids[order]) != 0) + 1))
         groups = np.split(order, starts[1:])
@@ -354,3 +392,29 @@ class GraphLibrary:
             n_shards = min(par.workers, len(tasks))
             par.map("paths", solve_shard, [tasks[i::n_shards] for i in range(n_shards)])
         return result
+
+    def _solve_lanes(self, sources, targets, result, par) -> np.ndarray:
+        """Hop distances of distinct pairs by the lane kernel, one word
+        of :data:`~repro.graph.lanes.LANE_WIDTH` pairs per pool task."""
+        backward, built = self._transpose()
+        result.transpose_builds = int(built)
+        result.lane_pairs = len(sources)
+        distances = np.empty(len(sources), dtype=np.int64)
+
+        def solve_word(word: slice) -> None:
+            distances[word] = lane_distances(
+                self.csr, backward, sources[word], targets[word]
+            )
+
+        words = [
+            slice(start, start + LANE_WIDTH)
+            for start in range(0, len(sources), LANE_WIDTH)
+        ]
+        if par is None or len(words) < 2:
+            if par is not None:
+                par.note_serial("paths")
+            for word in words:
+                solve_word(word)
+        else:
+            par.map("paths", solve_word, words)
+        return distances

@@ -160,7 +160,8 @@ class TestCacheAndWorkerMetaCommands:
         assert "compact threshold: 8192" in output
         assert "counters: overlay_hits=" in output
         assert (
-            "traversals: bidirectional_pairs=1 forward=0 transpose_builds=1"
+            "traversals: bidirectional_pairs=1 lane_pairs=0 forward=0 "
+            "transpose_builds=1"
             in output
         )
         assert "gi: base_edges=" in output

@@ -118,6 +118,22 @@ class TestArithmeticBoundaries:
         assert db.execute("SELECT 1 = 1.0").scalar() is True
         assert db.execute("SELECT 2147483648 > 1").scalar() is True
 
+    def test_constant_operand_on_either_side_of_a_column(self, db):
+        # a literal or parameter operand is broadcast, not copied per row
+        db.execute("CREATE TABLE t (a INT, b DOUBLE)")
+        db.execute("INSERT INTO t VALUES (1, 2.5), (0, NULL), (-7, 0.0)")
+        rows = db.execute(
+            "SELECT a * 10, 10 - a, 10 / a, a / 0, 7 % a, a % 0, b * ?, ? - b, "
+            "a + ? FROM t",
+            (2, 1.5, None),
+        ).rows()
+        assert rows == [
+            (10, 9, 10.0, None, 0, None, 5.0, -1.0, None),
+            (0, 10, None, None, None, None, None, None, None),
+            (-70, 17, pytest.approx(-10 / 7), None, 0, None, 0.0, 1.5, None),
+        ]
+        assert db.execute("SELECT a * 10 FROM t WHERE a > 100").rows() == []
+
 
 class TestCastEdgeCases:
     def test_round_trip_int_varchar(self, db):

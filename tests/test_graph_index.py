@@ -126,7 +126,12 @@ def traversals(db):
     stats = db.cache_stats()["graph_index_cache"]
     return {
         key: stats[key]
-        for key in ("bidirectional_pairs", "forward_traversals", "transpose_builds")
+        for key in (
+            "bidirectional_pairs",
+            "lane_pairs",
+            "forward_traversals",
+            "transpose_builds",
+        )
     }
 
 
@@ -140,6 +145,7 @@ class TestTraversalChoice:
         assert db.execute(Q13, (5, 1)).scalar() is None
         assert traversals(db) == {
             "bidirectional_pairs": 2,
+            "lane_pairs": 0,
             "forward_traversals": 0,
             "transpose_builds": 1,  # kept by the cached library
         }
@@ -148,6 +154,7 @@ class TestTraversalChoice:
         assert db.execute(Q13, (1, 4)).scalar() == 3
         assert traversals(db) == {
             "bidirectional_pairs": 0,
+            "lane_pairs": 0,
             "forward_traversals": 1,
             "transpose_builds": 0,
         }
@@ -167,10 +174,29 @@ class TestTraversalChoice:
             "OVER edges EDGE (s, d) ORDER BY a.v, b.v"
         ).rows()
         assert rows == [(1, 4), (1, 5), (2, 4), (2, 5)]
+        # reachability only: the 2 x 2 grid is one word of lanes
         assert traversals(db) == {
             "bidirectional_pairs": 0,
-            "forward_traversals": 2,  # one per left vertex, two targets each
-            "transpose_builds": 0,
+            "lane_pairs": 4,
+            "forward_traversals": 0,
+            "transpose_builds": 1,
+        }
+        rows = db.execute(
+            "SELECT a.v, b.v, CHEAPEST SUM(e: 1) AS (c, p) FROM a, b "
+            "WHERE a.v REACHES b.v OVER edges e EDGE (s, d) ORDER BY a.v, b.v"
+        ).rows()
+        assert [(x, y, c, len(p.to_rows())) for x, y, c, p in rows] == [
+            (1, 4, 3, 3),
+            (1, 5, 1, 1),
+            (2, 4, 2, 2),
+            (2, 5, 3, 3),
+        ]
+        # paths asked for: one forward BFS per left vertex, two targets each
+        assert traversals(db) == {
+            "bidirectional_pairs": 0,
+            "lane_pairs": 4,
+            "forward_traversals": 2,
+            "transpose_builds": 1,
         }
 
     def test_weighted_q14_runs_forward(self, db):
@@ -181,6 +207,7 @@ class TestTraversalChoice:
         assert cost == 4
         assert traversals(db) == {
             "bidirectional_pairs": 0,
+            "lane_pairs": 0,
             "forward_traversals": 1,
             "transpose_builds": 0,
         }
@@ -198,9 +225,48 @@ class TestTraversalChoice:
             "WHERE p.a REACHES p.b OVER edges EDGE (s, d) ORDER BY p.a, p.b"
         ).rows()
         assert rows == [(1, 5, 1), (2, 4, 2), (2, 5, 3), (3, 5, 2), (3, 5, 2)]
-        # sources 1 and 3 have one distinct target each (3 twice), 2 has two
+        # no path asked for and 4 distinct pairs: one word of lanes
+        assert traversals(db) == {
+            "bidirectional_pairs": 0,
+            "lane_pairs": 4,
+            "forward_traversals": 0,
+            "transpose_builds": 1,
+        }
+        rows = db.execute(
+            "SELECT p.a, p.b, CHEAPEST SUM(e: 1) AS (c, p) FROM pairs p "
+            "WHERE p.a REACHES p.b OVER edges e EDGE (s, d) ORDER BY p.a, p.b"
+        ).rows()
+        assert [(a, b, c) for a, b, c, _ in rows] == [
+            (1, 5, 1), (2, 4, 2), (2, 5, 3), (3, 5, 2), (3, 5, 2)
+        ]
+        # with paths, sources 1 and 3 have one distinct target each (3
+        # twice) and run bidirectionally; 2 has two and runs forward
         assert traversals(db) == {
             "bidirectional_pairs": 2,
+            "lane_pairs": 4,
+            "forward_traversals": 1,
+            "transpose_builds": 1,
+        }
+
+    def test_batch_below_lane_minimum_splits_by_target(self, db):
+        from repro.graph import LANE_MIN_PAIRS
+
+        db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+        db.executescript(
+            """
+            CREATE TABLE pairs (a INT, b INT);
+            INSERT INTO pairs VALUES (2, 4), (2, 5), (3, 5), (3, 5);
+            """
+        )
+        assert LANE_MIN_PAIRS > 3  # three distinct pairs
+        rows = db.execute(
+            "SELECT p.a, p.b, CHEAPEST SUM(1) FROM pairs p "
+            "WHERE p.a REACHES p.b OVER edges EDGE (s, d) ORDER BY p.a, p.b"
+        ).rows()
+        assert rows == [(2, 4, 2), (2, 5, 3), (3, 5, 2), (3, 5, 2)]
+        assert traversals(db) == {
+            "bidirectional_pairs": 1,
+            "lane_pairs": 0,
             "forward_traversals": 1,
             "transpose_builds": 1,
         }
@@ -214,6 +280,7 @@ class TestTraversalChoice:
         assert db.execute(Q13, (4, 2)).scalar() == 3
         assert traversals(db) == {
             "bidirectional_pairs": 3,
+            "lane_pairs": 0,
             "forward_traversals": 0,
             "transpose_builds": 2,  # the base's, then the merged library's
         }

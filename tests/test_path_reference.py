@@ -2,7 +2,8 @@
 a brute-force Bellman-Ford reference on random graphs.
 
 Bidirectional search is checked through SQL on a table with a graph
-index, the only place the engine runs it.  For each random graph the
+index, the only place the engine runs it; the lane kernel is checked
+against forward BFS pair by pair.  For each random graph the
 suite checks, across algorithms and worker counts:
 
 * costs equal the reference distances exactly (int) / to 1e-9 (float);
@@ -20,7 +21,14 @@ import numpy as np
 import pytest
 
 from repro.exec.parallel import ExecPool
-from repro.graph import GraphLibrary, bfs, build_csr
+from repro.graph import (
+    LANE_WIDTH,
+    NOT_A_VERTEX,
+    GraphLibrary,
+    bfs,
+    build_csr,
+    lane_distances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +150,76 @@ class TestUnweightedAgainstReference:
         for db in databases:
             assert db.cache_stats()["graph_index_cache"]["bidirectional_pairs"] > 0
             db.close()
+
+
+class TestLanesAgainstBFS:
+    """The lane kernel answers exactly what forward BFS answers, pair by
+    pair, for any worker count."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("degree", [(0.5, 3), (8, 16)])
+    def test_lanes_match_forward_bfs(self, seed, degree):
+        # sparse graphs leave pairs unreachable and take many rounds;
+        # on dense ones most lanes meet within two
+        rng = random.Random(3000 + seed)
+        n = rng.randint(20, 60)
+        low, high = degree
+        edges = [
+            (rng.randrange(n), rng.randrange(n), 1)
+            for _ in range(rng.randint(int(low * n), high * n))
+        ]
+        library = build_library(edges, weighted=False)
+        library.indexed = True  # as the graph-index cache marks it
+        sources, dests = query_pairs(rng, n, count=200)
+        # self pairs and duplicates of earlier pairs
+        sources = np.concatenate([sources, sources[:10], sources[10:20]])
+        dests = np.concatenate([dests, dests[:10], sources[10:20]])
+        src_ids, dst_ids, valid = library.encode_endpoints(sources, dests)
+        assert (src_ids == NOT_A_VERTEX).any() and (src_ids == dst_ids)[valid].any()
+        runs = []
+        for workers in (1, 4):
+            pool = ExecPool(workers)
+            runs.append(
+                library.solve_encoded(
+                    src_ids, dst_ids, want_cost=True, par=pool.context()
+                )
+            )
+            pool.shutdown(wait=True)
+        distinct = len(set(zip(src_ids[valid].tolist(), dst_ids[valid].tolist())))
+        assert distinct > LANE_WIDTH  # several words
+        for run in runs:
+            assert run.lane_pairs == distinct
+            assert run.bidirectional_pairs == run.forward_traversals == 0
+        assert np.array_equal(runs[0].connected, runs[1].connected)
+        assert np.array_equal(runs[0].costs, runs[1].costs)
+        for i in range(len(src_ids)):
+            if not valid[i]:
+                assert not runs[0].connected[i] and runs[0].costs[i] == -1
+                continue
+            s, d = int(src_ids[i]), int(dst_ids[i])
+            want = bfs(library.csr, s, np.asarray([d])).cost(d)
+            assert runs[0].connected[i] == (want is not None)
+            assert runs[0].costs[i] == (-1 if want is None else want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_word_with_duplicate_lanes(self, seed):
+        # a long chain with shortcuts needs many rounds per side; lanes
+        # holding the same pair, or a self pair, answer alike
+        rng = random.Random(4000 + seed)
+        n = 80
+        edges = [(v, v + 1, 1) for v in range(n - 1)]
+        edges += [(rng.randrange(n), rng.randrange(n), 1) for _ in range(6)]
+        library = build_library(edges, weighted=False)
+        backward = library.reverse
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(40)]
+        pairs += pairs[:12] + [(7, 7), (n - 1, 0)]
+        ids = library.domain.encode(np.asarray(pairs, dtype=np.int64).ravel())
+        sources, targets = ids[0::2], ids[1::2]
+        found = lane_distances(library.csr, backward, sources, targets)
+        for s, t, distance in zip(sources.tolist(), targets.tolist(), found.tolist()):
+            want = bfs(library.csr, s, np.asarray([t])).cost(t)
+            assert distance == (-1 if want is None else want)
+        assert found[-2] == 0
 
 
 HOPS_BATCH = (
