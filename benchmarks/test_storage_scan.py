@@ -1,8 +1,10 @@
 """Experiment: compressed columnar storage vs the plain-array paths.
 
 Three measurements over the same generated data, each run on
-``Database()`` (resting encodings + zone maps) and
-``Database(compression=False)`` (the plain oracle):
+``Database()`` (resting encodings + zone maps) and on a second one that
+is loaded, analyzed, queried and saved under the test tree's
+``reference_exec.plain_storage()`` (no resting encodings, no zone maps,
+no zone pruning — the plain oracle):
 
 * **zone_skip_scan** — a selective equality/range filter over a sorted
   BIGINT column: the compressed engine consults per-morsel zone maps
@@ -12,7 +14,7 @@ Three measurements over the same generated data, each run on
   sort-based encode per statement while the compressed engine reads
   the resting dictionary codes (an ``astype``);
 * **image_bytes** — ``save()`` image size, encoded format v4 vs the
-  plain layout.
+  plain layout (every column a plain ``.npy`` array, no zone maps).
 
 Results are asserted identical between the engines on every run;
 timings and byte counts land in ``BENCH_storage.json`` (the CI smoke
@@ -34,7 +36,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,9 @@ from repro import Database
 from repro.storage import Column, DataType
 
 from conftest import bench_out_path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_exec import plain_storage  # noqa: E402
 
 ROWS = int(os.environ.get("REPRO_BENCH_STORAGE_ROWS", str(1_000_000)))
 GROUPS = 24
@@ -79,8 +87,8 @@ def engines():
     grp = grp_dict[rng.integers(0, GROUPS, size=ROWS)]
     values = rng.random(ROWS)
     built = []
-    for compression in (True, False):
-        db = Database(compression=compression)
+    for storage in (nullcontext, plain_storage):
+        db = Database()
         db.execute("CREATE TABLE t (id BIGINT, grp VARCHAR, v DOUBLE)")
         db.table("t").insert_columns(
             [
@@ -89,7 +97,8 @@ def engines():
                 Column(DataType.DOUBLE, values.copy()),
             ]
         )
-        db.execute("ANALYZE")
+        with storage():
+            db.execute("ANALYZE")
         built.append(db)
     yield built[0], built[1]
     for db in built:
@@ -129,7 +138,8 @@ class TestStorageBenchmarks:
         comp_s = plain_s = 0.0
         for sql in queries:
             c_s, c_result = _time(compressed, sql, 5)
-            p_s, p_result = _time(plain, sql, 5)
+            with plain_storage():
+                p_s, p_result = _time(plain, sql, 5)
             assert repr(c_result.rows()) == repr(p_result.rows()), sql
             comp_s += c_s
             plain_s += p_s
@@ -167,7 +177,8 @@ class TestStorageBenchmarks:
                 col._fact_memo = None  # drop memos built before the patch
         sql = "SELECT grp, count(*), sum(v) FROM t GROUP BY grp"
         comp_s, c_result = _time(compressed, sql, 5)
-        plain_s, p_result = _time(plain, sql, 5)
+        with plain_storage():
+            plain_s, p_result = _time(plain, sql, 5)
         assert sorted(map(repr, c_result.rows())) == sorted(
             map(repr, p_result.rows())
         )
@@ -188,9 +199,13 @@ class TestStorageBenchmarks:
     def test_image_bytes(self, engines, capsys, tmp_path):
         compressed, plain = engines
         sizes = {}
-        for label, db in (("encoded", compressed), ("plain", plain)):
+        for label, db, storage in (
+            ("encoded", compressed, nullcontext),
+            ("plain", plain, plain_storage),
+        ):
             target = tmp_path / label
-            db.save(str(target))
+            with storage():
+                db.save(str(target))
             total = sum(
                 p.stat().st_size for p in target.rglob("*") if p.is_file()
             )

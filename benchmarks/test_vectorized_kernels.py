@@ -1,10 +1,11 @@
 """Experiment: vectorized kernels vs the row-at-a-time executor.
 
 Five key-driven operator shapes over the same generated data, each run
-on ``Database()`` (kernels) and ``Database(vectorized=False)`` (the
-row-at-a-time oracle): 1M-row GROUP BY, DISTINCT, a 2-key equi-join,
-EXCEPT, and a 2-key ORDER BY.  Results are asserted identical between
-the engines on every run; rows/sec and speedups land in
+on two databases: one with the kernels, one queried under the test
+tree's ``reference_exec.row_at_a_time()`` so every operator runs the
+row-at-a-time body its kernel falls back to: 1M-row GROUP BY,
+DISTINCT, a 2-key equi-join, EXCEPT, and a 2-key ORDER BY.  Results
+are asserted identical between the engines on every run; rows/sec and speedups land in
 ``BENCH_exec.json`` — the start of the accumulated perf trajectory
 (the CI smoke job re-runs this at a small scale and uploads the file as
 an artifact).
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from repro import Database
 from repro.storage import Column, DataType
 
 from conftest import bench_out_path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_exec import row_at_a_time  # noqa: E402
 
 ROWS = int(os.environ.get("REPRO_BENCH_KERNEL_ROWS", str(1_000_000)))
 #: Build-side size of the join experiment (~1 match per probe row, so
@@ -66,8 +72,8 @@ def _build_engines():
     right_k1 = rng.integers(0, GROUPS, size=EXCEPT_RIGHT_ROWS, dtype=np.int64)
     right_k2 = rng.integers(0, 50, size=EXCEPT_RIGHT_ROWS, dtype=np.int64)
     built = []
-    for vectorized in (True, False):
-        db = Database(vectorized=vectorized)
+    for _ in range(2):
+        db = Database()
         db.execute("CREATE TABLE t (k1 BIGINT, k2 BIGINT, v DOUBLE)")
         db.table("t").insert_columns(
             [
@@ -153,7 +159,8 @@ def _record(op: str, sql: str, vec_s: float, base_s: float, capsys) -> None:
 def _compare(op, sql, engines, capsys, *, repeats=3, assert_speedup=False):
     vectorized, rowwise = engines
     vec_s, vec_result = _time(vectorized, sql, repeats)
-    base_s, base_result = _time(rowwise, sql, 1)
+    with row_at_a_time():
+        base_s, base_result = _time(rowwise, sql, 1)
     assert len(vec_result) == len(base_result), sql
     _record(op, sql, vec_s, base_s, capsys)
     if assert_speedup and ASSERT_SPEEDUPS:

@@ -43,7 +43,7 @@ invalidated by DML/DDL on the tables they depend on:
 Large shortest-path batches share the kernels' worker pool
 (``exec_workers``, "auto" by default): their source groups run as
 morsel-pool tasks, see :meth:`repro.graph.GraphLibrary.solve_encoded`.
-``exec_workers=1`` or ``vectorized=False`` solves them serially.
+``exec_workers=1`` solves them serially.
 """
 
 from __future__ import annotations
@@ -649,6 +649,17 @@ class Appender:
 class Database:
     """An in-process, thread-safe database instance (catalog + executor).
 
+    Key-driven operators (DISTINCT, GROUP BY, equi-join probing, set
+    operations, ORDER BY, recursive-CTE dedup) run on the factorized-key
+    kernels of :mod:`repro.exec.kernels`; inputs a kernel cannot codify
+    fall back to that operator's row-at-a-time body, counted by
+    :meth:`kernel_stats`.  ANALYZE and :meth:`save` attach *resting
+    encodings* (dictionary, run-length, bit-packing —
+    :mod:`repro.storage.encoding`) where they pay off and build the
+    per-morsel zone maps (:mod:`repro.storage.zonemap`) that scans
+    consult to skip whole morsels under pushed-down filters; decode is
+    transparent, and :meth:`storage_stats` counts the skips.
+
     Parameters
     ----------
     plan_cache_capacity:
@@ -656,16 +667,6 @@ class Database:
         statements differing only in literals share one plan).
     graph_cache_capacity:
         LRU bound of the graph-index cache (built domain+CSR libraries).
-    vectorized:
-        When True (default) key-driven operators (DISTINCT, GROUP BY,
-        equi-join probing, set operations, ORDER BY, recursive-CTE
-        dedup) run on the factorized-key kernels of
-        :mod:`repro.exec.kernels`; uncodifiable inputs fall back to the
-        row-at-a-time paths automatically (counted, see
-        :meth:`kernel_stats`).  When False every operator takes the
-        original row-at-a-time path — the correctness oracle for the
-        kernel fuzz tests and the baseline for ``BENCH_exec.json`` — and
-        shortest-path batches are solved serially.
     exec_workers:
         Kernel worker threads for morsel-driven parallel execution
         (:mod:`repro.exec.parallel`): a positive int, or ``"auto"``
@@ -684,18 +685,6 @@ class Database:
     morsel_rows / parallel_min_rows:
         Tuning/testing overrides for the morsel size and the serial
         threshold (default the module constants).
-    compression:
-        When True (default) ANALYZE attaches *resting encodings*
-        (dictionary, run-length, bit-packing — :mod:`repro.storage.encoding`)
-        to columns where they pay off, builds per-morsel zone maps
-        (:mod:`repro.storage.zonemap`) that scans consult to skip whole
-        morsels under pushed-down filters, and :meth:`save` writes the
-        encoded format-v4 image that :meth:`load` memory-maps lazily.
-        Decode is transparent — every kernel and row path sees the same
-        arrays — and results are bit-identical to ``compression=False``,
-        which preserves the plain-array storage paths wholesale (the
-        correctness oracle for ``tests/test_storage_compression.py``).
-        Counters: :meth:`storage_stats` / the shell's ``\\storage``.
     graph_compact_threshold:
         Committed DML on an edge table folds into a CSR delta overlay
         (:mod:`repro.graph.overlay`) instead of invalidating the cached
@@ -745,11 +734,9 @@ class Database:
         *,
         plan_cache_capacity: int = 128,
         graph_cache_capacity: int = 16,
-        vectorized: bool = True,
         exec_workers: int | str | None = "auto",
         morsel_rows: Optional[int] = None,
         parallel_min_rows: Optional[int] = None,
-        compression: bool = True,
         graph_compact_threshold: int = 8192,
         durability: str = "off",
         wal_dir: Optional[str] = None,
@@ -773,15 +760,7 @@ class Database:
             capacity=plan_cache_capacity,
             stats_marker=lambda name: self.stats.marker(name),
         )
-        self.vectorized = bool(vectorized)
         self.kernel_counters = KernelCounters()
-        #: Compressed-storage knob: when True (default), ANALYZE and
-        #: save() attach resting encodings (dict/RLE/bit-pack) to
-        #: columns and scans consult per-morsel zone maps to skip
-        #: morsels under pushed-down filters.  False preserves the
-        #: plain-array storage paths wholesale — the correctness oracle
-        #: for tests/test_storage_compression.py.
-        self.compression = bool(compression)
         self.storage_counters = StorageCounters()
         #: Memory-budgeted execution knob (bytes).  ``None`` (the
         #: default, also reachable with ``memory_budget<=0`` or an unset
@@ -1249,14 +1228,12 @@ class Database:
         }
 
     def kernel_stats(self) -> dict:
-        """Cumulative vectorized-kernel counters: per-operation hit and
-        fallback counts (``hits`` / ``fallbacks`` dicts plus
-        ``hit_total`` / ``fallback_total``).  A fallback means an
-        operator ran its row-at-a-time path because the key columns were
-        not codifiable (or ``vectorized=False`` — then everything is
-        simply uncounted).  ``fallback_reasons`` breaks every op's
-        fallbacks down by cause (uncodifiable type vs kernel-less
-        aggregate vs NaN sort key)."""
+        """Cumulative kernel counters: per-operation hit and fallback
+        counts (``hits`` / ``fallbacks`` dicts plus ``hit_total`` /
+        ``fallback_total``).  A fallback means an operator ran its
+        row-at-a-time body because the key columns were not codifiable.
+        ``fallback_reasons`` breaks every op's fallbacks down by cause
+        (uncodifiable type vs kernel-less aggregate vs NaN sort key)."""
         return self.kernel_counters.snapshot()
 
     def parallel_stats(self) -> dict:
@@ -1274,14 +1251,12 @@ class Database:
         }
 
     def storage_stats(self) -> dict:
-        """Compressed-storage counters: whether compression is on, the
-        zone-map scan counters (scans consulted, morsels total/skipped,
-        per-table breakdown) and the factorize counters (full encodes vs
-        resting-code / memo hits vs shared-dictionary joins).  Surfaced
-        by profile-report footers and the shell's ``\\storage``
-        command."""
+        """Compressed-storage counters: the zone-map scan counters
+        (scans consulted, morsels total/skipped, per-table breakdown)
+        and the factorize counters (full encodes vs resting-code / memo
+        hits vs shared-dictionary joins).  Surfaced by profile-report
+        footers and the shell's ``\\storage`` command."""
         return {
-            "compression": self.compression,
             **self.storage_counters.snapshot(),
             "factorize": factorize_counters.snapshot(),
             "spill": self.memory_stats(),
@@ -1342,11 +1317,10 @@ class Database:
                 version = snapshot.committed_version(name)
             except CatalogError:
                 continue  # tolerate concurrent DROPs
-            if self.compression:
-                # encode first: _analyze_column then reads distinct /
-                # min / max straight off the resting dictionaries
-                encode_columns(version)
-                version.build_zone_maps()
+            # encode first: _analyze_column then reads distinct / min /
+            # max straight off the resting dictionaries
+            encode_columns(version)
+            version.build_zone_maps()
             self.stats.analyze(name, version)
             analyzed.append(name)
         return analyzed
@@ -1411,12 +1385,12 @@ class Database:
         """Load a database previously written by :meth:`save`.
 
         Keyword options are forwarded to the :class:`Database`
-        constructor (e.g. ``compression=False`` materializes every
-        column eagerly to plain arrays instead of memory-mapping the
-        encoded format-v4 files).  When a write-ahead log sits next to
-        the image (``<directory>.wal``), its records are replayed over
-        it — pass ``durability="commit"``/``"batch"`` to keep logging
-        afterwards, see :meth:`open`."""
+        constructor.  Format-v4 columns are memory-mapped in the
+        encoding they were saved in (plain included) and decode on
+        first touch.  When a write-ahead log sits next to the image
+        (``<directory>.wal``), its records are replayed over it — pass
+        ``durability="commit"``/``"batch"`` to keep logging afterwards,
+        see :meth:`open`."""
         from .persist import load_database
 
         return load_database(directory, **options)

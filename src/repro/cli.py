@@ -11,7 +11,7 @@ Meta commands:
 * ``\\d <table>`` — describe a table
 * ``\\timing`` — toggle per-statement timing
 * ``\\cache`` — plan-cache / graph-index-cache counters
-* ``\\kernels`` — vectorized-kernel hit/fallback counters
+* ``\\kernels`` — kernel hit/fallback counters
 * ``\\stats [table]`` — optimizer statistics recorded by ``ANALYZE``
 * ``\\storage [table]`` — per-column resting encodings and bytes, plus
   zone-map morsel-skip and factorize counters
@@ -169,9 +169,8 @@ class Shell:
                 self.write(f"{cache_name}: {body}")
         elif name == "\\kernels":
             stats = self.db.kernel_stats()
-            mode = "on" if self.db.vectorized else "off"
             self.write(
-                f"vectorized: {mode}  hits={stats['hit_total']} "
+                f"kernels: hits={stats['hit_total']} "
                 f"fallbacks={stats['fallback_total']}"
             )
             for op in sorted(set(stats["hits"]) | set(stats["fallbacks"])):
@@ -198,9 +197,6 @@ class Shell:
                     self.write(f"  {col_name}: {' '.join(parts)}")
         elif name == "\\storage":
             stats = self.db.storage_stats()
-            self.write(
-                f"compression: {'on' if stats['compression'] else 'off'}"
-            )
             table_names = self.db.catalog.table_names()
             if args:
                 table_names = [n for n in table_names if n == args[0].lower()]

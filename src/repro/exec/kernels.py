@@ -33,9 +33,10 @@ original row-at-a-time path and counts the fallback, *by reason* —
 DISTINCT aggregates) or :data:`REASON_NAN_ORDER` (NaN keys have no
 total order, only the row comparator reproduces the oracle) — so a
 parallel-vs-serial perf regression can be traced to the fallback class
-that caused it.  The ``Database(vectorized=False)`` knob disables the
-kernels wholesale, preserving the row paths as the correctness oracle
-for the on/off fuzz tests and the ``BENCH_exec.json`` baselines.
+that caused it.  The test tree's ``reference_exec.row_at_a_time()``
+makes every kernel entry point the executor calls raise
+:class:`KernelFallback`, so those same row paths are the correctness
+oracle of the kernel fuzz tests and the ``BENCH_exec.json`` baselines.
 
 Morsel-driven parallelism: every kernel accepts an optional ``par``
 (:class:`~repro.exec.parallel.ParallelContext`) and, for inputs large
@@ -317,7 +318,11 @@ def group_ids(
     row ``i``, groups are numbered by first appearance (matching the
     insertion-ordered dict of the row-at-a-time GROUP BY), and
     ``first_rows[g]`` is the representative (first) row of group ``g``.
+    Zero key columns are a global aggregate: one group, even over an
+    empty input, and no representative rows.
     """
+    if not columns:
+        return np.zeros(n_rows, dtype=np.int64), 1, np.empty(0, dtype=np.int64)
     raw, radix = _codify(columns, n_rows, par=par)
     if _use_par(par, n_rows, "group_by"):
         # merged per-morsel first-occurrence maps give (unique raw ids

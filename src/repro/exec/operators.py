@@ -12,22 +12,24 @@ arrives with its equi-key pairs and build side already chosen,
 paths.
 
 Every key-driven operator (DISTINCT, GROUP BY, equi-join probing, set
-operations, ORDER BY, recursive-CTE dedup) runs through the vectorized
-kernels of :mod:`repro.exec.kernels` — factorized int64 key codes
-instead of per-row Python tuples — whenever the database's
-``vectorized`` knob is on and the key columns are codifiable.  Large
-inputs additionally run those kernels morsel-parallel on the database's
-shared worker pool (:mod:`repro.exec.parallel`, ``exec_workers``), with
-results bit-identical to the serial kernels; join/sort payload gathers
-are spread column-per-task over the same pool.  The
-original row-at-a-time paths are kept verbatim underneath as the
-automatic fallback and as the ``Database(vectorized=False)``
-correctness oracle: Python hash tables over row keys for grouping and
-distinct, a stable multi-pass merge with SQL null ordering (NULLS LAST
-ascending, NULLS FIRST descending) for sorting.  Kernel hits and
-fallbacks are counted per operation on the database's
+operations, ORDER BY, recursive-CTE dedup) runs through the kernels of
+:mod:`repro.exec.kernels` — factorized int64 key codes instead of
+per-row Python tuples.  Large inputs additionally run those kernels
+morsel-parallel on the database's shared worker pool
+(:mod:`repro.exec.parallel`, ``exec_workers``), with results
+bit-identical to the serial kernels; join/sort payload gathers are
+spread column-per-task over the same pool.  Each operator keeps one
+row-at-a-time body underneath, reached only when its kernel raises
+:class:`~repro.exec.kernels.KernelFallback` (keys that cannot be
+codified, NaN sort keys, DISTINCT aggregates): Python hash tables over
+row keys for grouping, distinct, set operations and joins, a stable
+multi-pass merge with SQL null ordering (NULLS LAST ascending, NULLS
+FIRST descending) for sorting.  Kernel hits and fallbacks are counted
+per operation on the database's
 :class:`~repro.exec.kernels.KernelCounters` and surfaced by profiler
-reports and ``Database.kernel_stats()``.
+reports and ``Database.kernel_stats()``.  The test tree's
+``reference_exec.row_at_a_time()`` forces every kernel to decline, so
+these fallback bodies double as the differential oracle.
 
 Graph select / graph join are delegated to :mod:`repro.exec.graph_ops`.
 
@@ -43,11 +45,16 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ExecutionError, NotSupportedError, ResourceLimitError
+from ..errors import (
+    ExecutionError,
+    NotSupportedError,
+    ResourceLimitError,
+    TypeError_,
+)
 from ..plan import exprs as bx
 from ..plan import logical as lp
 from ..plan import physical as pp
-from ..storage import Column, DataType
+from ..storage import Column, DataType, comparable, promote
 from ..storage.spill import (
     SPILL_CHUNK_ROWS,
     MemoryAccountant,
@@ -72,7 +79,7 @@ MAX_JOIN_ROWS = 4 * MAX_CROSS_ROWS
 #: Iteration guard for WITH RECURSIVE evaluation.
 MAX_RECURSION_STEPS = 100_000
 
-#: Recursive-CTE dedup switches from the vectorized per-iteration
+#: Recursive-CTE dedup switches from the kernels' per-iteration
 #: re-codification (O(accumulated) per step, unbeatable for the big
 #: frontier deltas of graph workloads) to the incremental row-key set
 #: (O(delta) per step) once deltas shrink below this fraction of the
@@ -99,24 +106,14 @@ class ExecContext:
         self.snapshot = snapshot
         self.cte_tables: dict[str, Batch] = {}
         self.profiler = profiler
-        #: Whether key-driven operators use the vectorized kernels of
-        #: :mod:`repro.exec.kernels` (the Database's ``vectorized`` knob;
-        #: False preserves the row-at-a-time oracle paths).
-        self.vectorized = getattr(database, "vectorized", True)
         self.kernel_counters = getattr(database, "kernel_counters", None)
         #: Morsel-parallel handle on the database's shared kernel worker
         #: pool (:class:`~repro.exec.parallel.ExecPool`); None when the
-        #: pool has one worker or the kernels are off — kernels and the
-        #: graph runtime's path batches then run their unchanged serial
-        #: paths (the ``exec_workers=1`` oracle).
-        self.parallel = None
-        if self.vectorized:
-            pool = getattr(database, "exec_pool", None)
-            if pool is not None:
-                self.parallel = pool.context()
-        #: Whether scans consult per-morsel zone maps (the Database's
-        #: ``compression`` knob; False is the plain-storage oracle).
-        self.compression = getattr(database, "compression", True)
+        #: pool has one worker — kernels and the graph runtime's path
+        #: batches then run their unchanged serial paths (the
+        #: ``exec_workers=1`` oracle).
+        pool = getattr(database, "exec_pool", None)
+        self.parallel = pool.context() if pool is not None else None
         self.storage_counters = getattr(database, "storage_counters", None)
         #: Memory-budgeted execution (the Database's ``memory_budget``
         #: knob; None = unlimited = the fully-materialized oracle).  The
@@ -222,8 +219,6 @@ def _insub_resolver(ctx: ExecContext):
 def _scan_spans(plan: pp.PScan, ctx: ExecContext, version):
     """Surviving row spans after static + dynamic zone filters, or None
     when nothing can be skipped (callers then scan zero-copy)."""
-    if not ctx.compression:
-        return None
     dynamic = ctx.dynamic_zones.get(id(plan), ())
     zone_filters = tuple(plan.zone_filters) + tuple(dynamic)
     if not zone_filters:
@@ -417,12 +412,8 @@ def _exec_limit(plan: pp.PLimit, ctx: ExecContext) -> Batch:
     return batch.take(indices)
 
 
-def _row_key(batch: Batch, index: int) -> tuple:
-    return tuple(col.value(index) for col in batch.columns)
-
-
 def _batch_rows(batch: Batch) -> list[tuple]:
-    """All row tuples at once — much faster than per-row _row_key."""
+    """All row tuples at once (one bulk conversion per column)."""
     if not batch.columns:
         return [()] * batch.num_rows
     return list(zip(*(col.to_pylist() for col in batch.columns)))
@@ -474,23 +465,14 @@ def _take_columns(
     return par.map("gather", lambda c: c.take(indices), list(columns))
 
 
-def _distinct_batch(batch: Batch, ctx: Optional[ExecContext] = None) -> Batch:
-    if ctx is not None and ctx.vectorized:
-        try:
-            keep = kernels.distinct_mask(
-                batch.columns, batch.num_rows, ctx.parallel
-            )
-            ctx.kernel_hit("distinct")
-            return batch.filter(keep)
-        except KernelFallback as exc:
-            ctx.kernel_fallback("distinct", exc)
-    seen: set = set()
-    keep = np.zeros(batch.num_rows, dtype=np.bool_)
-    for i, key in enumerate(_batch_rows(batch)):
-        if key not in seen:
-            seen.add(key)
-            keep[i] = True
-    return batch.filter(keep)
+def _distinct_batch(batch: Batch, ctx: ExecContext) -> Batch:
+    try:
+        keep = kernels.distinct_mask(batch.columns, batch.num_rows, ctx.parallel)
+        ctx.kernel_hit("distinct")
+        return batch.filter(keep)
+    except KernelFallback as exc:
+        ctx.kernel_fallback("distinct", exc)
+    return _dedup_batch(batch, set())
 
 
 def _exec_distinct(plan: pp.PDistinct, ctx: ExecContext) -> Batch:
@@ -500,34 +482,39 @@ def _exec_distinct(plan: pp.PDistinct, ctx: ExecContext) -> Batch:
 def _exec_sort(plan: pp.PSort, ctx: ExecContext) -> Batch:
     batch = execute_plan(plan.input, ctx)
     keys = [(ctx.eval(key.expr, batch), key.ascending) for key in plan.keys]
-    if ctx.vectorized:
-        try:
-            order = None
-            if (
-                keys
-                and ctx.accountant.active
-                and ctx.spill_manager is not None
-                and batch.num_rows > SPILL_CHUNK_ROWS
-                and ctx.accountant.decide(
-                    "sort", estimate_batch_bytes(batch.columns)
-                )
-            ):
-                order = _external_sort_order(keys, batch.num_rows, ctx)
-            if order is None:
-                order = kernels.sort_order(keys, batch.num_rows, ctx.parallel)
-            ctx.kernel_hit("sort")
-            if ctx.accountant.active and plan.limit is not None:
-                # top-k fusion: the PLimit above slices [offset,
-                # offset+limit), which is a prefix of this truncated
-                # permutation — identical rows, bounded payload gather
-                order = order[: plan.limit]
-            if not batch.columns:
-                return batch.take(order)
-            return Batch(batch.schema, _take_columns(batch.columns, order, ctx))
-        except KernelFallback as exc:
-            ctx.kernel_fallback("sort", exc)
-    order = np.arange(batch.num_rows, dtype=np.int64)
-    # stable multi-pass: least-significant key first
+    try:
+        order = None
+        if (
+            keys
+            and ctx.accountant.active
+            and ctx.spill_manager is not None
+            and batch.num_rows > SPILL_CHUNK_ROWS
+            and ctx.accountant.decide(
+                "sort", estimate_batch_bytes(batch.columns)
+            )
+        ):
+            order = _external_sort_order(keys, batch.num_rows, ctx, plan.limit)
+        if order is None:
+            order = kernels.sort_order(keys, batch.num_rows, ctx.parallel)
+        ctx.kernel_hit("sort")
+    except KernelFallback as exc:
+        ctx.kernel_fallback("sort", exc)
+        order = _row_sort_order(keys, batch.num_rows)
+    if plan.limit is not None:
+        # top-k: the PLimit above slices [offset, offset+limit), which
+        # is a prefix of this truncated permutation — identical rows,
+        # and only those rows' payloads are gathered
+        order = order[: plan.limit]
+    if not batch.columns:
+        return batch.take(order)
+    return Batch(batch.schema, _take_columns(batch.columns, order, ctx))
+
+
+def _row_sort_order(keys, n: int) -> np.ndarray:
+    """Stable multi-pass sort permutation, least-significant key first,
+    with Python's comparator (the fallback for keys the kernel cannot
+    order: NaN, uncodifiable values)."""
+    order = np.arange(n, dtype=np.int64)
     for column, ascending in reversed(keys):
         materialized = column.to_pylist()  # one bulk conversion per key
         values = [materialized[int(i)] for i in order]
@@ -539,11 +526,11 @@ def _exec_sort(plan: pp.PSort, ctx: ExecContext) -> Batch:
 
         positions = sorted(range(len(order)), key=sort_key, reverse=not ascending)
         order = order[np.asarray(positions, dtype=np.int64)]
-    return batch.take(order)
+    return order
 
 
 def _external_sort_order(
-    keys, n: int, ctx: ExecContext
+    keys, n: int, ctx: ExecContext, limit: Optional[int] = None
 ) -> "np.ndarray | None":
     """External merge sort: the sort permutation via sorted on-disk runs.
 
@@ -559,16 +546,20 @@ def _external_sort_order(
     permutation by (rank, original row) regardless of merge shape —
     identical to the one-shot stable argsort — while memory stays two
     runs plus their merge (the final merge drops the rank side
-    entirely).  Returns None when the combined key-code space
+    entirely).  With a top-k ``limit``, every run and every merge keeps
+    only its first ``limit`` pairs: each of the global first ``limit``
+    is among the first ``limit`` of its own run, so the returned prefix
+    is unchanged.  Returns None when the combined key-code space
     overflows int64 (callers then lexsort in memory)."""
     rank = kernels.composite_sort_rank(keys, n, ctx.parallel)
     if rank is None:
         return None
+    keep = n if limit is None else limit
     counters = ctx.accountant.counters
     runs = []
     for ms in range(0, n, SPILL_CHUNK_ROWS):
         me = min(ms + SPILL_CHUNK_ROWS, n)
-        local = np.argsort(rank[ms:me], kind="stable").astype(np.int64)
+        local = np.argsort(rank[ms:me], kind="stable")[:keep].astype(np.int64)
         run = ctx.spill_manager.create_file(f"sortrun{len(runs):03d}")
         run.append_columns(
             [
@@ -606,7 +597,7 @@ def _external_sort_order(
                     counters.note("merges")
                 if len(runs) == 2:
                     runs = []
-                    return out_rows  # final merge: the permutation itself
+                    return out_rows[:keep]  # final merge: the permutation
                 out_rank = np.empty_like(out_rows)
                 out_rank[at_a] = a_rank
                 out_rank[at_b] = b_rank
@@ -615,8 +606,8 @@ def _external_sort_order(
                 )
                 merged.append_columns(
                     [
-                        Column(DataType.BIGINT, out_rank),
-                        Column(DataType.BIGINT, out_rows),
+                        Column(DataType.BIGINT, out_rank[:keep]),
+                        Column(DataType.BIGINT, out_rows[:keep]),
                     ]
                 )
                 merged.finish()
@@ -637,7 +628,7 @@ def _external_sort_order(
 # aggregation
 # ---------------------------------------------------------------------------
 def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
-    if plan.streamable and ctx.accountant.active and ctx.vectorized:
+    if plan.streamable and ctx.accountant.active:
         streamed = _streamed_aggregate(plan, ctx)
         if streamed is not None:
             return streamed
@@ -647,24 +638,23 @@ def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
     arg_columns = [
         ctx.eval(a.arg, batch) if a.arg is not None else None for a in plan.aggs
     ]
-    if ctx.vectorized:
-        if (
-            key_columns
-            and ctx.accountant.active
-            and ctx.spill_manager is not None
-            and n > SPILL_CHUNK_ROWS
-            and ctx.accountant.decide(
-                "group_by", estimate_batch_bytes(batch.columns)
-            )
-        ):
-            try:
-                return _spilled_aggregate(plan, key_columns, arg_columns, n, ctx)
-            except KernelFallback:
-                pass  # the in-memory paths below handle (and count) it
+    if (
+        key_columns
+        and ctx.accountant.active
+        and ctx.spill_manager is not None
+        and n > SPILL_CHUNK_ROWS
+        and ctx.accountant.decide(
+            "group_by", estimate_batch_bytes(batch.columns)
+        )
+    ):
         try:
-            return _vectorized_aggregate(plan, key_columns, arg_columns, n, ctx)
-        except KernelFallback as exc:
-            ctx.kernel_fallback("group_by", exc)
+            return _spilled_aggregate(plan, key_columns, arg_columns, n, ctx)
+        except KernelFallback:
+            pass  # the in-memory paths below handle (and count) it
+    try:
+        return _kernel_aggregate(plan, key_columns, arg_columns, n, ctx)
+    except KernelFallback as exc:
+        ctx.kernel_fallback("group_by", exc)
     groups: dict[tuple, list[int]] = {}
     if key_columns:
         key_lists = [col.to_pylist() for col in key_columns]
@@ -686,7 +676,7 @@ def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
     return Batch(plan.schema, columns)
 
 
-def _vectorized_aggregate(
+def _kernel_aggregate(
     plan: pp.PAggregate,
     key_columns: list[Column],
     arg_columns: list[Optional[Column]],
@@ -696,12 +686,7 @@ def _vectorized_aggregate(
     """GROUP BY over factorized group ids: keys come from each group's
     first row; aggregates run through bincount/reduceat kernels, with a
     per-group Python fallback only for aggregates without a kernel."""
-    if key_columns:
-        ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
-    else:
-        # global aggregate: one group, even over an empty input
-        ids = np.zeros(n, dtype=np.int64)
-        n_groups, first_rows = 1, None
+    ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
     ctx.kernel_hit("group_by")
     out_columns: list[Column] = []
     for column in key_columns:
@@ -978,15 +963,14 @@ def _guard_degenerate_join(total: int, n: int, m: int) -> None:
 
 
 def _exec_hash_join(plan: pp.PHashJoin, ctx: ExecContext) -> Batch:
-    if plan.probe_zone and ctx.vectorized and ctx.compression:
+    if plan.probe_zone:
         left, right = _exec_join_inputs_zoned(plan, ctx)
     else:
         left = execute_plan(plan.left, ctx)
         right = execute_plan(plan.right, ctx)
     indices = None
     if (
-        ctx.vectorized
-        and plan.pairs
+        plan.pairs
         and ctx.accountant.active
         and ctx.spill_manager is not None
         and left.num_rows + right.num_rows > SPILL_CHUNK_ROWS
@@ -1237,29 +1221,19 @@ def _exec_cross_join(plan: pp.PCrossJoin, ctx: ExecContext) -> Batch:
 def _hash_join_indices(left: Batch, right: Batch, pairs, ctx: ExecContext):
     left_keys = [ctx.eval(a, left) for a, _ in pairs]
     right_keys = [ctx.eval(b, right) for _, b in pairs]
-    if ctx.vectorized:
-        try:
-            result = kernels.join_indices(
-                left_keys,
-                right_keys,
-                guard=_guard_degenerate_join,
-                par=ctx.parallel,
-            )
-            ctx.kernel_hit("join")
-            return result
-        except KernelFallback as exc:
-            ctx.kernel_fallback("join", exc)
-    if len(pairs) == 1 and (
-        left_keys[0].type is not None
-        and left_keys[0].type.is_numeric
-        and left_keys[0].type != DataType.DOUBLE
-        and right_keys[0].type is not None
-        and right_keys[0].type.is_numeric
-        and right_keys[0].type != DataType.DOUBLE
-    ):
-        # the PR-2 single-integer-key fast path, part of the
-        # vectorized=False oracle's behavior
-        return _sorted_join_indices(left_keys[0], right_keys[0])
+    for left_key, right_key in zip(left_keys, right_keys):
+        _check_join_key_types(left_key, right_key)
+    try:
+        result = kernels.join_indices(
+            left_keys,
+            right_keys,
+            guard=_guard_degenerate_join,
+            par=ctx.parallel,
+        )
+        ctx.kernel_hit("join")
+        return result
+    except KernelFallback as exc:
+        ctx.kernel_fallback("join", exc)
     table: dict[tuple, list[int]] = {}
     right_tuples = list(zip(*(col.to_pylist() for col in right_keys)))
     for j, key in enumerate(right_tuples):
@@ -1280,32 +1254,25 @@ def _hash_join_indices(left: Batch, right: Batch, pairs, ctx: ExecContext):
     return np.asarray(li, dtype=np.int64), np.asarray(ri, dtype=np.int64)
 
 
-def _sorted_join_indices(left_key: Column, right_key: Column):
-    """Vectorized single-integer-key equi-join via sort + searchsorted.
+def _check_join_key_types(left: Column, right: Column) -> None:
+    """Raise the error ``=`` raises for key types that cannot be
+    compared.  The binder rejects typed mismatches; host parameters are
+    typed only here, from their values.  A key column without a single
+    non-NULL value matches nothing whatever its (guessed) type, and a
+    DATE/VARCHAR pair is the string-literal date comparison ``=``
+    accepts."""
+    lt, rt = left.type, right.type
+    if lt is None or rt is None or comparable(lt, rt):
+        return
+    if {lt, rt} == {DataType.DATE, DataType.VARCHAR}:
+        return
+    if _has_value(left) and _has_value(right):
+        raise TypeError_(f"cannot compare {lt} with {rt}")
 
-    Orders of magnitude faster than the per-row dict probe for the large
-    intermediate results that recursive CTE evaluation produces.
-    """
-    lk = left_key.data.astype(np.int64)
-    rk = right_key.data.astype(np.int64)
-    left_valid = ~left_key.null_mask()
-    right_valid = ~right_key.null_mask()
-    right_rows = np.flatnonzero(right_valid)
-    order = right_rows[np.argsort(rk[right_rows], kind="stable")]
-    sorted_rk = rk[order]
-    left_rows = np.flatnonzero(left_valid)
-    lo = np.searchsorted(sorted_rk, lk[left_rows], side="left")
-    hi = np.searchsorted(sorted_rk, lk[left_rows], side="right")
-    counts = (hi - lo).astype(np.int64)
-    total = int(counts.sum())
-    _guard_degenerate_join(total, len(lk), len(rk))
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    li = np.repeat(left_rows, counts)
-    cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    slots = np.repeat(lo - cum, counts) + np.arange(total, dtype=np.int64)
-    ri = order[slots]
-    return li, ri
+
+def _has_value(column: Column) -> bool:
+    mask = column.mask
+    return len(column) > 0 and (mask is None or not bool(mask.all()))
 
 
 def _add_unmatched_left(plan, left: Batch, joined: Batch, li):
@@ -1331,10 +1298,8 @@ def _add_unmatched_left(plan, left: Batch, joined: Batch, li):
 # set operations
 # ---------------------------------------------------------------------------
 def _exec_setop(plan: pp.PSetOp, ctx: ExecContext) -> Batch:
-    left = execute_plan(plan.left, ctx)
-    right = execute_plan(plan.right, ctx)
-    left = _coerce_batch(left, plan.schema)
-    right = _coerce_batch(right, plan.schema)
+    left = _coerce_batch(execute_plan(plan.left, ctx), plan.schema)
+    right = _coerce_batch(execute_plan(plan.right, ctx), plan.schema)
     if plan.op == "union":
         columns = [_concat_promote(a, b) for a, b in zip(left.columns, right.columns)]
         if not columns:
@@ -1344,20 +1309,24 @@ def _exec_setop(plan: pp.PSetOp, ctx: ExecContext) -> Batch:
         if plan.all:
             return result
         return _distinct_batch(result, ctx)
-    if ctx.vectorized:
-        try:
-            keep = kernels.setop_mask(
-                left.columns,
-                left.num_rows,
-                right.columns,
-                right.num_rows,
-                keep_members=plan.op == "intersect",
-                par=ctx.parallel,
-            )
-            ctx.kernel_hit("setop")
-            return left.filter(keep)
-        except KernelFallback as exc:
-            ctx.kernel_fallback("setop", exc)
+    for a, b in zip(left.columns, right.columns):
+        if a.type != b.type:
+            # host parameters are typed only now: values with no common
+            # type raise the error UNION's concatenation raises
+            promote(a.type, b.type)
+    try:
+        keep = kernels.setop_mask(
+            left.columns,
+            left.num_rows,
+            right.columns,
+            right.num_rows,
+            keep_members=plan.op == "intersect",
+            par=ctx.parallel,
+        )
+        ctx.kernel_hit("setop")
+        return left.filter(keep)
+    except KernelFallback as exc:
+        ctx.kernel_fallback("setop", exc)
     right_keys = set(_batch_rows(right))
     keep = np.zeros(left.num_rows, dtype=np.bool_)
     seen: set = set()
@@ -1376,8 +1345,6 @@ def _concat_promote(left: Column, right: Column) -> Column:
     (host parameters have no static type, so INTEGER/BIGINT mixes are
     only discovered at runtime)."""
     if left.type != right.type:
-        from ..storage import promote
-
         target = promote(left.type, right.type)
         left = left.cast(target)
         right = right.cast(target)
@@ -1412,24 +1379,22 @@ def _exec_materialize(plan: pp.PMaterialize, ctx: ExecContext) -> Batch:
 def _exec_recursive(plan: pp.PRecursive, ctx: ExecContext) -> Batch:
     accumulated = _coerce_batch(execute_plan(plan.base, ctx), plan.schema)
     seen: Optional[set] = None
-    # vectorized dedup carries no row-key set across iterations: each
+    # kernel dedup carries no row-key set across iterations: each
     # delta is checked against the accumulated batch by codified ids.
     # On the first uncodifiable batch we build the seen-set from the
     # accumulated rows and continue row-at-a-time.
-    use_kernels = ctx.vectorized and not plan.union_all
-    if not plan.union_all:
-        if use_kernels:
-            try:
-                accumulated = accumulated.filter(
-                    kernels.distinct_mask(
-                        accumulated.columns, accumulated.num_rows, ctx.parallel
-                    )
+    use_kernels = not plan.union_all
+    if use_kernels:
+        try:
+            accumulated = accumulated.filter(
+                kernels.distinct_mask(
+                    accumulated.columns, accumulated.num_rows, ctx.parallel
                 )
-                ctx.kernel_hit("dedup")
-            except KernelFallback as exc:
-                ctx.kernel_fallback("dedup", exc)
-                use_kernels = False
-        if not use_kernels:
+            )
+            ctx.kernel_hit("dedup")
+        except KernelFallback as exc:
+            ctx.kernel_fallback("dedup", exc)
+            use_kernels = False
             seen = set()
             accumulated = _dedup_batch(accumulated, seen)
     delta = accumulated

@@ -170,7 +170,6 @@ class Profiler:
             fact = stats.get("factorize", {})
             lines.append(
                 "storage: "
-                f"compression={'on' if stats.get('compression') else 'off'} "
                 f"zone_scans={stats.get('zone_scans', 0)} "
                 f"morsels_skipped={stats.get('morsels_skipped', 0)}/"
                 f"{stats.get('morsels_total', 0)} "

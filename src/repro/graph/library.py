@@ -67,10 +67,9 @@ per-group searches still count pairs: a call with at least
 :data:`PARALLEL_MIN_PAIRS` valid pairs deals its source groups
 round-robin onto one shard per pool worker (each shard traverses
 independently; the CSRs are immutable and every shard writes disjoint
-slots of the output arrays).  Without a parallel context —
-``exec_workers=1`` or ``vectorized=False`` — or below those sizes, the
-call is solved serially, so per-pair latency never pays a thread
-hand-off.
+slots of the output arrays).  Without a parallel context
+(``exec_workers=1``) or below those sizes, the call is solved serially,
+so per-pair latency never pays a thread hand-off.
 """
 
 from __future__ import annotations

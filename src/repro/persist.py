@@ -16,8 +16,8 @@ Columns are written in their *resting* encoding
 unlike ``npz`` members — ``np.load(mmap_mode="r")`` can memory-map:
 ``load()`` installs zero-arg loader thunks in the encodings, so a
 reopened database materializes columns lazily on first touch.
-``Database(compression=False)`` opts out on both ends: ``save``
-writes plain arrays and ``load`` materializes everything eagerly.
+A column ANALYZE left plain (no encoding pays off) is written as a
+plain ``.npy`` array and loads the same lazy way.
 Persisted zone maps are discarded on load when their recorded row
 count disagrees with the column (the stale case).
 
@@ -188,20 +188,18 @@ def _write_image(
     directory: str,
     checkpoint_lsn: "Optional[int]" = None,
 ) -> None:
-    compression = getattr(db, "compression", True)
     tables_meta = {}
     for name in snapshot.table_names():
         version = snapshot.table_version(name)
-        if compression:
-            # make encoded storage the resting format of the image: any
-            # column ANALYZE has not visited yet gets its encoding (and
-            # zone maps) here, at write time
-            encode_columns(version)
-            version.build_zone_maps()
+        # make encoded storage the resting format of the image: any
+        # column ANALYZE has not visited yet gets its encoding (and zone
+        # maps) here, at write time
+        encode_columns(version)
+        version.build_zone_maps()
         tables_meta[name] = {
             "columns": [[c.name, c.type.value] for c in version.schema],
             "storage": _write_table(
-                version, os.path.join(directory, f"{name}.tbl"), compression
+                version, os.path.join(directory, f"{name}.tbl")
             ),
         }
     meta = {
@@ -229,9 +227,10 @@ def _strify(values) -> np.ndarray:
     return np.array(["" if v is None else v for v in values], dtype=np.str_)
 
 
-def _write_table(version, table_dir: str, compression: bool) -> list:
+def _write_table(version, table_dir: str) -> list:
     """Write every column of ``version`` as per-column ``.npy`` files in
-    its resting encoding; returns the per-column storage descriptors
+    its resting encoding (a plain array when it has none) and its zone
+    map when one is built; returns the per-column storage descriptors
     recorded in ``catalog.json`` (the layout the loader rebuilds from).
     """
     os.makedirs(table_dir, exist_ok=True)
@@ -242,7 +241,7 @@ def _write_table(version, table_dir: str, compression: bool) -> list:
         base = os.path.join(table_dir, f"col{i}")
         is_str = column.type.numpy_dtype == np.dtype(object)
         n = len(column)
-        enc = column.encoding if compression else None
+        enc = column.encoding
         if isinstance(enc, DictEncoding):
             np.save(base + ".codes.npy", enc.codes, allow_pickle=False)
             uniques = _strify(enc.uniques) if is_str else enc.uniques
@@ -285,7 +284,7 @@ def _write_table(version, table_dir: str, compression: bool) -> list:
                 "mask": mask is not None, "str": is_str,
             }
         zone_map = (column._zones or {}).get(ZONE_ROWS)
-        if compression and zone_map is not None:
+        if zone_map is not None:
             np.savez(
                 base + ".zones.npz",
                 mins=zone_map.mins,
@@ -321,15 +320,11 @@ def _lazy_str(path: str, mask_path: "str | None" = None):
     return thunk
 
 
-def _load_column_v4(
-    type_: DataType, desc: dict, base: str, compression: bool
-) -> Column:
+def _load_column_v4(type_: DataType, desc: dict, base: str) -> Column:
     """Rebuild one column from its storage descriptor, lazily.
 
     Every payload slot holds an ``np.load(mmap_mode="r")`` thunk, so
-    nothing is read until the column is first touched; with
-    ``compression=False`` the column is materialized eagerly to a plain
-    array instead.
+    nothing is read until the column is first touched.
     """
     n = int(desc["n"])
     kind = desc["kind"]
@@ -369,7 +364,7 @@ def _load_column_v4(
         )
         enc = PlainEncoding(n, data, _lazy(mask_path) if mask_path else None)
     column = Column.from_encoding(type_, enc)
-    if compression and desc.get("zones") and os.path.exists(base + ".zones.npz"):
+    if desc.get("zones") and os.path.exists(base + ".zones.npz"):
         archive = np.load(base + ".zones.npz")
         granularity, n_rows = (int(v) for v in archive["meta"])
         # stale guard: a zone map recorded against a different version's
@@ -382,8 +377,6 @@ def _load_column_v4(
                     archive["null_counts"], archive["has_values"],
                 )
             }
-    if not compression:
-        column = Column(type_, column.data, column.mask)
     return column
 
 
@@ -509,9 +502,8 @@ def load_database(directory: str, **options) -> "Database":
 
     Keyword ``options`` are forwarded to the :class:`Database`
     constructor.  Format-v4 images load lazily — per-column
-    ``np.load(mmap_mode="r")`` thunks materialize on first touch —
-    unless ``compression=False``, which decodes everything eagerly to
-    plain arrays.  v1–v3 npz images load eagerly, as always.
+    ``np.load(mmap_mode="r")`` thunks materialize on first touch.
+    v1–v3 npz images load eagerly, as always.
 
     If a write-ahead log sits next to the image (or at ``wal_dir``),
     records past the image's checkpoint are replayed, so the reloaded
@@ -689,10 +681,7 @@ def _load_image(directory: str, options: dict) -> "tuple[Database, int]":
             storage = table_meta.get("storage", [])
             columns = [
                 _load_column_v4(
-                    type_,
-                    storage[i],
-                    os.path.join(table_dir, f"col{i}"),
-                    db.compression,
+                    type_, storage[i], os.path.join(table_dir, f"col{i}")
                 )
                 for i, (_, type_) in enumerate(columns_spec)
             ]

@@ -526,6 +526,8 @@ class Binder:
         recursive_plan = self.bind_query(query.right, inner_ctes)
         if len(recursive_plan.schema) != len(base_plan.schema):
             raise BindError(f"recursive CTE {cte.name!r} arity mismatch")
+        if not query.all:
+            _require_keys(c.type for c in base_plan.schema)
         schema = tuple(
             self._fresh_column(name, col.type, col.nested)
             for name, col in zip(names, base_plan.schema)
@@ -558,6 +560,8 @@ class Binder:
             out_cols.append(self._fresh_column(lcol.name, type_, lcol.nested))
         if node.op != "union" and node.all:
             raise NotSupportedError(f"{node.op.upper()} ALL is not supported")
+        if not node.all:
+            _require_keys(c.type for c in out_cols)
         return lp.LSetOp(node.op, node.all, left, right, tuple(out_cols))
 
     # ------------------------------------------------------------------
@@ -608,6 +612,7 @@ class Binder:
             node, plan, scope, ctes, cheapest_items, cheapest_columns
         )
         if node.distinct:
+            _require_keys(c.type for c in plan.schema)
             plan = lp.LDistinct(plan, plan.schema)
         plan = self._apply_select_order_limit(
             node, plan, scope, allow_hidden=not (node.distinct or has_aggregates)
@@ -642,6 +647,7 @@ class Binder:
                     hidden_cols.append(hidden)
                     bound = bx.BColumn(hidden.col_id, hidden.type, hidden.name)
                 keys.append(lp.SortKey(bound, item.ascending))
+            _require_keys(key.expr.type for key in keys)
             if hidden_exprs:
                 visible = plan.schema
                 widened = lp.LProject(
@@ -1018,6 +1024,7 @@ class Binder:
         group_cols: list[lp.PlanColumn] = []
         for expr_ast in node.group_by:
             bound = self._bind_expr(expr_ast, scope, allow_agg=False)
+            _require_keys((bound.type,))
             group_bound.append(bound)
             group_cols.append(self._fresh_column(_default_name(expr_ast), bound.type))
         aggs: list[lp.AggSpec] = []
@@ -1075,6 +1082,8 @@ class Binder:
         if _contains_aggregate(arg_ast):
             raise BindError("aggregate calls cannot be nested")
         arg = self._bind_expr(arg_ast, scope, allow_agg=False)
+        if call.distinct or func in ("min", "max"):
+            _require_keys((arg.type,))
         if func == "count":
             result_type = DataType.BIGINT
         elif func == "avg":
@@ -1122,6 +1131,7 @@ class Binder:
                 keys.append(
                     lp.SortKey(self._bind_order_expr(item.expr, plan), item.ascending)
                 )
+            _require_keys(key.expr.type for key in keys)
             plan = lp.LSort(plan, tuple(keys), plan.schema)
         if limit is not None or offset is not None:
             plan = lp.LLimit(plan, limit, offset or 0, plan.schema)
@@ -1224,6 +1234,7 @@ class Binder:
             plan = self.bind_query(expr.query, {})
             if len(plan.schema) != 1:
                 raise BindError("IN subquery must return exactly one column")
+            _require_keys((operand.type, plan.schema[0].type))
             return bx.BInSubquery(operand, plan, expr.negated)
         if isinstance(expr, ast.Exists):
             plan = self.bind_query(expr.query, {})
@@ -1369,6 +1380,14 @@ def _validate_grouped(expr: bx.BoundExpr, group_cols, aggs) -> None:
             raise BindError(
                 f"column {node.name!r} must appear in GROUP BY or inside an aggregate"
             )
+
+
+def _require_keys(types) -> None:
+    """DISTINCT, GROUP BY, ORDER BY, set operations, MIN/MAX and IN
+    compare their keys like ``=`` does; a nested table (a path column)
+    compares with nothing."""
+    if DataType.NESTED_TABLE in tuple(types):
+        raise BindError("cannot compare nested table with nested table")
 
 
 def _require_boolean(expr: bx.BoundExpr, where: str) -> None:

@@ -933,10 +933,9 @@ class _Lowering:
             and isinstance(child, pp.PSort)
             and child.limit is None
         ):
-            # top-k fusion hint: the budgeted executor truncates the
-            # sort permutation to limit+offset rows before gathering
-            # payloads; the PLimit below still slices, so results are
-            # unchanged
+            # top-k fusion: the executor truncates the sort permutation
+            # to limit+offset rows before gathering payloads; the PLimit
+            # above it still slices, so results are unchanged
             child = replace(child, limit=int(node.limit) + int(node.offset))
         if node.limit is None:
             rows = max(child.est_rows - node.offset, 0.0)

@@ -146,10 +146,10 @@ class PAggregate(PhysicalNode):
 @dataclass(frozen=True)
 class PSort(PhysicalNode):
     """``limit`` is the fused row cap (LIMIT+OFFSET of an enclosing
-    :class:`PLimit`): the budgeted executor truncates the sort
-    permutation before gathering payloads, so a top-k over a huge table
-    never materializes the full sorted output.  The PLimit stays in the
-    plan, so the hint never changes results."""
+    :class:`PLimit`): the executor truncates the sort permutation
+    before gathering payloads, so a top-k over a huge table never
+    materializes the full sorted output.  The PLimit stays in the plan,
+    so the cap never changes results."""
 
     input: PhysicalNode
     keys: tuple[SortKey, ...]

@@ -20,8 +20,9 @@ Skipping is strictly conservative:
 
 The residual :class:`PFilter` above the scan always re-evaluates the
 predicate on the surviving rows, so zone maps can only remove rows the
-filter would drop anyway — results stay bit-identical with
-``Database(compression=False)``.
+filter would drop anyway — results stay bit-identical with a scan that
+prunes nothing (the plain-storage reference of the test tree,
+``tests/reference_exec.py``).
 """
 
 from __future__ import annotations

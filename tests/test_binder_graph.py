@@ -262,3 +262,96 @@ class TestGraphJoinRewrite:
         )
         rewritten = pushdown(bound)
         assert [c.col_id for c in bound.schema] == [c.col_id for c in rewritten.schema]
+
+
+PATHS = (
+    "(SELECT p.a, CHEAPEST SUM(w) AS (c, path) FROM pr p "
+    "WHERE p.a REACHES p.b OVER e EDGE (s, d))"
+)
+NESTED_KEY = "cannot compare nested table with nested table"
+
+
+class TestPathColumnKeys:
+    """A path (nested-table) column compares with nothing, so every
+    clause that compares its keys rejects it in the binder — the error
+    an equi-join on it already raised."""
+
+    @pytest.fixture
+    def paths_db(self, db):
+        db.executescript(
+            """
+            CREATE TABLE pr (a INT, b INT);
+            INSERT INTO e VALUES (1, 2, 1), (2, 3, 2), (3, 1, 3), (2, 5, 1);
+            INSERT INTO pr VALUES (1, 3), (2, 1), (1, 5);
+            """
+        )
+        return db
+
+    def _rejects(self, db, sql):
+        with pytest.raises(BindError, match=NESTED_KEY):
+            db.execute(sql)
+
+    def test_select_distinct(self, paths_db):
+        self._rejects(paths_db, f"SELECT DISTINCT path FROM {PATHS} q")
+
+    def test_select_distinct_over_one_row(self, paths_db):
+        self._rejects(
+            paths_db, f"SELECT DISTINCT path FROM {PATHS[:-1]} LIMIT 1) q"
+        )
+
+    def test_group_by(self, paths_db):
+        self._rejects(
+            paths_db, f"SELECT path, count(*) FROM {PATHS} q GROUP BY path"
+        )
+
+    def test_order_by(self, paths_db):
+        self._rejects(paths_db, f"SELECT a FROM {PATHS} q ORDER BY path")
+        self._rejects(paths_db, f"SELECT path FROM {PATHS} q ORDER BY 1")
+
+    def test_count_distinct(self, paths_db):
+        self._rejects(paths_db, f"SELECT count(DISTINCT path) FROM {PATHS} q")
+
+    def test_min_max(self, paths_db):
+        self._rejects(paths_db, f"SELECT min(path) FROM {PATHS} q")
+        self._rejects(paths_db, f"SELECT max(path) FROM {PATHS} q")
+
+    def test_union(self, paths_db):
+        self._rejects(
+            paths_db,
+            f"SELECT path FROM {PATHS} q UNION SELECT path FROM {PATHS} r",
+        )
+
+    def test_except_and_intersect(self, paths_db):
+        for op in ("EXCEPT", "INTERSECT"):
+            self._rejects(
+                paths_db,
+                f"SELECT path FROM {PATHS} q {op} SELECT path FROM {PATHS} r",
+            )
+
+    def test_in_subquery(self, paths_db):
+        self._rejects(
+            paths_db,
+            f"SELECT a FROM {PATHS} q WHERE path IN (SELECT path FROM {PATHS} r)",
+        )
+
+    def test_recursive_union(self, paths_db):
+        self._rejects(
+            paths_db,
+            f"WITH RECURSIVE x (p) AS (SELECT path FROM {PATHS} q "
+            "UNION SELECT p FROM x) SELECT count(*) FROM x",
+        )
+
+    def test_join_already_rejected(self, paths_db):
+        self._rejects(
+            paths_db,
+            f"SELECT q.a FROM {PATHS} q JOIN {PATHS} r ON q.path = r.path",
+        )
+
+    def test_non_key_uses_still_work(self, paths_db):
+        union_all = paths_db.execute(
+            f"SELECT path FROM {PATHS} q UNION ALL SELECT path FROM {PATHS} r"
+        ).rows()
+        assert len(union_all) == 6
+        assert paths_db.execute(f"SELECT count(path) FROM {PATHS} q").scalar() == 3
+        ordered = paths_db.execute(f"SELECT a, c FROM {PATHS} q ORDER BY c, a")
+        assert ordered.rows() == [(1, 2), (1, 3), (2, 5)]

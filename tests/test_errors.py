@@ -13,6 +13,7 @@ from repro import (
     ParseError,
     ReproError,
     SqlError,
+    TypeError_,
 )
 from repro.sql import tokenize
 
@@ -91,6 +92,49 @@ class TestMessages:
         db = Database()
         with pytest.raises(ExecutionError, match="at least 2"):
             db.execute("SELECT ? + ?", (1,))
+
+
+class TestMixedTypeParameters:
+    """Host parameters are typed only at run time; values whose types
+    share no common type raise the typed error ``UNION`` and ``=``
+    raise, whichever operator compares them."""
+
+    def test_union_and_equality_raise(self):
+        db = Database()
+        with pytest.raises(TypeError_, match="incompatible types: integer and varchar"):
+            db.execute("SELECT ? UNION SELECT ?", (1, "a"))
+        with pytest.raises(TypeError_, match="cannot compare integer with varchar"):
+            db.execute("SELECT ? = ?", (1, "a"))
+
+    def test_intersect_and_except_raise(self):
+        db = Database()
+        for op in ("INTERSECT", "EXCEPT"):
+            with pytest.raises(
+                TypeError_, match="incompatible types: integer and varchar"
+            ):
+                db.execute(f"SELECT ? {op} SELECT ?", (1, "a"))
+
+    def test_equi_join_raises(self):
+        db = Database()
+        with pytest.raises(TypeError_, match="cannot compare integer with varchar"):
+            db.execute(
+                "SELECT * FROM (VALUES (?)) a(x) JOIN (VALUES (?)) b(y) "
+                "ON a.x = b.y",
+                (1, "a"),
+            )
+
+    def test_compatible_and_null_parameters_still_answer(self):
+        db = Database()
+        db.executescript(
+            "CREATE TABLE t2 (a INT, d INT); INSERT INTO t2 VALUES (1, 10);"
+        )
+        assert db.execute("SELECT ? INTERSECT SELECT ?", (1, 1.0)).rows() == [(1,)]
+        assert db.execute("SELECT ? EXCEPT SELECT ?", (None, 1)).rows() == [(None,)]
+        # an all-NULL key column has no value to compare: no match, no error
+        rows = db.execute(
+            "SELECT * FROM (VALUES (?)) a(x) JOIN t2 ON a.x = t2.a", (None,)
+        ).rows()
+        assert rows == []
 
 
 class TestNotSupported:

@@ -1,13 +1,13 @@
-"""Vectorized kernel layer: unit tests + the vectorized on/off oracle.
+"""Kernel layer: unit tests + the kernel-vs-fallback oracle.
 
 The unit half exercises :meth:`repro.storage.Column.factorize` and the
 :mod:`repro.exec.kernels` primitives directly on the edge cases the SQL
 surface makes hard to pin down (all-NULL keys, empty inputs, NaN key
 semantics, >2-column keys, unorderable payloads).  The oracle half runs
 every query on two databases holding identical data — one with the
-kernels (``Database()``), one forced onto the row-at-a-time paths
-(``Database(vectorized=False)``) — and requires identical results,
-mirroring ``test_optimizer_equivalence``.
+kernels, one run under ``reference_exec.row_at_a_time()`` so every
+operator takes its row-at-a-time fallback body — and requires identical
+results, mirroring ``test_optimizer_equivalence``.
 """
 
 import random
@@ -19,6 +19,7 @@ from repro import Database, ReproError
 from repro.exec import kernels
 from repro.exec.kernels import KernelFallback
 from repro.storage import Column, DataType
+from reference_exec import reference_rows, row_at_a_time
 from test_fuzz import random_graph_query, random_query
 
 
@@ -309,7 +310,7 @@ class TestJoinKeyDictionary:
 
 
 # ---------------------------------------------------------------------------
-# engine-level oracle: vectorized on vs off
+# engine-level oracle: kernels vs their row-at-a-time fallbacks
 # ---------------------------------------------------------------------------
 SCHEMA = """
     CREATE TABLE t1 (a INT, b VARCHAR, c DOUBLE);
@@ -326,7 +327,7 @@ SCHEMA = """
 @pytest.fixture(scope="module")
 def engines():
     vectorized = Database()
-    rowwise = Database(vectorized=False)
+    rowwise = Database()
     vectorized.executescript(SCHEMA)
     rowwise.executescript(SCHEMA)
     return vectorized, rowwise
@@ -335,7 +336,7 @@ def engines():
 def assert_equivalent(engines, sql, params=(), *, ordered=False):
     vectorized, rowwise = engines
     try:
-        expected = rowwise.execute(sql, params).rows()
+        expected = reference_rows(rowwise, sql, params)
         expected_error = None
     except ReproError as exc:
         expected, expected_error = None, exc
@@ -347,7 +348,7 @@ def assert_equivalent(engines, sql, params=(), *, ordered=False):
     if expected_error is not None or actual_error is not None:
         assert (expected_error is None) == (actual_error is None), (
             f"only one pipeline failed for {sql!r}: "
-            f"rowwise={expected_error!r} vectorized={actual_error!r}"
+            f"rowwise={expected_error!r} kernels={actual_error!r}"
         )
         return
     # repr-compare so rows containing NaN (nan != nan) still match
@@ -392,6 +393,16 @@ class TestEngineEquivalence:
             "SELECT d FROM t2 ORDER BY 1 DESC",
         ]:
             assert_equivalent(engines, sql, ordered=True)
+        # top-k over tied keys (a = 1, 2 and NULL repeat): the sort
+        # truncates its permutation to LIMIT+OFFSET rows, and the page
+        # must still be exactly that slice of the full order
+        vectorized, _ = engines
+        full = vectorized.execute("SELECT a, b, c FROM t1 ORDER BY a").rows()
+        for limit, offset in [(3, 1), (2, 4), (1, 0), (4, 5), (0, 2)]:
+            sql = f"SELECT a, b, c FROM t1 ORDER BY a LIMIT {limit} OFFSET {offset}"
+            assert_equivalent(engines, sql, ordered=True)
+            page = vectorized.execute(sql).rows()
+            assert repr(page) == repr(full[offset : offset + limit]), sql
 
     def test_join_shapes(self, engines):
         for sql in [
@@ -518,16 +529,6 @@ class TestCountersAndKnobs:
         for op in ("group_by", "distinct", "sort", "join"):
             assert stats["hits"].get(op, 0) >= 1, (op, stats)
 
-    def test_vectorized_off_records_nothing(self):
-        db = Database(vectorized=False)
-        db.executescript(
-            "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (1), (2);"
-        )
-        db.execute("SELECT a, count(*) FROM t GROUP BY a ORDER BY a")
-        stats = db.kernel_stats()
-        assert stats["hit_total"] == 0
-        assert stats["fallback_total"] == 0
-
     def test_profile_report_includes_kernel_counters(self):
         db = Database()
         db.executescript(
@@ -560,8 +561,57 @@ class TestCountersAndKnobs:
         shell.feed_line("SELECT DISTINCT a FROM t;")
         shell.feed_line("\\kernels")
         text = out.getvalue()
-        assert "vectorized: on" in text
+        assert "kernels: hits=1 fallbacks=0" in text
         assert "distinct" in text
+
+
+# ---------------------------------------------------------------------------
+# fallback counts: kernels never slide into the row paths unnoticed
+# ---------------------------------------------------------------------------
+#: Operators whose row-at-a-time body only a fallback reaches.
+FALLBACK_OPS = ("distinct", "group_by", "join", "setop", "dedup")
+
+#: One statement per operator, so the corpus reaches each of them.
+OPERATOR_SHAPES = (
+    "SELECT DISTINCT a, b FROM t1",
+    "SELECT b, count(*), sum(a) FROM t1 GROUP BY b",
+    "SELECT t1.b, t2.d FROM t1 JOIN t2 ON t1.a = t2.a",
+    "SELECT a FROM t1 EXCEPT SELECT a FROM t2",
+    "WITH RECURSIVE walk (node) AS (SELECT 1 UNION "
+    "SELECT e.d FROM walk JOIN e ON walk.node = e.s) SELECT node FROM walk",
+)
+
+
+def _run_corpus(db) -> None:
+    rng = random.Random(2024)
+    corpus = [random_query(rng) for _ in range(120)] + list(OPERATOR_SHAPES)
+    for sql in corpus:
+        try:
+            db.execute(sql).rows()
+        except ReproError:
+            pass  # declared failure modes are fine
+
+
+class TestFallbackCounts:
+    def test_kernels_do_not_fall_back_on_the_fuzz_corpus(self):
+        db = Database()
+        db.executescript(SCHEMA)
+        _run_corpus(db)
+        stats = db.kernel_stats()
+        fallbacks = {op: stats["fallbacks"].get(op, 0) for op in FALLBACK_OPS}
+        assert fallbacks == dict.fromkeys(FALLBACK_OPS, 0), stats
+        for op in FALLBACK_OPS:
+            assert stats["hits"].get(op, 0) >= 1, (op, stats)
+
+    def test_row_at_a_time_reference_runs_only_fallbacks(self):
+        db = Database()
+        db.executescript(SCHEMA)
+        with row_at_a_time():
+            _run_corpus(db)
+        stats = db.kernel_stats()
+        assert stats["hit_total"] == 0, stats
+        for op in FALLBACK_OPS + ("sort",):
+            assert stats["fallbacks"].get(op, 0) >= 1, (op, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro import Database, ReproError
 from repro.cli import Shell
 from repro.storage.encoding import factorize_counters
 from repro.storage.spill import SpillManager
+from reference_exec import PlainDatabase
 from test_fuzz import random_query
 
 SCHEMA = """
@@ -224,6 +225,12 @@ class TestSpillEquivalence:
         assert_equivalent(budgeted, oracle, sql)
         if budgeted.memory_budget <= 1 << 20:
             assert budgeted.memory_stats()["sort_runs"] > before
+        # top-k pages over tied keys: every run and merge keeps only
+        # LIMIT+OFFSET pairs, and ties must still break by row order
+        for page in ("LIMIT 300 OFFSET 200", "LIMIT 1 OFFSET 0", "LIMIT 0"):
+            assert_equivalent(
+                budgeted, oracle, f"SELECT k, v FROM fact ORDER BY v {page}"
+            )
 
     def test_nan_order_falls_back_identically(self, budgeted, oracle):
         assert_equivalent(
@@ -242,7 +249,7 @@ class TestSpillEquivalence:
             db.close()
 
     def test_uncompressed_compose_with_budget(self, datadir, oracle):
-        db = Database(memory_budget=1 << 20, compression=False)
+        db = PlainDatabase(Database(memory_budget=1 << 20))
         _seed_bulk(db, datadir)
         try:
             for sql in QUERIES[:5]:

@@ -9,6 +9,7 @@ import pytest
 
 from repro import Database
 from repro.errors import ReproError
+from reference_exec import plain_storage
 
 
 def _downgrade_to_npz(target, format_version):
@@ -468,27 +469,24 @@ class TestFormatV4:
         assert float(column.data[4]) == 1.0
         assert column._data is not None
 
-    def test_v4_compression_false_loads_plain(self, tmp_path):
-        db = self._wide_db()
+    def test_all_plain_image_loads(self, tmp_path):
+        # the layout an image takes when no column has an encoding:
+        # every descriptor plain, no zone-map files
         target = tmp_path / "db"
-        db.save(str(target))
-        loaded = Database.load(str(target), compression=False)
-        info = loaded.table("t").current().resting_info()
-        assert all(kind == "plain" for kind, _ in info.values())
-        sql = "SELECT * FROM t ORDER BY id"
-        assert repr(loaded.execute(sql).rows()) == repr(db.execute(sql).rows())
-
-    def test_compression_false_database_saves_plain_layout(self, tmp_path):
-        db = Database(compression=False)
-        db.execute("CREATE TABLE t (x INT, s VARCHAR)")
-        db.insert_rows("t", [(i, f"s{i % 2}") for i in range(50)])
-        target = tmp_path / "db"
-        db.save(str(target))
+        with plain_storage():
+            plain = self._wide_db()
+            plain.execute("ANALYZE")
+            plain.save(str(target))
         meta = json.loads((target / "catalog.json").read_text())
         kinds = {d["kind"] for d in meta["tables"]["t"]["storage"]}
         assert kinds == {"plain"}
+        assert not list((target / "t.tbl").glob("*.zones.npz"))
         loaded = Database.load(str(target))
-        assert loaded.execute("SELECT count(*) FROM t").scalar() == 50
+        info = loaded.table("t").current().resting_info()
+        assert all(kind == "plain" for kind, _ in info.values())
+        sql = "SELECT * FROM t ORDER BY id"
+        expected = self._wide_db().execute(sql).rows()
+        assert repr(loaded.execute(sql).rows()) == repr(expected)
 
     def test_persisted_zone_maps_survive_and_skip(self, tmp_path, monkeypatch):
         import repro.storage.zonemap as zm_module

@@ -134,24 +134,18 @@ class TestFallbackReasonBreakdown:
     def test_uncodifiable_type_reason(self):
         db = Database()
         db.executescript(
-            """
-            CREATE TABLE e (s INT, d INT);
-            INSERT INTO e VALUES (1, 2), (2, 3), (4, 5);
-            CREATE TABLE p (src INT, dst INT);
-            INSERT INTO p VALUES (1, 3), (4, 5);
-            """
+            "CREATE TABLE t2 (a INT, d INT);"
+            "INSERT INTO t2 VALUES (1, 10), (2, 20);"
         )
-        # nested-table (path) sort keys have no order: the kernel
-        # declines with the uncodifiable reason (and the row comparator
-        # then raises its own pre-existing TypeError — unchanged)
-        with pytest.raises(TypeError):
-            db.execute(
-                "SELECT T.c FROM (SELECT p.src, CHEAPEST SUM(1) AS (c, pa) "
-                "FROM p WHERE p.src REACHES p.dst OVER e EDGE (s, d)) T "
-                "ORDER BY T.pa"
-            )
+        # a NULL parameter gives the VALUES column no type to share a
+        # key dictionary with t2.a: the join kernel declines with the
+        # uncodifiable reason and the row probe matches nothing
+        rows = db.execute(
+            "SELECT * FROM (VALUES (?)) a(x) JOIN t2 ON a.x = t2.a", (None,)
+        ).rows()
+        assert rows == []
         stats = db.kernel_stats()
-        assert stats["fallback_reasons"]["sort"]["uncodifiable"] == 1
+        assert stats["fallback_reasons"]["join"]["uncodifiable"] == 1
 
     def test_reasons_accumulate_per_op(self):
         db = Database()

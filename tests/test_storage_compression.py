@@ -1,9 +1,10 @@
-"""Compressed storage equivalence: ``Database(compression=True)`` must be
-bit-identical to ``compression=False`` (the plain-array oracle) across
-the fuzz grammars, DML on encoded columns, MVCC snapshots spanning an
-encoding change, and the zone-map skip path — plus unit coverage of the
-encodings and zone maps themselves, and the re-factorize-cliff
-regression test.
+"""Compressed storage equivalence: a ``Database()`` must be bit-identical
+to one holding the same data in plain storage
+(``reference_exec.PlainDatabase``: no resting encodings, no zone maps,
+no zone pruning) across the fuzz grammars, DML on encoded columns, MVCC
+snapshots spanning an encoding change, and the zone-map skip path —
+plus unit coverage of the encodings and zone maps themselves, and the
+re-factorize-cliff regression test.
 """
 
 import random
@@ -19,6 +20,7 @@ from repro.storage.zonemap import (
     build_column_zone_map,
     select_zone_spans,
 )
+from reference_exec import PlainDatabase
 from test_fuzz import random_graph_query, random_predicate, random_query
 
 FUZZ_SETUP = """
@@ -50,8 +52,7 @@ def _bulk_rows(n):
 def _paired(n=4000):
     """The same data in a compressed database and the plain oracle."""
     pair = []
-    for compression in (True, False):
-        db = Database(compression=compression)
+    for db in (Database(), PlainDatabase(Database())):
         db.executescript(FUZZ_SETUP)
         db.execute("CREATE TABLE big (id BIGINT, grp VARCHAR, val DOUBLE, flag BOOLEAN)")
         db.insert_rows("big", _bulk_rows(n))
@@ -201,7 +202,14 @@ class TestZoneMapUnits:
 
 
 class TestFuzzEquivalence:
-    """compression=True vs False over the test_fuzz grammars."""
+    """Compressed vs plain storage over the test_fuzz grammars."""
+
+    def test_plain_side_stores_every_column_plain(self, paired):
+        db_c, db_p = paired
+        encoded = db_c.table("big").current().resting_info()
+        plain = db_p.table("big").current().resting_info()
+        assert any(kind != "plain" for kind, _ in encoded.values())
+        assert all(kind == "plain" for kind, _ in plain.values())
 
     def test_random_queries_bit_identical(self, paired):
         db_c, db_p = paired
@@ -325,7 +333,7 @@ class TestZoneSkipEndToEnd:
     def test_selective_scan_skips_morsels_and_matches_oracle(self):
         n = 140_000  # > 2 morsels at the default 64Ki granularity
         db_c = Database()
-        db_p = Database(compression=False)
+        db_p = PlainDatabase(Database())
         for db in (db_c, db_p):
             db.execute("CREATE TABLE m (id BIGINT, v DOUBLE)")
             db.insert_rows("m", [(i, i / 2) for i in range(n)])
