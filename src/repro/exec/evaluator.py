@@ -201,25 +201,31 @@ def _align_numeric(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray,
     )
 
 
+def strings_as_dates(left: Column, right: Column) -> tuple[Column, Column]:
+    """A DATE operand compared with a VARCHAR one reads the strings as
+    dates: each non-NULL value through :func:`parse_date_literal`, whose
+    typed error an invalid one raises.  ``=``, equi-join keys and IN
+    subqueries all compare the pair this way; other pairs pass as they
+    are."""
+    if {left.type, right.type} != {DataType.DATE, DataType.VARCHAR}:
+        return left, right
+    strings = left if left.type == DataType.VARCHAR else right
+    values = strings.to_pylist()
+    days = np.fromiter(
+        (parse_date_literal(v) if v is not None else 0 for v in values),
+        dtype=np.int64,
+        count=len(values),
+    )
+    nulls = np.fromiter((v is None for v in values), dtype=np.bool_, count=len(values))
+    dates = Column(DataType.DATE, days, nulls if nulls.any() else None)
+    return (dates, right) if strings is left else (left, dates)
+
+
 def _evaluate_compare(op: str, left: Column, right: Column) -> Column:
     mask = _combine_masks(left, right)
+    left, right = strings_as_dates(left, right)
     if left.type == DataType.VARCHAR or right.type == DataType.VARCHAR:
         if left.type != right.type:
-            # compare strings with dates by decoding, else error
-            if {left.type, right.type} == {DataType.VARCHAR, DataType.DATE}:
-                string_col = left if left.type == DataType.VARCHAR else right
-                date_col = left if left.type == DataType.DATE else right
-                encoded = np.fromiter(
-                    (
-                        parse_date_literal(v) if v is not None else 0
-                        for v in string_col.to_pylist()
-                    ),
-                    dtype=np.int64,
-                    count=len(string_col),
-                )
-                ldata = encoded if left.type == DataType.VARCHAR else left.data
-                rdata = encoded if right.type == DataType.VARCHAR else right.data
-                return Column(DataType.BOOLEAN, _compare_arrays(op, ldata, rdata), mask)
             raise TypeError_(f"cannot compare {left.type} with {right.type}")
         ldata = left.data
         rdata = right.data
@@ -437,7 +443,7 @@ def _evaluate_scalar_subquery(expr: bx.BScalarSubquery, batch: Batch, ctx) -> Co
 def _evaluate_in_subquery(expr: bx.BInSubquery, batch: Batch, ctx) -> Column:
     operand = evaluate(expr.operand, batch, ctx)
     inner = ctx.run_plan(expr.plan)
-    inner_col = inner.columns[0]
+    operand, inner_col = strings_as_dates(operand, inner.columns[0])
     values = set()
     has_null = False
     for v in inner_col:

@@ -12,7 +12,8 @@ NULL handling), and a multi-column key is combined into one id per row
 by mixed-radix arithmetic.  Everything else reduces to integer kernels:
 
 * DISTINCT / dedup    — first-occurrence-of-id masks (``np.unique``);
-* GROUP BY            — dense group ids + ``bincount``/``reduceat``;
+* GROUP BY            — dense group ids + one scatter pass per aggregate
+  (``bincount``, ``ufunc.at``), no sort;
 * multi-key equi-join — sort + ``searchsorted`` over shared-dictionary
   codes (generalizing the single-int-key sorted join of the PR-2
   executor to any number of columns and any key type);
@@ -44,20 +45,18 @@ enough to clear :data:`~repro.exec.parallel.PARALLEL_MIN_ROWS`, runs
 its per-row passes morsel-parallel on the database's shared worker pool
 — per-partition dictionary merge for codification, partial aggregates
 merged by group id, per-morsel probe/emit for joins and membership for
-setops.  The combines are deterministic in morsel order and the sort
-permutations are the (unique) stable ones, so results are
-**bit-identical** to the serial kernels for any worker count; a
-``None``/inactive ``par`` takes exactly the PR-4 serial code — which is
-why ``Database(exec_workers=1)`` stays the oracle for the
+setops.  The combines are deterministic in morsel order, the sort
+permutations are the (unique) stable ones and float sums stay serial,
+so results are **bit-identical** to the serial kernels for any worker
+count; a ``None``/inactive ``par`` takes exactly the PR-4 serial code —
+which is why ``Database(exec_workers=1)`` stays the oracle for the
 workers-equivalence suite.
 
-Known (documented) deviations from the Python paths, all confined to
-degenerate or last-ULP territory: integer SUM accumulates in ``int64``
-(Python ints are unbounded), float SUM/AVG may differ from the
-sequential Python sum in the final ULP because ``reduceat``
-reassociates additions (pairwise summation — generally *more*
-accurate), and equi-joins comparing huge integers (>2^53) against
-DOUBLE keys go through float promotion.
+Known (documented) deviations from the Python paths, both confined to
+degenerate territory: integer SUM accumulates in ``int64`` (Python ints
+are unbounded), and equi-joins comparing huge integers (>2^53) against
+DOUBLE keys go through float promotion.  Float SUM/AVG add each group's
+values in row order, so they equal the row path bit for bit.
 """
 
 from __future__ import annotations
@@ -132,42 +131,6 @@ class KernelCounters:
                 "hit_total": sum(self.hits.values()),
                 "fallback_total": sum(self.fallbacks.values()),
             }
-
-
-class ArgsortCache:
-    """Per-thread memo of stable argsorts keyed by array identity.
-
-    One instance is shared by all aggregates of one GROUP BY so
-    SUM/MIN/MAX over the same group-id array sort it once.  The PR-4
-    version was a plain dict threaded through the kernel calls; today
-    every lookup still happens on the statement thread (pool tasks are
-    leaf closures that never see the cache), but entries live in
-    ``threading.local`` storage as hardening for the scheduled next
-    step — evaluating the aggregates of one GROUP BY concurrently on
-    the pool — so that change cannot silently corrupt the memo.
-    Entries keep the keyed array alive so the ``id()`` key cannot be
-    recycled.
-    """
-
-    __slots__ = ("_local",)
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def lookup(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        entries = getattr(self._local, "entries", None)
-        if entries is None:
-            return None
-        cached = entries.get(id(keys))
-        if cached is not None and cached[0] is keys:
-            return cached[1]
-        return None
-
-    def store(self, keys: np.ndarray, order: np.ndarray) -> None:
-        entries = getattr(self._local, "entries", None)
-        if entries is None:
-            entries = self._local.entries = {}
-        entries[id(keys)] = (keys, order)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +999,6 @@ def grouped_aggregate(
     arg: Optional[Column],
     ids: np.ndarray,
     n_groups: int,
-    sort_cache: Optional[ArgsortCache] = None,
     par: Optional[ParallelContext] = None,
 ) -> Column:
     """One aggregate over dense group ids, as a column of ``n_groups``.
@@ -1048,11 +1010,10 @@ def grouped_aggregate(
     by the executor.
 
     Counts are morsel-parallel ``bincount`` partials merged by group id
-    (exact — integer addition).  SUM/MIN/MAX/AVG reduce the values in
-    stable group order: the permutation comes from the (parallel) stable
-    argsort and the gather from morsel-parallel ``take``, so the serial
-    ``reduceat`` sees bit-for-bit the array the serial kernel would —
-    float totals do not depend on the worker count.
+    (exact — integer addition).  SUM/MIN/MAX/AVG are one serial scatter
+    pass over the group ids (:func:`_scatter_reduce`), which visits the
+    values in row order, so float totals equal the row path's
+    sequential sum bit for bit, for any worker count.
     """
     if distinct:
         raise KernelFallback(
@@ -1071,20 +1032,15 @@ def grouped_aggregate(
         )
     valid = None if arg.mask is None else ~arg.mask
     vids = ids if valid is None else ids[valid]
-    if sort_cache is None:
-        sort_cache = ArgsortCache()
     if use_par:
         counts = mp.parallel_bincount(ids, n_groups, par, valid=valid)
     else:
         counts = np.bincount(vids, minlength=n_groups).astype(np.int64)
     if func == "count":
         return Column(DataType.BIGINT, counts)
-    present = counts > 0
-    mask = ~present
+    mask = counts == 0
     if arg.data.dtype == np.dtype(object):
-        return _grouped_object_minmax(
-            func, arg, vids, valid, counts, mask, sort_cache, par
-        )
+        return _grouped_object_minmax(func, arg, vids, valid, mask, par)
     if arg.type is None:
         raise KernelFallback("untyped aggregate argument", REASON_UNCODIFIABLE)
     values = arg.data
@@ -1095,12 +1051,10 @@ def grouped_aggregate(
         acc_dtype = np.float64 if values.dtype.kind == "f" else np.int64
         vals = values.astype(acc_dtype, copy=False)
         vals = vals if valid is None else vals[valid]
-        sums = np.zeros(n_groups, dtype=acc_dtype)
-        sums[present] = _segment_reduce(
-            vals, vids, counts, np.add, sort_cache, par
-        )
+        sums = _scatter_reduce(vals, vids, n_groups, np.add)
         if func == "avg":
             data = np.zeros(n_groups, dtype=np.float64)
+            present = ~mask
             data[present] = sums[present].astype(np.float64) / counts[present]
             return Column(DataType.DOUBLE, data, mask)
         type_ = DataType.DOUBLE if acc_dtype == np.float64 else DataType.BIGINT
@@ -1115,14 +1069,10 @@ def grouped_aggregate(
             "NaN aggregate values have no total order", REASON_NAN_ORDER
         )
     ufunc = np.minimum if func == "min" else np.maximum
-    data = np.zeros(n_groups, dtype=values.dtype)
-    data[present] = _segment_reduce(vals, vids, counts, ufunc, sort_cache, par)
-    return Column(arg.type, data, mask)
+    return Column(arg.type, _scatter_reduce(vals, vids, n_groups, ufunc), mask)
 
 
-def _grouped_object_minmax(
-    func, arg, vids, valid, counts, mask, sort_cache, par=None
-):
+def _grouped_object_minmax(func, arg, vids, valid, mask, par=None):
     """MIN/MAX over strings: reduce ordered codes, map back to values."""
     if func not in ("min", "max"):
         raise KernelFallback(
@@ -1135,52 +1085,34 @@ def _grouped_object_minmax(
         )
     vals = codes if valid is None else codes[valid]
     ufunc = np.minimum if func == "min" else np.maximum
+    best = _scatter_reduce(vals, vids, len(mask), ufunc)
     present = ~mask
-    data = np.empty(len(counts), dtype=object)
-    if present.any():
-        data[present] = uniques[
-            _segment_reduce(vals, vids, counts, ufunc, sort_cache, par)
-        ]
+    data = np.empty(len(mask), dtype=object)
+    data[present] = uniques[best[present]]
     return Column(arg.type or DataType.VARCHAR, data, mask)
 
 
-def _segment_reduce(
-    vals, vids, counts, ufunc, sort_cache=None, par=None
-) -> np.ndarray:
-    """Per-group reduction: stable sort by group id, then ``reduceat``.
+def _scatter_reduce(vals, vids, n_groups, ufunc) -> np.ndarray:
+    """Per-group reduction in one pass over the group ids, with no sort.
 
-    Returns one value per *non-empty* group, in group-id order.  The
-    stable sort keeps each group's values in row order; note that
-    ``np.add.reduceat`` sums segments pairwise, so float totals can
-    differ from the sequential Python sum in the final ULP (see the
-    module docstring).
-
-    ``sort_cache`` (an :class:`ArgsortCache`) shares the argsort of
-    ``vids`` between the aggregates of one GROUP BY (SUM/MIN/MAX over
-    the same group-id array sort it once).  Under ``par`` the argsort
-    and the value gather run morsel-parallel; the ``reduceat`` itself
-    stays serial over the fully sorted array, which is what keeps float
-    reductions bit-identical to the serial kernel.
+    Returns ``n_groups`` values in group-id order; a group without rows
+    holds 0, which the caller masks.  Float sums are ``bincount`` with
+    weights: it adds each group's values left to right in row order,
+    starting from 0.0, as the row path's ``sum()`` does.  Integer sums
+    go through ``np.add.at`` into the int64 array (wrap-around, see the
+    module docstring).  MIN/MAX seed each group with one of its own
+    values, then fold in the rest with ``ufunc.at``.
     """
-    order = None
-    if sort_cache is not None:
-        order = sort_cache.lookup(vids)
-    if order is None:
-        # group ids are dense: len(counts) == n_groups is the radix
-        order = _stable_argsort(vids, par, op="aggregate", radix=len(counts))
-        if sort_cache is not None:
-            sort_cache.store(vids, order)
-    if par is not None and par.active_for(len(order)):  # decision already counted by the argsort
-        svals = mp.parallel_take(vals, order, par, op="aggregate")
-    else:
-        svals = vals[order]
-    present_counts = counts[counts > 0]
-    if len(present_counts) == 0:
-        return np.empty(0, dtype=vals.dtype)
-    starts = np.concatenate(
-        ([0], np.cumsum(present_counts)[:-1])
-    ).astype(np.int64)
-    return ufunc.reduceat(svals, starts)
+    if ufunc is np.add and vals.dtype.kind == "f":
+        # an empty input comes back int64 whatever the weights' dtype
+        return np.bincount(vids, weights=vals, minlength=n_groups).astype(
+            vals.dtype, copy=False
+        )
+    out = np.zeros(n_groups, dtype=vals.dtype)
+    if ufunc is not np.add:
+        out[vids] = vals
+    ufunc.at(out, vids, vals)
+    return out
 
 
 def group_row_lists(ids: np.ndarray, n_groups: int) -> list[np.ndarray]:

@@ -41,6 +41,8 @@ join; the graph join's pair grid lives in graph_ops) is capped by
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Optional
 
 import numpy as np
@@ -64,7 +66,7 @@ from ..storage.types import coerce_python_value
 from ..storage.zonemap import ZONE_ROWS, ZonePredicate, select_zone_spans
 from . import kernels
 from .batch import Batch, ZeroColumnBatch
-from .evaluator import EvalContext, evaluate
+from .evaluator import EvalContext, evaluate, strings_as_dates
 from .kernels import KernelFallback
 
 #: Hard cap on materialized cross products, to fail fast instead of
@@ -684,16 +686,14 @@ def _kernel_aggregate(
     ctx: ExecContext,
 ) -> Batch:
     """GROUP BY over factorized group ids: keys come from each group's
-    first row; aggregates run through bincount/reduceat kernels, with a
-    per-group Python fallback only for aggregates without a kernel."""
+    first row; aggregates run through scatter kernels over the ids, with
+    a per-group Python fallback only for aggregates without a kernel."""
     ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
     ctx.kernel_hit("group_by")
     out_columns: list[Column] = []
     for column in key_columns:
         out_columns.append(column.take(first_rows))
     group_rows = None  # lazily materialized for non-kernel aggregates
-    # one ids argsort shared by SUM/MIN/MAX & co. (thread-local entries)
-    sort_cache = kernels.ArgsortCache()
     for spec, arg_col in zip(plan.aggs, arg_columns):
         try:
             out_columns.append(
@@ -703,7 +703,6 @@ def _kernel_aggregate(
                     arg_col,
                     ids,
                     n_groups,
-                    sort_cache,
                     ctx.parallel,
                 )
             )
@@ -872,7 +871,6 @@ def _spilled_aggregate(
             )
             local = local.reshape(-1).astype(np.int64, copy=False)
             part_args = {j: cols[1 + k] for k, j in enumerate(args_idx)}
-            sort_cache = kernels.ArgsortCache()
             group_rows = None
             for j, spec in enumerate(plan.aggs):
                 arg_col = part_args.get(j)
@@ -883,7 +881,6 @@ def _spilled_aggregate(
                         arg_col,
                         local,
                         len(uniq),
-                        sort_cache,
                         ctx.parallel,
                     ).to_pylist()
                 except KernelFallback as exc:
@@ -923,14 +920,21 @@ def _compute_agg(spec: lp.AggSpec, arg_col: Optional[Column], rows: list[int]):
     if not values:
         return None
     if spec.func == "sum":
-        return sum(values)
+        return _sequential_sum(values)
     if spec.func == "min":
         return min(values)
     if spec.func == "max":
         return max(values)
     if spec.func == "avg":
-        return float(sum(values)) / len(values)
+        return float(_sequential_sum(values)) / len(values)
     raise ExecutionError(f"unknown aggregate {spec.func!r}")
+
+
+def _sequential_sum(values: list):
+    """Left to right from int 0, as ``sum()`` did before Python 3.12
+    compensated float sums: the kernels' ``bincount`` adds in this
+    order, so the two paths agree bit for bit on every version."""
+    return functools.reduce(operator.add, values, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,8 +1093,7 @@ def _spilled_hash_join(
     within), the unique order every in-memory path emits.  Returns
     None when the keys cannot be codified — the caller then runs the
     unchanged in-memory paths."""
-    left_keys = [ctx.eval(a, left) for a, _ in plan.pairs]
-    right_keys = [ctx.eval(b, right) for _, b in plan.pairs]
+    left_keys, right_keys = _join_keys(plan.pairs, left, right, ctx)
     n_left, n_right = left.num_rows, right.num_rows
     est = estimate_batch_bytes(left.columns) + estimate_batch_bytes(
         right.columns
@@ -1218,11 +1221,22 @@ def _exec_cross_join(plan: pp.PCrossJoin, ctx: ExecContext) -> Batch:
     return Batch(plan.schema, columns)
 
 
-def _hash_join_indices(left: Batch, right: Batch, pairs, ctx: ExecContext):
-    left_keys = [ctx.eval(a, left) for a, _ in pairs]
-    right_keys = [ctx.eval(b, right) for _, b in pairs]
-    for left_key, right_key in zip(left_keys, right_keys):
+def _join_keys(pairs, left: Batch, right: Batch, ctx: ExecContext):
+    """Both sides' key columns, compared as ``=`` compares them: a pair
+    of types ``=`` rejects raises its error, and a VARCHAR key joined
+    with a DATE key is read as dates."""
+    left_keys, right_keys = [], []
+    for a, b in pairs:
+        left_key, right_key = ctx.eval(a, left), ctx.eval(b, right)
         _check_join_key_types(left_key, right_key)
+        left_key, right_key = strings_as_dates(left_key, right_key)
+        left_keys.append(left_key)
+        right_keys.append(right_key)
+    return left_keys, right_keys
+
+
+def _hash_join_indices(left: Batch, right: Batch, pairs, ctx: ExecContext):
+    left_keys, right_keys = _join_keys(pairs, left, right, ctx)
     try:
         result = kernels.join_indices(
             left_keys,

@@ -23,14 +23,13 @@ counterpart, for any worker count and any morsel size.
 * **Parallel stable argsort** — per-morsel stable argsorts merged
   pairwise with the ``searchsorted`` two-run merge (earlier run wins
   ties).  A stable permutation is *unique*, so the result equals
-  ``np.argsort(kind="stable")`` exactly — which is what lets grouped
-  float SUM/AVG stay bit-identical: the values enter ``np.add.reduceat``
-  in exactly the order the serial kernel would have used, instead of
-  being re-associated through per-partition partial sums.
-* **Partial aggregates merged by group id** — counts are per-morsel
+  ``np.argsort(kind="stable")`` exactly, so a join emits its pairs in
+  the same order for any worker count.
+* **Partial counts merged by group id** — counts are per-morsel
   ``bincount`` partials summed in morsel order (integer addition is
-  associative, so this is exact); MIN/MAX partials combine through the
-  same ufunc.
+  associative, so this is exact).  SUM/MIN/MAX/AVG stay serial: one
+  scatter pass in row order, so float sums are never re-associated
+  through per-partition partials.
 
 Scheduling: :class:`ExecPool` is owned by the :class:`~repro.api.Database`
 (``exec_workers``, default the CPU count) and shared by every session,
@@ -383,12 +382,10 @@ def parallel_stable_argsort(
 
     Per-morsel stable argsorts are merged pairwise (tree-shaped, each
     level's merges run concurrently).  The stable permutation of an
-    array is unique, so the result is bit-identical to the serial sort —
-    the property the grouped-aggregation kernel leans on to keep float
-    ``reduceat`` totals reproducible across worker counts.
+    array is unique, so the result is bit-identical to the serial sort.
 
-    When the keys are dense ids with a known small ``radix`` (group
-    ids, join codes) the merge tree is replaced by one counting-sort
+    When the keys are dense ids with a known small ``radix`` (join
+    codes) the merge tree is replaced by one counting-sort
     placement pass: per-morsel bincounts give every (morsel, id) pair
     its output offset, and each morsel scatters its locally-sorted rows
     straight into the final permutation — the same unique stable order

@@ -22,7 +22,7 @@ front-end (Section 3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 from ..errors import BindError, NotSupportedError
@@ -485,24 +485,35 @@ class Binder:
 
     @staticmethod
     def _is_self_referencing(cte: ast.CommonTableExpr) -> bool:
-        """True when the CTE's query references its own name (recursion)."""
+        """True when the CTE's query references its own name (recursion).
+
+        A reference inside an expression subquery (IN, EXISTS, scalar)
+        is a :class:`BindError`, as in PostgreSQL: the recursive branch
+        reads the working table only through its FROM items."""
         target = cte.name.lower()
 
-        def in_query(q: ast.QueryNode) -> bool:
-            if isinstance(q, ast.SetOp):
-                return in_query(q.left) or in_query(q.right)
-            return any(in_ref(r) for r in q.from_refs)
+        def walk(node, in_subquery: bool) -> bool:
+            if isinstance(node, ast.NamedTableRef):
+                if node.name.lower() != target:
+                    return False
+                if in_subquery:
+                    raise BindError(
+                        f"recursive reference to query {cte.name!r} "
+                        "must not appear within a subquery"
+                    )
+                return True
+            if isinstance(node, (ast.ScalarSubquery, ast.Exists, ast.InSubquery)):
+                in_subquery = True
+            if isinstance(node, tuple):
+                children = node
+            elif is_dataclass(node):
+                children = tuple(getattr(node, f.name) for f in fields(node))
+            else:
+                return False
+            # no short cut: a later reference may sit in a subquery
+            return any([walk(child, in_subquery) for child in children])
 
-        def in_ref(ref: ast.TableRef) -> bool:
-            if isinstance(ref, ast.NamedTableRef):
-                return ref.name.lower() == target
-            if isinstance(ref, ast.DerivedTableRef):
-                return in_query(ref.query)
-            if isinstance(ref, ast.JoinRef):
-                return in_ref(ref.left) or in_ref(ref.right)
-            return False
-
-        return in_query(cte.query)
+        return walk(cte.query, False)
 
     def _bind_recursive_cte(self, cte: ast.CommonTableExpr, ctes):
         query = cte.query

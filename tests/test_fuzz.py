@@ -97,7 +97,8 @@ def random_query(rng) -> str:
     parts = [f"SELECT {random_scalar(rng)} AS v1, {random_scalar(rng)} AS v2"]
     parts.append("FROM t1")
     if rng.random() < 0.3:
-        parts.append("JOIN t2 ON t1.a = t2.a")
+        # t2's key renamed, so an unqualified ``a`` still names t1.a
+        parts.append("JOIN (SELECT a AS k, d FROM t2) u ON t1.a = u.k")
     if rng.random() < 0.7:
         parts.append(f"WHERE {random_predicate(rng)}")
     if rng.random() < 0.3:

@@ -10,12 +10,14 @@ operator takes its row-at-a-time fallback body — and requires identical
 results, mirroring ``test_optimizer_equivalence``.
 """
 
+import datetime
 import random
 
 import numpy as np
 import pytest
 
 from repro import Database, ReproError
+from repro.errors import BindError, TypeError_
 from repro.exec import kernels
 from repro.exec.kernels import KernelFallback
 from repro.storage import Column, DataType
@@ -333,7 +335,12 @@ def engines():
     return vectorized, rowwise
 
 
-def assert_equivalent(engines, sql, params=(), *, ordered=False):
+def assert_equivalent(
+    engines, sql, params=(), *, ordered=False, expect_error=False
+):
+    """Kernels and row paths agree on ``sql``.  Two errors count as
+    agreement only with ``expect_error=True``: otherwise a statement
+    that fails on both sides would pass while exercising nothing."""
     vectorized, rowwise = engines
     try:
         expected = reference_rows(rowwise, sql, params)
@@ -350,7 +357,10 @@ def assert_equivalent(engines, sql, params=(), *, ordered=False):
             f"only one pipeline failed for {sql!r}: "
             f"rowwise={expected_error!r} kernels={actual_error!r}"
         )
+        assert expect_error, f"both pipelines failed for {sql!r}: {actual_error!r}"
+        assert type(actual_error) is type(expected_error), sql
         return
+    assert not expect_error, f"no error from {sql!r}"
     # repr-compare so rows containing NaN (nan != nan) still match
     if ordered:
         # ORDER BY must be *bit-identical*, including tie order
@@ -428,12 +438,15 @@ class TestEngineEquivalence:
             assert_equivalent(engines, sql)
 
     def test_recursive_cte_dedup(self, engines):
+        # the base repeats node 2 and the walk runs round the 1-2-3
+        # cycle: only UNION's dedup makes it terminate
         sql = (
             "WITH RECURSIVE r (n) AS ("
-            "SELECT s FROM e UNION SELECT d FROM e WHERE d IN (SELECT n FROM r)"
+            "SELECT s FROM e UNION SELECT e.d FROM r JOIN e ON r.n = e.s"
             ") SELECT n FROM r ORDER BY n"
         )
         assert_equivalent(engines, sql, ordered=True)
+        assert engines[0].execute(sql).rows() == [(1,), (2,), (3,), (5,)]
         sql = (
             "WITH RECURSIVE walk (node, hops) AS ("
             "SELECT 1, 0 UNION "
@@ -442,6 +455,62 @@ class TestEngineEquivalence:
             ") SELECT node, hops FROM walk ORDER BY hops, node"
         )
         assert_equivalent(engines, sql, ordered=True)
+
+    def test_recursive_reference_inside_subquery_is_rejected(self, engines):
+        # as in PostgreSQL: the recursive branch reads the working table
+        # through its FROM items only
+        sql = (
+            "WITH RECURSIVE r (n) AS ("
+            "SELECT s FROM e UNION SELECT d FROM e WHERE d IN (SELECT n FROM r)"
+            ") SELECT n FROM r ORDER BY n"
+        )
+        assert_equivalent(engines, sql, expect_error=True)
+        with pytest.raises(BindError, match="must not appear within a subquery"):
+            engines[0].execute(sql)
+
+    def test_date_joins_varchar_as_equals_does(self, engines):
+        for db in engines:
+            db.execute("CREATE TABLE dd (x DATE)")
+            db.execute("CREATE TABLE ss (y VARCHAR)")
+            db.execute(
+                "INSERT INTO dd VALUES ('2020-01-02'), ('2020-01-03'), (NULL)"
+            )
+            db.execute(
+                "INSERT INTO ss VALUES ('2020-01-02'), ('2021-05-05'), (NULL)"
+            )
+        queries = [
+            "SELECT dd.x, ss.y FROM dd JOIN ss ON dd.x = ss.y",
+            "SELECT ss.y, dd.x FROM ss JOIN dd ON ss.y = dd.x",
+            "SELECT dd.x, ss.y FROM dd, ss WHERE dd.x = ss.y",
+            "SELECT dd.x, ss.y FROM dd LEFT JOIN ss ON dd.x = ss.y",
+            "SELECT x FROM dd WHERE x IN (SELECT y FROM ss)",
+            "SELECT y FROM ss WHERE y IN (SELECT x FROM dd)",
+            "SELECT x FROM dd WHERE x NOT IN "
+            "(SELECT y FROM ss WHERE y IS NOT NULL)",
+        ]
+        try:
+            for sql in queries:
+                assert_equivalent(engines, sql)
+            day = datetime.date(2020, 1, 2)
+            vectorized = engines[0]
+            assert vectorized.execute(queries[0]).rows() == [(day, "2020-01-02")]
+            assert vectorized.execute(queries[2]).rows() == [(day, "2020-01-02")]
+            assert vectorized.execute(queries[4]).rows() == [(day,)]
+            assert vectorized.execute(queries[5]).rows() == [("2020-01-02",)]
+            assert vectorized.execute(queries[6]).rows() == [
+                (datetime.date(2020, 1, 3),)
+            ]
+            # an invalid date string raises the typed error ``=`` raises
+            for db in engines:
+                db.execute("INSERT INTO ss VALUES ('nope')")
+            for sql in ["SELECT dd.x = ss.y FROM dd, ss"] + queries:
+                assert_equivalent(engines, sql, expect_error=True)
+                with pytest.raises(TypeError_, match="invalid date literal"):
+                    vectorized.execute(sql)
+        finally:
+            for db in engines:
+                db.execute("DROP TABLE dd")
+                db.execute("DROP TABLE ss")
 
     def test_double_key_join_with_nan_and_null(self, engines):
         for db in engines:

@@ -251,9 +251,9 @@ class TestDictionaryMerge:
         for func in ("count_star", "count", "sum", "min", "max", "avg"):
             serial = kernels.grouped_aggregate(func, False, arg, ids, 7)
             parallel = kernels.grouped_aggregate(
-                func, False, arg, ids, 7, None, par
+                func, False, arg, ids, 7, par
             )
-            # bit-identical, incl. float SUM/AVG (same reduceat input)
+            # bit-identical, incl. float SUM/AVG (serial row-order sums)
             assert serial.data.tolist() == parallel.data.tolist(), func
             assert (serial.mask is None) == (parallel.mask is None)
             if serial.mask is not None:
@@ -310,32 +310,6 @@ class TestDictionaryMerge:
         serial = kernels.new_rows_mask(right, n_right, left, n_left)
         parallel = kernels.new_rows_mask(right, n_right, left, n_left, par)
         assert parallel.tolist() == serial.tolist()
-
-
-# ---------------------------------------------------------------------------
-# the argsort cache is thread-local
-# ---------------------------------------------------------------------------
-class TestArgsortCache:
-    def test_entries_are_per_thread(self):
-        cache = kernels.ArgsortCache()
-        keys = np.array([2, 1, 2], dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        cache.store(keys, order)
-        assert cache.lookup(keys) is order
-        seen_elsewhere = []
-        thread = threading.Thread(
-            target=lambda: seen_elsewhere.append(cache.lookup(keys))
-        )
-        thread.start()
-        thread.join()
-        assert seen_elsewhere == [None]  # other threads see their own map
-
-    def test_identity_keyed_not_value_keyed(self):
-        cache = kernels.ArgsortCache()
-        keys = np.array([1, 0], dtype=np.int64)
-        cache.store(keys, np.argsort(keys, kind="stable"))
-        clone = keys.copy()
-        assert cache.lookup(clone) is None
 
 
 # ---------------------------------------------------------------------------
