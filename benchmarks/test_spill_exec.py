@@ -1,8 +1,9 @@
 """Experiment: memory-budgeted execution vs the materialized paths.
 
-Each operator family — selective streamed scan, spilled GROUP BY,
-spilled equi-join, external ORDER BY — runs in fresh subprocesses over
-the same persisted encoded image:
+Each operator family — selective streamed scan, GROUP BY folded one
+row range at a time (it writes no spill file), spilled equi-join,
+external ORDER BY — runs in fresh subprocesses over the same persisted
+encoded image:
 
 * **materialized** (``memory_budget=None``) — today's engine, for the
   result oracle and the unbudgeted wall-clock baseline, timed
@@ -85,11 +86,12 @@ ASSERT_LIMITS = ROWS >= 4_000_000
 #: child's post-open baseline: fixed slack + per-row operator state.
 #: This is the ceiling; the cap actually applied is the smaller of it
 #: and CAP_FIXED + half the materialized run's traced heap peak (see
-#: _cap_extra).  Per-row state: group — the int64 key-code arrays;
-#: join — the build-side dictionary and the (row, key-code) pairs of
-#: the probe rows that can match (the probe side is codified one chunk
-#: at a time, never whole); sort — the (rank, row) permutation and its
-#: final pairwise merge
+#: _cap_extra).  Per-row state: group — the int64 key codes and group
+#: ids (the aggregate arguments fold one SPILL_CHUNK_ROWS range at a
+#: time, never whole); join — the build-side dictionary and the (row,
+#: key-code) pairs of the probe rows that can match (the probe side is
+#: codified one chunk at a time, never whole); sort — the (rank, row)
+#: permutation and its final pairwise merge
 CAP_FIXED = 64 << 20
 CAP_PER_ROW = {"scan": 8, "group_by": 24, "join": 40, "sort": 56}
 

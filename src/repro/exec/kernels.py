@@ -12,13 +12,15 @@ NULL handling), and a multi-column key is combined into one id per row
 by mixed-radix arithmetic.  Everything else reduces to integer kernels:
 
 * DISTINCT / dedup    — first-occurrence-of-id masks (``np.unique``);
-* GROUP BY            — dense group ids + one scatter pass per aggregate
-  (``bincount``, ``ufunc.at``), no sort;
+* GROUP BY            — dense group ids + one fold per aggregate over
+  row ranges (:class:`AggregateFold`: ``bincount``, ``ufunc.at``), no
+  sort;
 * multi-key equi-join — sort + ``searchsorted`` over shared-dictionary
   codes (generalizing the single-int-key sorted join of the PR-2
   executor to any number of columns and any key type);
 * INTERSECT / EXCEPT  — ``np.isin`` over jointly-codified row ids;
-* ORDER BY            — null-aware ``np.lexsort`` over ordered codes.
+* ORDER BY            — one stable argsort of a null-aware composite
+  rank over ordered codes (:func:`composite_sort_rank`).
 
 Key semantics mirror the row-at-a-time paths exactly: NULL keys group
 together (Python ``None == None``) but never match in joins; float NaN
@@ -43,7 +45,7 @@ Morsel-driven parallelism: every kernel accepts an optional ``par``
 (:class:`~repro.exec.parallel.ParallelContext`) and, for inputs large
 enough to clear :data:`~repro.exec.parallel.PARALLEL_MIN_ROWS`, runs
 its per-row passes morsel-parallel on the database's shared worker pool
-— per-partition dictionary merge for codification, partial aggregates
+— per-partition dictionary merge for codification, partial counts
 merged by group id, per-morsel probe/emit for joins and membership for
 setops.  The combines are deterministic in morsel order, the sort
 permutations are the (unique) stable ones and float sums stay serial,
@@ -56,7 +58,9 @@ Known (documented) deviations from the Python paths, both confined to
 degenerate territory: integer SUM accumulates in ``int64`` (Python ints
 are unbounded), and equi-joins comparing huge integers (>2^53) against
 DOUBLE keys go through float promotion.  Float SUM/AVG add each group's
-values in row order, so they equal the row path bit for bit.
+values in row order, and MIN/MAX keep the first of equal values, so
+both equal the row path bit for bit however a memory budget splits
+the rows into ranges.
 """
 
 from __future__ import annotations
@@ -190,12 +194,7 @@ def _codify(
         if radix > _MAX_RADIX // cardinality:
             # dictionary overflow: densify the intermediate ids back to
             # a compact code space before the next radix multiply
-            if use_par:
-                uniques, ids = mp.parallel_unique_inverse(ids, par, op="codify")
-            else:
-                uniques, inverse = np.unique(ids, return_inverse=True)
-                ids = inverse.reshape(-1).astype(np.int64, copy=False)
-            radix = max(len(uniques), 1)
+            ids, radix = _densify(ids, par, "codify")
             if radix > _MAX_RADIX // cardinality:  # pragma: no cover - 2^62 keys
                 raise KernelFallback(
                     "key space exceeds int64 after densify", REASON_UNCODIFIABLE
@@ -217,6 +216,19 @@ def _codify(
             ids = ids * cardinality + codes
         radix *= cardinality
     return ids, radix
+
+
+def _densify(
+    ids: np.ndarray, par: Optional[ParallelContext], op: str
+) -> tuple[np.ndarray, int]:
+    """``ids`` renumbered densely in value order (``np.unique``'s
+    inverse), with the new radix."""
+    if _use_par(par, len(ids), op):
+        uniques, ids = mp.parallel_unique_inverse(ids, par, op=op)
+    else:
+        uniques, inverse = np.unique(ids, return_inverse=True)
+        ids = inverse.reshape(-1).astype(np.int64, copy=False)
+    return ids, max(len(uniques), 1)
 
 
 def codify(
@@ -941,28 +953,27 @@ def composite_sort_rank(
     keys: Sequence[tuple[Column, bool]],
     n_rows: int,
     par: Optional[ParallelContext] = None,
-) -> "np.ndarray | None":
-    """One mixed-radix int64 rank per row whose *stable argsort* equals
-    :func:`sort_order` over the same keys (ties in the rank are exactly
+) -> np.ndarray:
+    """One mixed-radix int64 rank per row whose *stable argsort* is the
+    ORDER BY permutation over ``keys`` (ties in the rank are exactly
     ties in every key, and the stable permutation of equal keys is
-    unique).  The external merge sort runs over this single array, so
-    sorted runs can merge with plain ``searchsorted``.  Returns None
-    when the combined code space would overflow int64 — callers then
-    fall back to the fused in-memory ``np.lexsort``.
+    unique).  The in-memory sort argsorts it whole; the external merge
+    sort argsorts runs of it and merges them with ``searchsorted``.
+
+    When the next key would carry the mixed-radix product past 2^62,
+    the rank so far is first densified with ``np.unique``'s inverse, as
+    :func:`_codify` does: that keeps the ranks' order, and at most
+    ``n_rows`` distinct ranks times one key's cardinality always fits.
     """
-    if not keys:
-        return np.zeros(n_rows, dtype=np.int64)
-    rank: "np.ndarray | None" = None
-    total = 1
+    rank = np.zeros(n_rows, dtype=np.int64)
+    radix = 1
     for column, ascending in keys:
         codes, cardinality = ordered_sort_codes(column, ascending, par)
-        total *= max(cardinality, 1)
-        if total > (1 << 62):
-            return None
-        if rank is None:
-            rank = codes
-        else:
-            rank = rank * cardinality + codes
+        cardinality = max(cardinality, 1)
+        if radix > (1 << 62) // cardinality:
+            rank, radix = _densify(rank, par, "sort")
+        rank = codes if radix == 1 else rank * cardinality + codes
+        radix *= cardinality
     return rank
 
 
@@ -971,28 +982,187 @@ def sort_order(
     n_rows: int,
     par: Optional[ParallelContext] = None,
 ) -> np.ndarray:
-    """Stable sort permutation for multi-key ORDER BY via ``np.lexsort``.
-
-    Each ``(column, ascending)`` key is factorized into ordered codes by
-    :func:`ordered_sort_codes`.  Stability across fully-tied rows
-    matches the multi-pass stable sort it replaces.  Codification runs
-    morsel-parallel under ``par``; the final ``np.lexsort`` is serial
-    (it is one fused multi-key sort, already the minority of the time).
-    """
-    if not keys:
-        return np.arange(n_rows, dtype=np.int64)
-    code_arrays = [
-        ordered_sort_codes(column, ascending, par)[0]
-        for column, ascending in keys
-    ]
-    # np.lexsort treats its *last* key as primary; plan keys are listed
-    # primary-first
-    return np.lexsort(tuple(reversed(code_arrays))).astype(np.int64, copy=False)
+    """Stable sort permutation for multi-key ORDER BY: the stable argsort
+    of :func:`composite_sort_rank`, morsel-parallel under ``par`` for
+    both the codification and the sort.  Stability across fully-tied
+    rows matches the row path's multi-pass stable sort."""
+    return _stable_argsort(composite_sort_rank(keys, n_rows, par), par, "sort")
 
 
 # ---------------------------------------------------------------------------
 # grouped aggregation
 # ---------------------------------------------------------------------------
+class AggregateFold:
+    """One aggregate folded over row ranges of dense group ids.
+
+    :meth:`add` folds one range — its argument rows and their group ids
+    — into ``n_groups`` accumulators, and :meth:`result` is the aggregate
+    as a column of ``n_groups``.  The executor feeds the whole input as
+    one range, ``SPILL_CHUNK_ROWS``-row ranges under a memory budget, or
+    each filtered morsel with every id 0 (a streamed global aggregate);
+    the answer does not depend on the split.
+
+    Accumulators start at their identity (0 for sums, the type's far
+    end for MIN/MAX) and fold through ``ufunc.at``, which visits the
+    rows in order: float SUM/AVG add each group's values left to right,
+    as the row path's sequential ``sum`` does, so totals are bit-
+    identical to it however the rows are split.  COUNT is ``bincount``
+    (morsel-parallel under ``par``; integer addition is exact).  MIN/MAX
+    keep the first of equal values, as Python's ``min``/``max`` do; for
+    floats that shows only on ``0.0`` against ``-0.0``, so a zero result
+    takes the sign of its group's first zero.  Strings reduce ordered
+    codes within a range and merge across ranges by comparison.  Groups
+    with no non-NULL input are NULL (COUNT excepted).
+
+    Raises :class:`KernelFallback` for DISTINCT aggregates, functions
+    without a kernel, NaN MIN/MAX arguments (only the row path's
+    unordered comparisons reproduce Python there) and untyped or
+    unorderable arguments; the executor then computes that aggregate
+    per group in Python.
+    """
+
+    def __init__(self, func: str, distinct: bool, n_groups: int):
+        if distinct:
+            raise KernelFallback(
+                "no kernel for DISTINCT aggregates", REASON_NO_KERNEL
+            )
+        if func not in ("count_star", "count", "sum", "min", "max", "avg"):
+            raise KernelFallback(
+                f"no kernel for aggregate {func!r}", REASON_NO_KERNEL
+            )
+        self.func = func
+        self.counts = np.zeros(n_groups, dtype=np.int64)
+        self.type: Optional[DataType] = None
+        self.acc: Optional[np.ndarray] = None
+        #: float MIN/MAX: sign of each group's first zero (0: none yet)
+        self._zero_sign: Optional[np.ndarray] = None
+
+    def add(
+        self,
+        arg: Optional[Column],
+        ids: np.ndarray,
+        par: Optional[ParallelContext] = None,
+    ) -> None:
+        """Fold one range: ``arg`` holds its rows (None for COUNT(*)) and
+        ``ids`` their group ids."""
+        func, n_groups = self.func, len(self.counts)
+        if arg is None and func != "count_star":
+            raise KernelFallback(
+                f"no kernel for aggregate {func!r}", REASON_NO_KERNEL
+            )
+        valid = None if arg is None or arg.mask is None else ~arg.mask
+        vids = ids if valid is None else ids[valid]
+        if n_groups == 1:  # a global aggregate or a streamed morsel
+            counts = np.array([len(vids)], dtype=np.int64)
+        elif _use_par(par, len(ids), "aggregate"):
+            counts = mp.parallel_bincount(ids, n_groups, par, valid=valid)
+        else:
+            counts = np.bincount(vids, minlength=n_groups)
+        if func not in ("count_star", "count"):
+            if arg.data.dtype == np.dtype(object):
+                self._fold_ordered(arg, vids, valid, counts, par)
+            else:
+                self._fold_numbers(arg, vids, valid)
+            self.type = arg.type
+        self.counts += counts
+
+    def _fold_numbers(self, arg: Column, vids, valid) -> None:
+        if arg.type is None:
+            raise KernelFallback(
+                "untyped aggregate argument", REASON_UNCODIFIABLE
+            )
+        vals = arg.data if valid is None else arg.data[valid]
+        if self.func in ("sum", "avg"):
+            # float64 for DOUBLE, int64 otherwise (Python ints are
+            # unbounded; int64 is the documented kernel deviation)
+            if self.acc is None:
+                kind = np.float64 if vals.dtype.kind == "f" else np.int64
+                self.acc = np.zeros(len(self.counts), dtype=kind)
+            np.add.at(self.acc, vids, vals.astype(self.acc.dtype, copy=False))
+            return
+        floats = vals.dtype.kind == "f"
+        if floats and np.isnan(vals).any():
+            raise KernelFallback(
+                "NaN aggregate values have no total order", REASON_NAN_ORDER
+            )
+        if self.acc is None:
+            self.acc = np.full(
+                len(self.counts),
+                _fold_identity(self.func, vals.dtype),
+                dtype=vals.dtype,
+            )
+        ufunc = np.minimum if self.func == "min" else np.maximum
+        ufunc.at(self.acc, vids, vals)
+        zeros = np.flatnonzero(vals == 0) if floats else ()
+        if len(zeros):
+            if self._zero_sign is None:
+                self._zero_sign = np.zeros(len(self.counts), dtype=np.int8)
+            groups, first = np.unique(vids[zeros], return_index=True)
+            fresh = self._zero_sign[groups] == 0
+            self._zero_sign[groups[fresh]] = np.where(
+                np.signbit(vals[zeros[first[fresh]]]), -1, 1
+            )
+
+    def _fold_ordered(self, arg: Column, vids, valid, counts, par) -> None:
+        """MIN/MAX over strings: the range's ordered codes reduce per
+        group, then merge into the running values by comparison."""
+        if self.func not in ("min", "max"):
+            raise KernelFallback(
+                f"no kernel for {self.func!r} over object values",
+                REASON_NO_KERNEL,
+            )
+        codes, cardinality, uniques = _factorize(arg, par=par)
+        if uniques is None:
+            raise KernelFallback(
+                "aggregate values are not orderable", REASON_UNCODIFIABLE
+            )
+        is_min = self.func == "min"
+        best = np.full(len(self.counts), cardinality if is_min else -1)
+        ufunc = np.minimum if is_min else np.maximum
+        ufunc.at(best, vids, codes if valid is None else codes[valid])
+        if self.acc is None:
+            self.acc = np.empty(len(self.counts), dtype=object)
+        take = counts > 0
+        both = np.flatnonzero(take & (self.counts > 0))
+        if len(both):
+            new, old = uniques[best[both]], self.acc[both]
+            take[both] = (new < old) if is_min else (new > old)
+        self.acc[take] = uniques[best[take]]
+
+    def result(self) -> Column:
+        counts = self.counts
+        if self.func in ("count_star", "count"):
+            return Column(DataType.BIGINT, counts)
+        mask = counts == 0
+        acc = self.acc
+        if self.func == "avg":
+            data = np.zeros(len(counts), dtype=np.float64)
+            present = ~mask
+            data[present] = acc[present].astype(np.float64) / counts[present]
+            return Column(DataType.DOUBLE, data, mask)
+        if self.func == "sum":
+            type_ = DataType.DOUBLE if acc.dtype.kind == "f" else DataType.BIGINT
+            return Column(type_, acc, mask)
+        if acc.dtype == np.dtype(object):
+            return Column(self.type or DataType.VARCHAR, acc, mask)
+        acc[mask] = 0  # empty groups held the identity
+        if self._zero_sign is not None:
+            zero = acc == 0
+            acc[zero] = np.copysign(0.0, self._zero_sign[zero])
+        return Column(self.type, acc, mask)
+
+
+def _fold_identity(func: str, dtype: np.dtype):
+    """The MIN (MAX) identity of ``dtype``: its largest (smallest) value."""
+    if dtype.kind == "f":
+        low, high = -np.inf, np.inf
+    elif dtype.kind == "b":
+        low, high = False, True
+    else:
+        low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+    return high if func == "min" else low
+
+
 def grouped_aggregate(
     func: str,
     distinct: bool,
@@ -1001,118 +1171,11 @@ def grouped_aggregate(
     n_groups: int,
     par: Optional[ParallelContext] = None,
 ) -> Column:
-    """One aggregate over dense group ids, as a column of ``n_groups``.
-
-    Kernels exist for COUNT(*)/COUNT/SUM/MIN/MAX/AVG without DISTINCT;
-    MIN/MAX additionally work on strings through ordered codes.  Groups
-    with no non-NULL input are NULL (COUNT excepted).  Anything else
-    raises :class:`KernelFallback` and is computed per group in Python
-    by the executor.
-
-    Counts are morsel-parallel ``bincount`` partials merged by group id
-    (exact — integer addition).  SUM/MIN/MAX/AVG are one serial scatter
-    pass over the group ids (:func:`_scatter_reduce`), which visits the
-    values in row order, so float totals equal the row path's
-    sequential sum bit for bit, for any worker count.
-    """
-    if distinct:
-        raise KernelFallback(
-            "no kernel for DISTINCT aggregates", REASON_NO_KERNEL
-        )
-    use_par = _use_par(par, len(ids), "aggregate")
-    if func == "count_star":
-        if use_par:
-            data = mp.parallel_bincount(ids, n_groups, par)
-        else:
-            data = np.bincount(ids, minlength=n_groups).astype(np.int64)
-        return Column(DataType.BIGINT, data)
-    if func not in ("count", "sum", "min", "max", "avg") or arg is None:
-        raise KernelFallback(
-            f"no kernel for aggregate {func!r}", REASON_NO_KERNEL
-        )
-    valid = None if arg.mask is None else ~arg.mask
-    vids = ids if valid is None else ids[valid]
-    if use_par:
-        counts = mp.parallel_bincount(ids, n_groups, par, valid=valid)
-    else:
-        counts = np.bincount(vids, minlength=n_groups).astype(np.int64)
-    if func == "count":
-        return Column(DataType.BIGINT, counts)
-    mask = counts == 0
-    if arg.data.dtype == np.dtype(object):
-        return _grouped_object_minmax(func, arg, vids, valid, mask, par)
-    if arg.type is None:
-        raise KernelFallback("untyped aggregate argument", REASON_UNCODIFIABLE)
-    values = arg.data
-    if func in ("sum", "avg"):
-        # accumulate exactly like the Python path: float64 for DOUBLE,
-        # int64 otherwise (Python ints are unbounded; int64 is the
-        # documented kernel deviation for astronomically large sums)
-        acc_dtype = np.float64 if values.dtype.kind == "f" else np.int64
-        vals = values.astype(acc_dtype, copy=False)
-        vals = vals if valid is None else vals[valid]
-        sums = _scatter_reduce(vals, vids, n_groups, np.add)
-        if func == "avg":
-            data = np.zeros(n_groups, dtype=np.float64)
-            present = ~mask
-            data[present] = sums[present].astype(np.float64) / counts[present]
-            return Column(DataType.DOUBLE, data, mask)
-        type_ = DataType.DOUBLE if acc_dtype == np.float64 else DataType.BIGINT
-        return Column(type_, sums, mask)
-    # min / max keep the argument's type and physical dtype
-    vals = values if valid is None else values[valid]
-    if vals.dtype.kind == "f" and np.isnan(vals).any():
-        # np.minimum/np.maximum propagate NaN; Python min()/max() (the
-        # oracle) compare it as un-ordered — only the per-group row
-        # fallback reproduces that
-        raise KernelFallback(
-            "NaN aggregate values have no total order", REASON_NAN_ORDER
-        )
-    ufunc = np.minimum if func == "min" else np.maximum
-    return Column(arg.type, _scatter_reduce(vals, vids, n_groups, ufunc), mask)
-
-
-def _grouped_object_minmax(func, arg, vids, valid, mask, par=None):
-    """MIN/MAX over strings: reduce ordered codes, map back to values."""
-    if func not in ("min", "max"):
-        raise KernelFallback(
-            f"no kernel for {func!r} over object values", REASON_NO_KERNEL
-        )
-    codes, _, uniques = _factorize(arg, par=par)
-    if uniques is None:
-        raise KernelFallback(
-            "aggregate values are not orderable", REASON_UNCODIFIABLE
-        )
-    vals = codes if valid is None else codes[valid]
-    ufunc = np.minimum if func == "min" else np.maximum
-    best = _scatter_reduce(vals, vids, len(mask), ufunc)
-    present = ~mask
-    data = np.empty(len(mask), dtype=object)
-    data[present] = uniques[best[present]]
-    return Column(arg.type or DataType.VARCHAR, data, mask)
-
-
-def _scatter_reduce(vals, vids, n_groups, ufunc) -> np.ndarray:
-    """Per-group reduction in one pass over the group ids, with no sort.
-
-    Returns ``n_groups`` values in group-id order; a group without rows
-    holds 0, which the caller masks.  Float sums are ``bincount`` with
-    weights: it adds each group's values left to right in row order,
-    starting from 0.0, as the row path's ``sum()`` does.  Integer sums
-    go through ``np.add.at`` into the int64 array (wrap-around, see the
-    module docstring).  MIN/MAX seed each group with one of its own
-    values, then fold in the rest with ``ufunc.at``.
-    """
-    if ufunc is np.add and vals.dtype.kind == "f":
-        # an empty input comes back int64 whatever the weights' dtype
-        return np.bincount(vids, weights=vals, minlength=n_groups).astype(
-            vals.dtype, copy=False
-        )
-    out = np.zeros(n_groups, dtype=vals.dtype)
-    if ufunc is not np.add:
-        out[vids] = vals
-    ufunc.at(out, vids, vals)
-    return out
+    """One aggregate over dense group ids, as a column of ``n_groups``:
+    an :class:`AggregateFold` fed all rows as one range."""
+    fold = AggregateFold(func, distinct, n_groups)
+    fold.add(arg, ids, par)
+    return fold.result()
 
 
 def group_row_lists(ids: np.ndarray, n_groups: int) -> list[np.ndarray]:

@@ -485,7 +485,6 @@ def _exec_sort(plan: pp.PSort, ctx: ExecContext) -> Batch:
     batch = execute_plan(plan.input, ctx)
     keys = [(ctx.eval(key.expr, batch), key.ascending) for key in plan.keys]
     try:
-        order = None
         if (
             keys
             and ctx.accountant.active
@@ -496,7 +495,7 @@ def _exec_sort(plan: pp.PSort, ctx: ExecContext) -> Batch:
             )
         ):
             order = _external_sort_order(keys, batch.num_rows, ctx, plan.limit)
-        if order is None:
+        else:
             order = kernels.sort_order(keys, batch.num_rows, ctx.parallel)
         ctx.kernel_hit("sort")
     except KernelFallback as exc:
@@ -533,13 +532,13 @@ def _row_sort_order(keys, n: int) -> np.ndarray:
 
 def _external_sort_order(
     keys, n: int, ctx: ExecContext, limit: Optional[int] = None
-) -> "np.ndarray | None":
+) -> np.ndarray:
     """External merge sort: the sort permutation via sorted on-disk runs.
 
-    Every key column folds into one mixed-radix int64 rank whose stable
-    argsort equals ``kernels.sort_order`` (ties in the rank are ties in
-    every key).  Runs of ``SPILL_CHUNK_ROWS`` rows are stably argsorted
-    and spilled as (rank, row) pairs; runs then merge pairwise in
+    Every key column folds into the one int64 rank whose stable argsort
+    is ``kernels.sort_order`` (``kernels.composite_sort_rank``).  Runs
+    of ``SPILL_CHUNK_ROWS`` rows are stably argsorted and spilled as
+    (rank, row) pairs; runs then merge pairwise in
     balanced rounds — each merge combines two *adjacent* runs with
     ``searchsorted``, the earlier run (smaller original row numbers)
     taking the left side on rank ties, and spills the result back
@@ -551,11 +550,8 @@ def _external_sort_order(
     entirely).  With a top-k ``limit``, every run and every merge keeps
     only its first ``limit`` pairs: each of the global first ``limit``
     is among the first ``limit`` of its own run, so the returned prefix
-    is unchanged.  Returns None when the combined key-code space
-    overflows int64 (callers then lexsort in memory)."""
+    is unchanged."""
     rank = kernels.composite_sort_rank(keys, n, ctx.parallel)
-    if rank is None:
-        return None
     keep = n if limit is None else limit
     counters = ctx.accountant.counters
     runs = []
@@ -640,19 +636,6 @@ def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
     arg_columns = [
         ctx.eval(a.arg, batch) if a.arg is not None else None for a in plan.aggs
     ]
-    if (
-        key_columns
-        and ctx.accountant.active
-        and ctx.spill_manager is not None
-        and n > SPILL_CHUNK_ROWS
-        and ctx.accountant.decide(
-            "group_by", estimate_batch_bytes(batch.columns)
-        )
-    ):
-        try:
-            return _spilled_aggregate(plan, key_columns, arg_columns, n, ctx)
-        except KernelFallback:
-            pass  # the in-memory paths below handle (and count) it
     try:
         return _kernel_aggregate(plan, key_columns, arg_columns, n, ctx)
     except KernelFallback as exc:
@@ -678,42 +661,8 @@ def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
     return Batch(plan.schema, columns)
 
 
-def _kernel_aggregate(
-    plan: pp.PAggregate,
-    key_columns: list[Column],
-    arg_columns: list[Optional[Column]],
-    n: int,
-    ctx: ExecContext,
-) -> Batch:
-    """GROUP BY over factorized group ids: keys come from each group's
-    first row; aggregates run through scatter kernels over the ids, with
-    a per-group Python fallback only for aggregates without a kernel."""
-    ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
-    ctx.kernel_hit("group_by")
-    out_columns: list[Column] = []
-    for column in key_columns:
-        out_columns.append(column.take(first_rows))
-    group_rows = None  # lazily materialized for non-kernel aggregates
-    for spec, arg_col in zip(plan.aggs, arg_columns):
-        try:
-            out_columns.append(
-                kernels.grouped_aggregate(
-                    spec.func,
-                    spec.distinct,
-                    arg_col,
-                    ids,
-                    n_groups,
-                    ctx.parallel,
-                )
-            )
-        except KernelFallback as exc:
-            ctx.kernel_fallback("aggregate", exc)
-            if group_rows is None:
-                group_rows = kernels.group_row_lists(ids, n_groups)
-            values = [_compute_agg(spec, arg_col, rows) for rows in group_rows]
-            position = len(out_columns)
-            type_ = plan.schema[position].type or _infer_output_type(values)
-            out_columns.append(Column.from_values(type_, values))
+def _aggregate_batch(plan: pp.PAggregate, out_columns: list[Column]) -> Batch:
+    """The aggregate's output, each column cast to its planned type."""
     columns = []
     for col_def, column in zip(plan.schema, out_columns):
         if col_def.type is not None and column.type != col_def.type:
@@ -722,19 +671,68 @@ def _kernel_aggregate(
     return Batch(plan.schema, columns)
 
 
+def _kernel_aggregate(
+    plan: pp.PAggregate,
+    key_columns: list[Column],
+    arg_columns: list[Optional[Column]],
+    n: int,
+    ctx: ExecContext,
+) -> Batch:
+    """GROUP BY over factorized group ids: keys come from each group's
+    first row, and each aggregate folds the rows over the ids in one
+    range ``[0, n)`` — under a memory budget, in ``SPILL_CHUNK_ROWS``-row
+    ranges whose arguments are decoded one range at a time.  The answer
+    does not depend on the split.  An aggregate without a kernel runs
+    per group in Python over its whole argument column."""
+    ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
+    ctx.kernel_hit("group_by")
+    folds: list = []  # None where the aggregate has no kernel
+    for spec in plan.aggs:
+        try:
+            folds.append(kernels.AggregateFold(spec.func, spec.distinct, n_groups))
+        except KernelFallback as exc:
+            ctx.kernel_fallback("aggregate", exc)
+            folds.append(None)
+    step = SPILL_CHUNK_ROWS if ctx.accountant.active else max(n, 1)
+    for ms in range(0, max(n, 1), step):
+        me = min(ms + step, n)
+        for j, (fold, arg) in enumerate(zip(folds, arg_columns)):
+            if fold is None:
+                continue
+            if arg is not None and me - ms < n:
+                arg = arg.slice_morsel(ms, me)
+            try:
+                fold.add(arg, ids[ms:me], ctx.parallel)
+            except KernelFallback as exc:
+                ctx.kernel_fallback("aggregate", exc)
+                folds[j] = None
+    if step < n:
+        ctx.accountant.note_stream(-(-n // step))
+    out_columns = _take_columns(key_columns, first_rows, ctx)
+    group_rows = None  # lazily materialized for non-kernel aggregates
+    for spec, arg_col, fold in zip(plan.aggs, arg_columns, folds):
+        if fold is not None:
+            out_columns.append(fold.result())
+            continue
+        if group_rows is None:
+            group_rows = kernels.group_row_lists(ids, n_groups)
+        values = [_compute_agg(spec, arg_col, rows) for rows in group_rows]
+        type_ = plan.schema[len(out_columns)].type or _infer_output_type(values)
+        out_columns.append(Column.from_values(type_, values))
+    return _aggregate_batch(plan, out_columns)
+
+
 def _streamed_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> "Batch | None":
     """Fused scan→filter→aggregate over one morsel at a time.
 
     Only for plans the optimizer marked streamable: ungrouped,
     non-distinct aggregates whose input is a streamable-filter chain
-    over a base scan, with SUM/AVG restricted to integral arguments.
-    The accumulators mirror the kernels exactly — int64 wrap-around
-    sums (``np.add.reduce`` over any chunking of the same int64 values
-    is associative mod 2^64), AVG as ``float64(sum) / float64(count)``,
-    MIN/MAX as order-independent folds — so the single output row is
-    bit-identical to the materialized kernel path.  Returns None (and
-    the caller materializes) whenever the kernels would fall back:
-    NaN ordering for float MIN/MAX, uncomparable object values."""
+    over a base scan.  Each filtered morsel folds into the same
+    :class:`kernels.AggregateFold` the materialized path uses, with
+    every row in group 0, so the single output row is bit-identical to
+    it.  Returns None (and the caller materializes) whenever a fold
+    falls back — NaN ordering for float MIN/MAX, unorderable values —
+    or no morsel was read."""
     chain = _stream_chain(plan.input)
     if chain is None:
         return None
@@ -749,163 +747,28 @@ def _streamed_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> "Batch | None"
     spans = _scan_spans(scan, ctx, version)
     if spans is None:
         spans = [(0, n)]
-    n_aggs = len(plan.aggs)
-    counts = [0] * n_aggs
-    sums = [np.zeros(1, dtype=np.int64) for _ in range(n_aggs)]
-    mins: list = [None] * n_aggs
-    maxs: list = [None] * n_aggs
-    total_rows = 0
     morsels = 0
-    for start, stop in spans:
-        for ms in range(start, stop, SPILL_CHUNK_ROWS):
-            me = min(ms + SPILL_CHUNK_ROWS, stop)
-            morsel = Batch(
-                scan.schema, [c.slice_morsel(ms, me) for c in columns]
-            )
-            morsel = _filter_morsel(filters, morsel, ctx)
-            morsels += 1
-            total_rows += morsel.num_rows
-            if not morsel.num_rows:
-                continue
-            for j, spec in enumerate(plan.aggs):
-                if spec.func == "count_star":
-                    continue
-                arg = ctx.eval(spec.arg, morsel)
-                data = arg.data
-                if arg.mask is not None:
-                    data = data[~arg.mask]
-                if not len(data):
-                    continue
-                counts[j] += len(data)
-                if spec.func == "count":
-                    continue
-                if spec.func in ("sum", "avg"):
-                    sums[j][0] += data.astype(np.int64, copy=False).sum()
-                    continue
-                if data.dtype.kind == "f" and np.isnan(data).any():
-                    return None  # kernel falls back on NaN ordering
-                if data.dtype == np.dtype(object):
-                    try:
-                        lo, hi = min(data.tolist()), max(data.tolist())
-                    except TypeError:
-                        return None  # uncomparable: kernel falls back too
-                else:
-                    lo, hi = data.min().item(), data.max().item()
-                if spec.func == "min":
-                    mins[j] = lo if mins[j] is None else min(mins[j], lo)
-                else:
-                    maxs[j] = hi if maxs[j] is None else max(maxs[j], hi)
-    values_out: list = []
-    for j, spec in enumerate(plan.aggs):
-        if spec.func == "count_star":
-            values_out.append(total_rows)
-        elif spec.func == "count":
-            values_out.append(counts[j])
-        elif counts[j] == 0:
-            values_out.append(None)
-        elif spec.func == "sum":
-            values_out.append(int(sums[j][0]))
-        elif spec.func == "avg":
-            values_out.append(
-                float(np.float64(sums[j][0]) / np.float64(counts[j]))
-            )
-        elif spec.func == "min":
-            values_out.append(mins[j])
-        else:
-            values_out.append(maxs[j])
-    out_columns = []
-    for col_def, value in zip(plan.schema, values_out):
-        type_ = col_def.type or _infer_output_type([value])
-        column = Column.from_values(type_, [value])
-        if col_def.type is not None and column.type != col_def.type:
-            column = column.cast(col_def.type)
-        out_columns.append(column)
+    try:
+        folds = [kernels.AggregateFold(a.func, a.distinct, 1) for a in plan.aggs]
+        for start, stop in spans:
+            for ms in range(start, stop, SPILL_CHUNK_ROWS):
+                me = min(ms + SPILL_CHUNK_ROWS, stop)
+                morsel = Batch(
+                    scan.schema, [c.slice_morsel(ms, me) for c in columns]
+                )
+                morsel = _filter_morsel(filters, morsel, ctx)
+                morsels += 1
+                ids = np.zeros(morsel.num_rows, dtype=np.int64)
+                for spec, fold in zip(plan.aggs, folds):
+                    arg = None if spec.arg is None else ctx.eval(spec.arg, morsel)
+                    fold.add(arg, ids)
+    except KernelFallback:
+        return None
+    if not morsels:
+        return None
     ctx.accountant.note_stream(morsels)
     ctx.kernel_hit("group_by")
-    return Batch(plan.schema, out_columns)
-
-
-def _spilled_aggregate(
-    plan: pp.PAggregate,
-    key_columns: list[Column],
-    arg_columns: list[Optional[Column]],
-    n: int,
-    ctx: ExecContext,
-) -> Batch:
-    """GROUP BY with inputs radix-partitioned into spill files by group
-    id, aggregated one partition at a time through the unchanged
-    kernels.
-
-    Every group's rows land wholly in one partition (``id % parts`` is
-    deterministic) and partition routing preserves row order, so each
-    per-partition kernel run sees exactly the global run's value
-    sequence for its groups — results scatter back by global group id
-    and are bit-identical to the single-shot path, while only one
-    partition's rows are ever decoded at once."""
-    for column in arg_columns:
-        if column is not None and column.type is None:
-            raise KernelFallback("spilled aggregate requires typed arguments")
-    ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
-    ctx.kernel_hit("group_by")
-    args_idx = [j for j, c in enumerate(arg_columns) if c is not None]
-    est = estimate_batch_bytes(
-        key_columns + [arg_columns[j] for j in args_idx]
-    )
-    parts = ctx.accountant.partition_count(est)
-    spill = ctx.spill_manager.partitions(parts, "agg")
-    try:
-        for ms in range(0, n, SPILL_CHUNK_ROWS):
-            me = min(ms + SPILL_CHUNK_ROWS, n)
-            chunk_ids = ids[ms:me]
-            cols = [Column(DataType.BIGINT, chunk_ids)]
-            for j in args_idx:
-                cols.append(arg_columns[j].slice_morsel(ms, me))
-            spill.add(chunk_ids % parts, cols)
-        out_aggs: list[list] = [[None] * n_groups for _ in plan.aggs]
-        for part in range(parts):
-            cols = spill.read_partition(part)
-            if cols is None:
-                continue
-            uniq, local = np.unique(
-                cols[0].data, return_inverse=True
-            )
-            local = local.reshape(-1).astype(np.int64, copy=False)
-            part_args = {j: cols[1 + k] for k, j in enumerate(args_idx)}
-            group_rows = None
-            for j, spec in enumerate(plan.aggs):
-                arg_col = part_args.get(j)
-                try:
-                    values = kernels.grouped_aggregate(
-                        spec.func,
-                        spec.distinct,
-                        arg_col,
-                        local,
-                        len(uniq),
-                        ctx.parallel,
-                    ).to_pylist()
-                except KernelFallback as exc:
-                    ctx.kernel_fallback("aggregate", exc)
-                    if group_rows is None:
-                        group_rows = kernels.group_row_lists(local, len(uniq))
-                    values = [
-                        _compute_agg(spec, arg_col, rows) for rows in group_rows
-                    ]
-                out = out_aggs[j]
-                for g, value in enumerate(values):
-                    out[int(uniq[g])] = value
-    finally:
-        spill.close()
-    out_columns = [_gather_streamed(c, first_rows) for c in key_columns]
-    for j, values in enumerate(out_aggs):
-        position = len(key_columns) + j
-        type_ = plan.schema[position].type or _infer_output_type(values)
-        out_columns.append(Column.from_values(type_, values))
-    columns = []
-    for col_def, column in zip(plan.schema, out_columns):
-        if col_def.type is not None and column.type != col_def.type:
-            column = column.cast(col_def.type)
-        columns.append(column)
-    return Batch(plan.schema, columns)
+    return _aggregate_batch(plan, [fold.result() for fold in folds])
 
 
 def _compute_agg(spec: lp.AggSpec, arg_col: Optional[Column], rows: list[int]):

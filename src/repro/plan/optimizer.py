@@ -895,21 +895,15 @@ class _Lowering:
 
     @staticmethod
     def _streamable_agg(agg) -> bool:
-        """True when the aggregate folds exactly over morsels:
-        count/min/max always combine associatively; sum/avg only over
-        integers (int64 addition is associative mod 2**64, while
-        reassociating float sums changes rounding)."""
+        """True when the aggregate folds over morsels: every kernel
+        aggregate does, and folds float sums in row order."""
         if agg.distinct:
             return False
         if agg.func == "count_star":
             return True
         if agg.arg is None or _has_subquery(agg.arg):
             return False
-        if agg.func in ("count", "min", "max"):
-            return True
-        if agg.func in ("sum", "avg"):
-            return agg.arg.type is not None and agg.arg.type.is_integral
-        return False
+        return agg.func in ("count", "sum", "avg", "min", "max")
 
     def _lower_sort(self, node: lp.LSort, required):
         keys = tuple(replace(k, expr=self._expr(k.expr)) for k in node.keys)

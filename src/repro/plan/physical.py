@@ -124,10 +124,10 @@ class PProject(PhysicalNode):
 
 @dataclass(frozen=True)
 class PAggregate(PhysicalNode):
-    """``streamable`` marks ungrouped aggregates over a streamable
-    filter chain whose functions all have exactly-associative
-    accumulators (count/min/max, integer sum/avg): under a memory
-    budget the executor folds morsels into running state without
+    """``streamable`` marks ungrouped, non-DISTINCT aggregates
+    (COUNT, SUM, AVG, MIN, MAX) over a streamable filter chain: under a
+    memory budget the executor folds each filtered morsel into the same
+    accumulators the materialized path uses, in row order, without
     materializing the input.  Pure hint."""
 
     input: PhysicalNode

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import re
 from typing import Any
 
 import numpy as np
@@ -137,9 +138,15 @@ def days_to_date(days: int) -> _dt.date:
 
 
 def parse_date_literal(text: str) -> int:
-    """Parse ``'YYYY-MM-DD'`` into the internal day count."""
+    """Parse ``'YYYY-MM-DD'``, surrounding blanks stripped, into the
+    internal day count.  Comparisons, INSERT and CAST all read dates
+    here, so they accept the same strings on every Python version
+    (``date.fromisoformat`` takes more forms from 3.11 on)."""
+    match = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", text.strip(), re.ASCII)
     try:
-        return date_to_days(_dt.date.fromisoformat(text))
+        if match is None:
+            raise ValueError("expected YYYY-MM-DD")
+        return date_to_days(_dt.date(*map(int, match.groups())))
     except ValueError as exc:
         raise TypeError_(f"invalid date literal {text!r}: {exc}") from None
 

@@ -1,13 +1,15 @@
 """Grouped aggregates against the row-at-a-time oracle, bit for bit.
 
-The GROUP BY kernels reduce each aggregate in one scatter pass over the
-dense group ids.  Float SUM/AVG add each group's values in row order, as
-the row path's ``sum()`` does, so over groups large enough that pairwise
-and sequential summation disagree the answers must still be *equal* to
-``row_at_a_time()``'s — at any worker count, and when the group-by
-spills to partitions.  The kernel-level cases pin MIN/MAX per type,
-NULL-only groups, empty inputs and the documented int64 wrap-around of
-integer SUM.
+The GROUP BY kernels fold each aggregate over the dense group ids with
+``ufunc.at``, one row range at a time.  Float SUM/AVG add each group's
+values in row order, as the row path's ``sum()`` does, so over groups
+large enough that pairwise and sequential summation disagree the
+answers must still be *equal* to ``row_at_a_time()``'s — at any worker
+count, and when a memory budget splits the fold into ranges.  MIN/MAX
+keep the first of equal values, as Python's ``min``/``max`` do, which
+shows on ``0.0`` against ``-0.0``.  The kernel-level cases pin MIN/MAX
+per type, NULL-only groups, empty inputs and the documented int64
+wrap-around of integer SUM.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro import Database
 from repro.exec import kernels
 from repro.exec.parallel import ExecPool
 from repro.storage import Column, DataType
+from repro.storage.spill import SPILL_CHUNK_ROWS
 from reference_exec import row_at_a_time
 
 #: two groups of ~110k rows each: long enough that pairwise and
@@ -85,7 +88,12 @@ def test_grouped_aggregates_equal_row_oracle(columns, oracle, workers, budget):
     try:
         assert _exact(db.execute(GROUPED).rows()) == oracle
         if budget is not None:
-            assert db.memory_stats()["spills"] > 0  # the spilled group-by ran
+            # the budgeted fold ran range by range and wrote nothing
+            stats = db.memory_stats()
+            ranges = -(-db.execute("SELECT count(*) FROM t").rows()[0][0]
+                       // SPILL_CHUNK_ROWS)
+            assert ranges > 1 and stats["stream_morsels"] == ranges
+            assert stats["files"] == 0
     finally:
         db.close()
 
@@ -183,3 +191,67 @@ def test_integer_sum_wraps_in_int64():
     ids = np.array([0, 0, 0, 1], dtype=np.int64)
     column = Column(DataType.BIGINT, np.array([2**62] * 3 + [1], dtype=np.int64))
     assert _aggregate("sum", column, ids, 2).to_pylist() == [-(2**62), 1]
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 20])
+def test_budgeted_float_sum_streams(columns, oracle, budget):
+    # ungrouped float SUM/AVG fold morsel by morsel in row order, so a
+    # budget streams them and they still equal the sequential row sum
+    queries = [
+        "SELECT count(*), sum(x), avg(x), min(x), max(s) FROM t",
+        "SELECT sum(x), avg(x) FROM t WHERE g = 0",
+    ]
+    db = _load(Database(memory_budget=budget), columns)
+    try:
+        with row_at_a_time():
+            expected = [_exact(db.execute(sql).rows()) for sql in queries]
+        for sql, rows in zip(queries, expected):
+            streams = db.memory_stats()["streams"]
+            assert _exact(db.execute(sql).rows()) == rows, sql
+            if budget is not None:
+                assert db.memory_stats()["streams"] == streams + 1, sql
+                plan = "\n".join(r[0] for r in db.execute("EXPLAIN " + sql).rows())
+                assert "[streamable]" in plan, plan
+    finally:
+        db.close()
+
+
+#: a zero and a negative zero in each group, in both orders, in row
+#: ranges a budget folds apart (150k rows: three SPILL_CHUNK_ROWS ranges)
+SIGNED_ZERO_ROWS = 150_000
+SIGNED_ZEROS = {
+    "SELECT g, min(f), max(h) FROM z GROUP BY g ORDER BY g": [
+        (1, 0.0, -0.0),
+        (2, -0.0, 0.0),
+    ],
+    "SELECT min(f), max(h) FROM z WHERE g = 1": [(0.0, -0.0)],
+    "SELECT min(f), max(h) FROM z WHERE g = 2": [(-0.0, 0.0)],
+    "SELECT g, min(f), max(f) FROM small GROUP BY g ORDER BY g": [
+        (1, 0.0, 0.0),
+        (2, -0.0, -0.0),
+    ],
+    "SELECT min(f), max(f) FROM small": [(0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 20])
+def test_min_max_keep_the_first_signed_zero(budget):
+    # Python's min()/max() keep the first of equal values: 0.0 == -0.0
+    f = np.arange(SIGNED_ZERO_ROWS, dtype=np.float64) + 1.0
+    f[[5, 70_000]] = [0.0, -0.0]  # group 1: +0.0 first
+    f[[75_005, 140_000]] = [-0.0, 0.0]  # group 2: -0.0 first
+    g = np.where(np.arange(SIGNED_ZERO_ROWS) < 75_000, 1, 2)
+    db = Database(memory_budget=budget)
+    try:
+        db.execute("CREATE TABLE z (g BIGINT, f DOUBLE, h DOUBLE)")
+        db.appender("z").append({"g": g, "f": f, "h": -f})
+        db.execute("CREATE TABLE small (g BIGINT, f DOUBLE)")
+        db.insert_rows("small", [(1, 0.0), (1, -0.0), (2, -0.0), (2, 0.0)])
+        for sql, expected in SIGNED_ZEROS.items():
+            with row_at_a_time():
+                assert _exact(db.execute(sql).rows()) == _exact(expected), sql
+            assert _exact(db.execute(sql).rows()) == _exact(expected), sql
+        if budget is not None:
+            assert db.memory_stats()["streams"] >= 3  # grouped fold + 2 WHERE
+    finally:
+        db.close()

@@ -173,6 +173,37 @@ class TestSortOrder:
         with pytest.raises(KernelFallback):
             kernels.sort_order([(column, True)], 3)
 
+    def test_rank_densifies_past_2_62(self):
+        # four keys of ~49k distinct values each: the mixed-radix product
+        # passes 2^62, so the rank densifies its prefix mid-way
+        rng = np.random.default_rng(28)
+        n = 200_000
+        data = {name: rng.integers(0, 50_000, n) for name in "abcd"}
+        keys = [
+            (Column(DataType.BIGINT, data["a"]), True),
+            (Column(DataType.BIGINT, data["b"]), False),
+            (Column(DataType.BIGINT, data["c"]), True),
+            (Column(DataType.BIGINT, data["d"]), True),
+        ]
+        product = 1
+        for column, ascending in keys:
+            product *= kernels.ordered_sort_codes(column, ascending)[1]
+        assert product > 1 << 62
+        rank = kernels.composite_sort_rank(keys, n)
+        assert isinstance(rank, np.ndarray) and rank.dtype == np.int64
+        expected = np.lexsort((data["d"], data["c"], -data["b"], data["a"]))
+        assert np.array_equal(kernels.sort_order(keys, n), expected)
+        db = Database()
+        try:
+            db.execute("CREATE TABLE s (a BIGINT, b BIGINT, c BIGINT, d BIGINT)")
+            db.appender("s").append(data)
+            sql = "SELECT a, b, c, d FROM s ORDER BY a, b DESC, c, d"
+            with row_at_a_time():
+                oracle = db.execute(sql).rows()
+            assert db.execute(sql).rows() == oracle
+        finally:
+            db.close()
+
 
 class TestJoinIndices:
     def test_multi_key_varchar_int(self):

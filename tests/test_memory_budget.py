@@ -1,15 +1,17 @@
 """Forced-budget equivalence oracle for memory-bounded execution.
 
 ``Database(memory_budget=N)`` may change *how* queries execute —
-streamed scans, spill-partitioned aggregation and joins, external
-sorts — but never *what* they answer.  Every test here runs the same
+streamed scans and aggregates, GROUP BY folded one row range at a
+time, spill-partitioned joins, external sorts — but never *what* they
+answer.  Every test here runs the same
 statement against a budgeted engine and the unbudgeted materialized
 oracle (``memory_budget=None``) over identical data and requires
 bit-identical results, including NULL and NaN grouping/join keys,
 ANALYZE-encoded columns, and ``exec_workers > 1``.  Errors are
-compared by type only: the spilled join evaluates its degenerate-join
-guard cumulatively, so the guard trips on the same inputs but may
-word its message differently.
+compared by type only, and only for statements marked
+``expect_error``: the spilled join evaluates its degenerate-join guard
+cumulatively, so the guard trips on the same inputs but may word its
+message differently.
 """
 
 import io
@@ -41,7 +43,11 @@ SCHEMA = """
 """
 
 
-def assert_equivalent(budgeted, oracle, sql, params=()):
+def assert_equivalent(budgeted, oracle, sql, params=(), *, expect_error=False):
+    """Budgeted and unbudgeted engines agree on ``sql``.  Two errors of
+    one type count as agreement only with ``expect_error=True``:
+    otherwise a statement failing on both sides would pass while
+    exercising nothing."""
     try:
         expected = oracle.execute(sql, params).rows()
         expected_error = None
@@ -57,7 +63,9 @@ def assert_equivalent(budgeted, oracle, sql, params=()):
             f"error mismatch for {sql!r}: "
             f"oracle={expected_error!r} budgeted={actual_error!r}"
         )
+        assert expect_error, f"both engines failed for {sql!r}: {actual_error!r}"
         return
+    assert not expect_error, f"no error from {sql!r}"
     # repr-compare: row order must match exactly, and NaN keys (which
     # never compare equal as floats) must land in the same groups
     assert list(map(repr, actual)) == list(map(repr, expected)), sql

@@ -40,7 +40,11 @@ def engine():
     return db
 
 
-def assert_equivalent(db, sql, params=()):
+def assert_equivalent(db, sql, params=(), *, expect_error=False):
+    """The optimized and reference pipelines agree on ``sql``.  Two
+    errors of one type count as agreement only with
+    ``expect_error=True``: otherwise a statement failing on both sides
+    would pass while exercising nothing."""
     try:
         expected = reference_rows(db, sql, params)
         expected_error = None
@@ -57,7 +61,10 @@ def assert_equivalent(db, sql, params=()):
             f"only one pipeline failed for {sql!r}: "
             f"reference={expected_error!r} optimized={actual_error!r}"
         )
+        assert expect_error, f"both pipelines failed for {sql!r}: {actual_error!r}"
+        assert type(actual_error) is type(expected_error), sql
         return
+    assert not expect_error, f"no error from {sql!r}"
     assert _sorted_rows(actual) == _sorted_rows(expected), sql
 
 

@@ -4,6 +4,7 @@ import datetime as dt
 
 import pytest
 
+from repro import Database
 from repro.errors import TypeError_
 from repro.storage import (
     DataType,
@@ -96,6 +97,31 @@ class TestDates:
     def test_parse_invalid(self):
         with pytest.raises(TypeError_):
             parse_date_literal("not-a-date")
+
+    def test_one_grammar_on_every_python(self):
+        # blanks around the date are stripped; only YYYY-MM-DD parses,
+        # though date.fromisoformat takes '20200102' from Python 3.11 on
+        db = Database()
+        try:
+            db.execute("CREATE TABLE d (x DATE)")
+            db.execute("INSERT INTO d VALUES ('2020-01-02')")
+            with pytest.raises(TypeError_, match="invalid date literal"):
+                db.execute("SELECT x FROM d WHERE x = '20200102'")
+            with pytest.raises(TypeError_, match="invalid date literal"):
+                db.execute("SELECT CAST('20200102' AS DATE) AS c")
+            assert db.execute(
+                "SELECT CAST(' 2020-01-02' AS DATE) AS c"
+            ).rows() == [(dt.date(2020, 1, 2),)]
+            assert db.execute(
+                "SELECT x FROM d WHERE x = ' 2020-01-02'"
+            ).rows() == [(dt.date(2020, 1, 2),)]
+            db.execute("INSERT INTO d VALUES (' 2020-01-05')")
+            assert db.execute("SELECT x FROM d ORDER BY x").rows() == [
+                (dt.date(2020, 1, 2),),
+                (dt.date(2020, 1, 5),),
+            ]
+        finally:
+            db.close()
 
 
 class TestInferLiteral:
