@@ -14,7 +14,10 @@ no zone pruning — the plain oracle):
   sort-based encode per statement while the compressed engine reads
   the resting dictionary codes (an ``astype``);
 * **image_bytes** — ``save()`` image size, encoded format v4 vs the
-  plain layout (every column a plain ``.npy`` array, no zone maps).
+  plain layout (every column a plain ``.npy`` array, no zone maps);
+* **analyze** — ``ANALYZE`` of a fresh copy of the table on
+  ``Database()``: the encoding choice plus the statistics read off its
+  dictionaries (best of 3 copies).
 
 Results are asserted identical between the engines on every run;
 timings and byte counts land in ``BENCH_storage.json`` (the CI smoke
@@ -80,23 +83,35 @@ def _flush() -> None:
 
 
 @pytest.fixture(scope="module")
-def engines():
+def table_arrays():
     rng = np.random.default_rng(20260807)
     ids = np.arange(ROWS, dtype=np.int64)
     grp_dict = np.array([f"segment_{i:02d}" for i in range(GROUPS)], dtype=object)
     grp = grp_dict[rng.integers(0, GROUPS, size=ROWS)]
     values = rng.random(ROWS)
+    return ids, grp, values
+
+
+def _fresh_table(arrays) -> Database:
+    """A new ``Database()`` holding an unanalyzed copy of the table."""
+    ids, grp, values = arrays
+    db = Database()
+    db.execute("CREATE TABLE t (id BIGINT, grp VARCHAR, v DOUBLE)")
+    db.table("t").insert_columns(
+        [
+            Column(DataType.BIGINT, ids.copy()),
+            Column(DataType.VARCHAR, grp.copy()),
+            Column(DataType.DOUBLE, values.copy()),
+        ]
+    )
+    return db
+
+
+@pytest.fixture(scope="module")
+def engines(table_arrays):
     built = []
     for storage in (nullcontext, plain_storage):
-        db = Database()
-        db.execute("CREATE TABLE t (id BIGINT, grp VARCHAR, v DOUBLE)")
-        db.table("t").insert_columns(
-            [
-                Column(DataType.BIGINT, ids.copy()),
-                Column(DataType.VARCHAR, grp.copy()),
-                Column(DataType.DOUBLE, values.copy()),
-            ]
-        )
+        db = _fresh_table(table_arrays)
         with storage():
             db.execute("ANALYZE")
         built.append(db)
@@ -224,3 +239,23 @@ class TestStorageBenchmarks:
         )
         if ASSERT_SPEEDUPS:
             assert sizes["encoded"] < sizes["plain"]
+
+    def test_analyze(self, engines, table_arrays, capsys):
+        compressed, _ = engines
+        times = []
+        for _ in range(3):
+            db = _fresh_table(table_arrays)
+            start = time.perf_counter()
+            db.execute("ANALYZE")
+            times.append(time.perf_counter() - start)
+            assert db.table_stats()["t"].columns == (
+                compressed.table_stats()["t"].columns
+            )
+            db.execute("DROP TABLE t")
+        best = min(times)
+        _record(
+            "analyze",
+            {"sql": "ANALYZE", "rows": ROWS, "analyze_s": round(best, 6)},
+            capsys,
+            f"{best * 1000:9.2f} ms",
+        )

@@ -7,8 +7,8 @@ ORDER BY, recursive-CTE dedup — natural targets for column-at-a-time
 kernels, yet until this module they all dropped to per-row Python
 tuples.  The core primitive here is **key codification**: each key
 column is dictionary-encoded into dense ``int64`` codes
-(:meth:`repro.storage.Column.factorize`, i.e. ``np.unique`` with SQL
-NULL handling), and a multi-column key is combined into one id per row
+(:meth:`repro.storage.Column.factorize`: ``np.unique``'s ranks, with
+SQL NULL handling), and a multi-column key is combined into one id per row
 by mixed-radix arithmetic.  Everything else reduces to integer kernels:
 
 * DISTINCT / dedup    — first-occurrence-of-id masks (``np.unique``);
@@ -931,10 +931,11 @@ def ordered_sort_codes(
             )
     codes, cardinality, uniques = _factorize(column, nan_distinct=False, par=par)
     # non-object codes are value-ordered by construction; object
-    # codes are only ordered when np.unique could sort the payloads.
-    # A resting encoding with uniques=None is the integer-pack fast
-    # path — never object payloads — so only plain columns need the
-    # dtype probe (which would otherwise decode the whole column)
+    # codes are only ordered when factorize_objects could sort the
+    # distinct payloads.  A resting encoding with uniques=None is the
+    # integer-pack fast path — never object payloads — so only plain
+    # columns need the dtype probe (which would otherwise decode the
+    # whole column)
     if (
         uniques is None
         and cardinality > 1

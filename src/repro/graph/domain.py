@@ -13,7 +13,10 @@ code arrays in one pass, since building the graph representation
 dominates a path query's cost.  Integer keys whose span is at most the
 number of endpoints take a lookup table (a "seen" bitmap whose prefix
 sum is the rank), so the table is never larger than the arrays it
-encodes; other keys take one ``np.unique(..., return_inverse=True)``.
+encodes; other numeric keys take one ``np.unique(..., return_inverse=True)``,
+and string keys the storage layer's hash-first dictionary
+(:func:`repro.storage.column.factorize_objects`: one hash pass finds
+the distinct keys and only those are sorted).
 
 Values that are *not* vertices encode to :data:`NOT_A_VERTEX`; the caller
 uses this for the "initial filtering on the values that are not vertices"
@@ -25,6 +28,8 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import numpy as np
+
+from ..storage.column import factorize_objects
 
 NOT_A_VERTEX = -1
 
@@ -44,6 +49,11 @@ def _rank_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ranks = np.cumsum(seen, dtype=np.int64) - 1
             values = np.flatnonzero(seen).astype(keys.dtype) + lo
             return values, ranks[offsets]
+    if keys.dtype == np.dtype(object):
+        codes, _, values = factorize_objects(keys)
+        if values is None:
+            raise TypeError("vertex keys are not orderable")
+        return values, codes
     values, inverse = np.unique(keys, return_inverse=True)
     return values, inverse.reshape(-1).astype(np.int64, copy=False)
 

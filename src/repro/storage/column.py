@@ -66,26 +66,30 @@ def _dense_span(values: np.ndarray) -> "tuple[int, int] | None":
     return lo, span
 
 
-def _factorize_objects(values: np.ndarray) -> tuple[np.ndarray, int, "np.ndarray | None"]:
-    """Dense codes for an object array (NULLs already excluded).
+def factorize_objects(values: np.ndarray) -> tuple[np.ndarray, int, "np.ndarray | None"]:
+    """``(codes, K, uniques)`` for an object array (NULLs already
+    excluded) — the engine's one way to dictionary-encode object keys.
 
-    Sortable payloads (strings) get value-ordered codes via ``np.unique``;
-    unorderable but hashable payloads get insertion-ordered codes from a
-    dictionary (``uniques`` None).  Unhashable payloads raise TypeError.
+    Hash first, sort second: one ``dict.fromkeys`` pass finds the K
+    distinct values, ``sorted`` orders only those, and a rank lookup
+    codes every row.  The result equals ``np.unique(values,
+    return_inverse=True)``, which instead sorts all n rows with Python
+    comparisons.  Unorderable but hashable payloads keep
+    insertion-ordered codes (``uniques`` None); unhashable payloads
+    raise TypeError.
     """
+    items = values.tolist()
+    distinct = dict.fromkeys(items)  # TypeError when unhashable
     try:
-        uniques, inverse = np.unique(values, return_inverse=True)
-        return inverse.reshape(-1).astype(np.int64, copy=False), len(uniques), uniques
+        keys = sorted(distinct)
     except TypeError:
-        pass
-    mapping: dict = {}
-    codes = np.empty(len(values), dtype=np.int64)
-    for i, value in enumerate(values):
-        code = mapping.get(value)
-        if code is None:
-            code = mapping[value] = len(mapping)
-        codes[i] = code
-    return codes, len(mapping), None
+        keys = list(distinct)
+        uniques = None
+    else:
+        uniques = np.fromiter(keys, dtype=object, count=len(keys))
+    rank = dict(zip(keys, range(len(keys))))
+    codes = np.fromiter(map(rank.__getitem__, items), dtype=np.int64, count=len(items))
+    return codes, len(keys), uniques
 
 
 #: Columns longer than this skip the *plain-path* factorize memo: the
@@ -430,7 +434,10 @@ class Column:
 
         * non-NULL, non-NaN values get ranks ``0..K-1`` in ascending value
           order (``uniques[code]`` recovers the value), so the codes are
-          directly usable as null-aware sort keys;
+          directly usable as null-aware sort keys — ``np.unique``'s
+          inverse for primitive dtypes, :func:`factorize_objects` (hash
+          first, then sort only the K distinct values) for object
+          payloads;
         * float NaN slots come next — one fresh code per slot when
           ``nan_distinct`` (matching the Python-tuple identity semantics
           of the row-at-a-time operators, where every materialized NaN is
@@ -498,7 +505,7 @@ class Column:
             nan = np.isnan(data) & valid
             valid = valid & ~nan
         if data.dtype == np.dtype(object):
-            codes_valid, cardinality, uniques = _factorize_objects(data[valid])
+            codes_valid, cardinality, uniques = factorize_objects(data[valid])
         else:
             values = data[valid]
             if runner is not None and runner.active_for(len(values)):

@@ -471,11 +471,27 @@ def _object_payload_bytes(values: np.ndarray, sample: int = 1024) -> int:
 
 
 def _run_starts(data: np.ndarray, mask: "np.ndarray | None") -> np.ndarray:
-    """Start offsets of value/NULL-ness runs (always includes 0)."""
+    """Start offsets of value/NULL-ness runs (always includes 0).  Float
+    runs compare bit patterns, so ``-0.0`` and ``0.0`` never share a
+    run."""
+    if data.dtype.kind == "f":
+        data = data.view(f"u{data.dtype.itemsize}")
     changes = np.asarray(data[1:] != data[:-1], dtype=np.bool_)
     if mask is not None:
         changes = changes | (mask[1:] != mask[:-1])
     return np.concatenate((np.zeros(1, dtype=np.int64), np.flatnonzero(changes) + 1))
+
+
+def _signed_zeros_mixed(data: np.ndarray, mask: "np.ndarray | None") -> bool:
+    """Whether a float column holds both ``-0.0`` and ``0.0`` in valid
+    rows."""
+    if data.dtype.kind != "f":
+        return False
+    zeros = data == 0
+    if mask is not None:
+        zeros &= ~mask
+    signs = np.signbit(data[zeros])
+    return bool(signs.any()) and not bool(signs.all())
 
 
 def choose_encoding(column) -> "Encoding | None":
@@ -483,9 +499,11 @@ def choose_encoding(column) -> "Encoding | None":
 
     Pure inspection — the returned encoding decodes to exactly the
     column's current ``data``/``mask``.  Float columns containing NaN
-    and nested-table payloads are never encoded; an encoding is adopted
-    only when its resting bytes beat the plain layout by
-    :data:`_ADOPT_RATIO`.
+    and nested-table payloads are never encoded, and a float column
+    whose zeros carry both signs is never dictionary-encoded (its
+    dictionary, like every factorize key, merges ``-0.0`` and ``0.0``);
+    an encoding is adopted only when its resting bytes beat the plain
+    layout by :data:`_ADOPT_RATIO`.
     """
     n = len(column)
     if n == 0 or column.type == DataType.NESTED_TABLE:
@@ -517,7 +535,11 @@ def choose_encoding(column) -> "Encoding | None":
         codes, cardinality, uniques = column.factorize()
     except (TypeError, TypeError_):
         codes = cardinality = uniques = None
-    if uniques is not None and len(uniques) + (1 if mask is not None else 0) == cardinality:
+    if (
+        uniques is not None
+        and len(uniques) + (1 if mask is not None else 0) == cardinality
+        and not _signed_zeros_mixed(data, mask)
+    ):
         code_dtype = _narrow_uint(cardinality - 1 if cardinality else 0)
         if code_dtype is not None:
             if uniques.dtype == np.dtype(object):

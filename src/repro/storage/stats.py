@@ -1,10 +1,16 @@
 """Per-table / per-column statistics for the cost-based optimizer.
 
-``ANALYZE [table]`` (or :meth:`StatsManager.analyze`) scans the live
-columns and records, per column: null count, distinct-value count and —
-for numeric/date columns — min and max.  The optimizer uses them for
-selectivity estimation, join ordering and hash-join build-side choice;
-without ANALYZE it falls back to live row counts plus heuristics.
+``ANALYZE [table]`` (or :meth:`StatsManager.analyze`) records, per
+column: null count, distinct-value count and — for numeric/date columns
+— min and max.  It is one pass per column: ANALYZE first picks each
+column's resting encoding (``encode_columns``), which dictionary-encodes
+the column through :meth:`Column.factorize` and memoizes the result, and
+the statistics are read off that dictionary — its length and ends — or,
+for dense-span integer codes, off one ``bincount`` of the codes.  Float
+NaN counts as one distinct value and never as a range end.  The
+optimizer uses the statistics for selectivity estimation, join ordering
+and hash-join build-side choice; without ANALYZE it falls back to live
+row counts plus heuristics.
 
 Maintenance rides on the existing write-listener/version machinery:
 
@@ -60,41 +66,37 @@ class TableStats:
 
 
 def _analyze_column(column, type_: DataType) -> ColumnStats:
-    enc = column.encoding
-    if enc is not None and enc.kind == "dict":
-        # resting dictionary: distinct/min/max are free — the sorted
-        # dictionary *is* the distinct set
-        null_count = int(column.null_mask().sum())
-        uniques = enc.uniques
-        min_value = max_value = None
-        if len(uniques) and (type_.is_numeric or type_ == DataType.DATE):
-            min_value = np.asarray(uniques)[0].item()
-            max_value = np.asarray(uniques)[-1].item()
-        return ColumnStats(
-            null_count=null_count,
-            distinct=int(len(uniques)),
-            min_value=min_value,
-            max_value=max_value,
-        )
-    null_count = int(column.null_mask().sum())
-    data = column.data
-    valid = ~column.null_mask()
-    values = data[valid]
-    if len(values) == 0:
+    """One column's statistics, read off its ``factorize()`` result —
+    the dictionary ANALYZE's encoding choice has just built (and
+    memoized), or a resting encoding's own codes."""
+    null_mask = column.null_mask()
+    null_count = int(null_mask.sum())
+    if null_count == len(column):
         return ColumnStats(null_count=null_count, distinct=0)
     if type_ == DataType.NESTED_TABLE:
-        return ColumnStats(null_count=null_count, distinct=len(values))
-    if data.dtype == np.dtype(object):
-        uniques = set(values.tolist())
+        return ColumnStats(null_count=null_count, distinct=len(column) - null_count)
+    codes, cardinality, uniques = column.factorize()
+    ranged = type_.is_numeric or type_ == DataType.DATE
+    min_value = max_value = None
+    if uniques is not None:
+        # the sorted dictionary is the distinct set; float NaN slots
+        # hold the codes between it and the NULL code, and count as one
+        # more distinct value
         distinct = len(uniques)
-        min_value = max_value = None
-    else:
-        uniques = np.unique(values)
-        distinct = int(len(uniques))
-        min_value = max_value = None
-        if type_.is_numeric or type_ == DataType.DATE:
+        distinct += int(cardinality > distinct + (null_count > 0))
+        if ranged and len(uniques):
             min_value = uniques[0].item()
             max_value = uniques[-1].item()
+    else:
+        # dense-span integer codes (``value - min``, gaps allowed) or
+        # insertion-ordered codes of unorderable objects; NULL's code is
+        # the last one
+        counts = np.bincount(codes)
+        distinct = int(np.count_nonzero(counts[: cardinality - (null_count > 0)]))
+        if ranged:
+            values = column.data[~null_mask] if null_count else column.data
+            min_value = values.min().item()
+            max_value = values.max().item()
     return ColumnStats(
         null_count=null_count,
         distinct=distinct,

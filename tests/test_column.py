@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TypeError_
 from repro.storage import Column, DataType
+from repro.storage.column import factorize_objects
 
 
 class TestConstruction:
@@ -184,3 +187,54 @@ def test_cast_date_to_varchar_ignores_null_slot_payload():
         np.array([False, True]),
     )
     assert column.cast(DataType.VARCHAR).to_pylist() == ["2010-03-24", None]
+
+
+#: Strings that sort or hash unusually: empty, NUL-terminated (numpy's
+#: fixed-width ``U`` dtype would strip the NUL), non-ASCII and astral.
+_ODD_TEXT = st.sampled_from(
+    ["", "\x00", "a", "a\x00", "a\x00\x00", "\u00e4", "\u00e4\x00",
+     "\U0001f600", "z\U00010348", "\uffff", "A"]
+)
+_TEXT = st.one_of(_ODD_TEXT, st.text(max_size=6))
+
+
+@st.composite
+def _varchar_rows(draw):
+    """Rows over 1..n distinct values, some of them NULL."""
+    pool = draw(st.lists(_TEXT, min_size=1, max_size=12, unique=True))
+    return draw(
+        st.lists(st.one_of(st.none(), st.sampled_from(pool)), max_size=80)
+    )
+
+
+class TestFactorizeObjects:
+    @settings(max_examples=150, deadline=None)
+    @given(_varchar_rows())
+    def test_varchar_factorize_matches_np_unique(self, values):
+        codes, cardinality, uniques = Column.from_values(
+            DataType.VARCHAR, values
+        ).factorize()
+        valid = np.array([v for v in values if v is not None], dtype=object)
+        ref_uniques, ref_inverse = np.unique(valid, return_inverse=True)
+        has_null = None in values
+        assert uniques.dtype == np.dtype(object)
+        assert list(uniques) == list(ref_uniques)
+        assert cardinality == max(len(ref_uniques) + has_null, 1)
+        assert codes.dtype == np.int64
+        want = np.full(len(values), len(ref_uniques), dtype=np.int64)
+        want[[v is not None for v in values]] = ref_inverse.reshape(-1)
+        assert np.array_equal(codes, want)
+
+    def test_unorderable_hashable_keys_keep_insertion_order(self):
+        values = np.empty(6, dtype=object)
+        values[:] = [3, "a", (1, 2), 3, (1, 2), "a"]
+        codes, cardinality, uniques = factorize_objects(values)
+        assert uniques is None
+        assert cardinality == 3
+        assert codes.tolist() == [0, 1, 2, 0, 2, 1]
+
+    def test_unhashable_keys_raise(self):
+        values = np.empty(2, dtype=object)
+        values[0], values[1] = [1], [2]
+        with pytest.raises(TypeError):
+            factorize_objects(values)

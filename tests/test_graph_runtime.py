@@ -68,6 +68,13 @@ def _reference_domain(src, dst):
 
 _I64 = np.iinfo(np.int64)
 _rng = np.random.default_rng(7)
+#: 300 string keys, among them empty, NUL-terminated, non-ASCII and
+#: astral ones
+_NAMES = np.array(
+    ["", "a", "a\x00", "\u00e4", "\U0001f600"]
+    + [f"person{i}\u00df" for i in range(295)],
+    dtype=object,
+)
 
 
 @pytest.mark.parametrize(
@@ -115,6 +122,11 @@ _rng = np.random.default_rng(7)
             np.array(["x", "y", "bob", "x"], dtype=object),
             np.array(["ada", "x", "zed", "bob"], dtype=object),
             id="strings",
+        ),
+        pytest.param(
+            _NAMES[_rng.integers(0, len(_NAMES), 2000)],
+            _NAMES[_rng.integers(0, len(_NAMES), 2000)],
+            id="strings-repeated",
         ),
     ],
 )

@@ -5,6 +5,7 @@ join reordering, plan-cache parameterization and materialization guards.
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from reference_plan import reference_plan, reference_rows, run_plan
@@ -12,6 +13,7 @@ from repro import Database
 from repro.plan import physical as pp
 from repro.cli import Shell
 from repro.errors import CatalogError, ExecutionError, ResourceLimitError
+from repro.storage import Column, DataType
 
 
 @pytest.fixture
@@ -85,6 +87,104 @@ class TestAnalyze:
         social.execute(sql)  # revalidation fails -> re-optimized
         stats = social.plan_cache.stats()
         assert stats["invalidations"] >= 1
+
+
+def _stats_table():
+    """``(name, type, values, mask)`` per column of a 3,000-row table
+    whose columns take every branch of the statistics pass."""
+    rng = np.random.default_rng(29)
+    n = 3000
+    nulls = rng.random(n) < 0.1
+    doubles = rng.choice([-0.0, 0.0, 1.5, -2.25, 7.0, np.nan], n)
+    words = np.array(["", "a", "a\x00", "\u00e4", "\U0001f600", "zz"], dtype=object)
+    return [
+        ("dense", DataType.BIGINT, rng.integers(-50, 400, n), nulls),
+        ("sparse", DataType.BIGINT, rng.integers(-(2**62), 2**62, n), None),
+        ("dbl", DataType.DOUBLE, doubles, nulls),
+        ("zeros", DataType.DOUBLE, rng.choice([-0.0, 0.0, 3.0], n), None),
+        ("day", DataType.DATE, rng.integers(14000, 14400, n), nulls),
+        ("flag", DataType.BOOLEAN, rng.random(n) < 0.3, None),
+        ("word", DataType.VARCHAR, words[rng.integers(0, len(words), n)], nulls),
+        ("nothing", DataType.BIGINT, np.zeros(n, dtype=np.int64), np.ones(n, bool)),
+    ]
+
+
+def _reference_column_stats(type_, values, mask):
+    """Statistics computed one column at a time by ``np.unique`` (or a
+    ``set`` for VARCHAR), with the range taken over non-NaN values."""
+    valid = values if mask is None else values[~mask]
+    null_count = 0 if mask is None else int(mask.sum())
+    if len(valid) == 0:
+        return (null_count, 0, None, None)
+    if valid.dtype == np.dtype(object):
+        return (null_count, len(set(valid.tolist())), None, None)
+    uniques = np.unique(valid)  # one NaN, as equal_nan=True
+    ranged = uniques[~np.isnan(uniques)] if uniques.dtype.kind == "f" else uniques
+    if not (type_.is_numeric or type_ == DataType.DATE) or len(ranged) == 0:
+        return (null_count, len(uniques), None, None)
+    return (null_count, len(uniques), ranged[0].item(), ranged[-1].item())
+
+
+class TestAnalyzeOnePass:
+    """ANALYZE reads its statistics off the encoding pass's dictionary;
+    they must equal a per-column ``np.unique`` reference."""
+
+    def _assert_matches_reference(self, db, columns):
+        stats = db.table_stats()["t"]
+        for name, type_, values, mask in columns:
+            got = stats.column(name)
+            want = _reference_column_stats(type_, values, mask)
+            assert (got.null_count, got.distinct, got.min_value, got.max_value) == want, name
+            for bound in (got.min_value, got.max_value):
+                assert bound is None or type(bound) is type(want[2]), name
+
+    def test_statistics_equal_the_reference(self, tmp_path):
+        columns = _stats_table()
+        db = Database()
+        db.execute(
+            "CREATE TABLE t ("
+            + ", ".join(f"{name} {type_.value}" for name, type_, _, _ in columns)
+            + ")"
+        )
+        db.table("t").insert_columns(
+            [Column(type_, values, mask) for _, type_, values, mask in columns]
+        )
+        db.execute("ANALYZE")
+        self._assert_matches_reference(db, columns)
+        kinds = [c.resting_info()[0] for c in db.table("t").current().columns]
+        assert "dict" in kinds  # the resting-dictionary path ran
+        # re-analyzing a loaded image reads the resting encodings' codes
+        db.save(str(tmp_path / "db"))
+        loaded = Database.load(str(tmp_path / "db"))
+        loaded.execute("ANALYZE")
+        self._assert_matches_reference(loaded, columns)
+
+    def test_empty_table(self):
+        db = Database()
+        db.execute("CREATE TABLE t (x BIGINT, s VARCHAR, d DOUBLE)")
+        db.execute("ANALYZE")
+        stats = db.table_stats()["t"]
+        assert stats.row_count == 0
+        for name in ("x", "s", "d"):
+            col = stats.column(name)
+            assert (col.null_count, col.distinct, col.min_value, col.max_value) == (
+                0, 0, None, None
+            )
+
+    @pytest.mark.parametrize("extra", [float("nan"), 1000.0])
+    def test_nan_leaves_range_estimates_alone(self, extra):
+        db = Database()
+        db.execute("CREATE TABLE t (x DOUBLE)")
+        values = np.append(np.arange(1000, dtype=np.float64), extra)
+        db.table("t").insert_columns([Column(DataType.DOUBLE, values)])
+        db.execute("ANALYZE")
+        col = db.table_stats()["t"].column("x")
+        assert col.distinct == 1001  # NaN counts as one distinct value
+        assert col.min_value == 0.0
+        assert col.max_value == (999.0 if np.isnan(extra) else extra)
+        text = db.explain("SELECT * FROM t WHERE x < 100")
+        filter_line = next(l for l in text.splitlines() if "Filter" in l)
+        assert "est_rows=100 " in filter_line
 
 
 # ---------------------------------------------------------------------------

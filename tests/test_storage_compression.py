@@ -146,6 +146,34 @@ class TestEncodingUnits:
         assert column.data is column.data  # decoded once, then cached
 
 
+    @pytest.mark.parametrize(
+        "values, kind",
+        [
+            ([-0.0] * 3 + [0.0] * 3 + [2.0] * 20_000, "rle"),
+            ([-0.0, 0.0, 2.0, 3.0] * 5_000, "plain"),
+        ],
+        ids=["runs", "dictionary-sized"],
+    )
+    def test_signed_zeros_survive_analyze_save_load(self, tmp_path, values, kind):
+        import math
+
+        db = Database()
+        db.execute("CREATE TABLE t (x DOUBLE)")
+        db.table("t").insert_columns(
+            [Column(DataType.DOUBLE, np.array(values, dtype=np.float64))]
+        )
+        db.execute("ANALYZE")
+        assert db.table("t").current().column("x").resting_info()[0] == kind
+        db.save(str(tmp_path / "db"))
+        loaded = Database.load(str(tmp_path / "db"))
+        for source in (db, loaded):
+            got = [row[0] for row in source.execute("SELECT x FROM t").rows()]
+            assert len(got) == len(values)
+            assert [math.copysign(1.0, v) for v in got] == [
+                math.copysign(1.0, v) for v in values
+            ]
+
+
 class TestZoneMapUnits:
     def test_comparison_keep_masks(self):
         column = Column(DataType.BIGINT, np.arange(100, dtype=np.int64), None)
