@@ -2,8 +2,8 @@
 
 Five key-driven operator shapes over the same generated data, each run
 on two databases: one with the kernels, one queried under the test
-tree's ``reference_exec.row_at_a_time()`` so every operator runs the
-row-at-a-time body its kernel falls back to: 1M-row GROUP BY,
+tree's ``reference_exec.row_at_a_time()`` so every operator runs its
+row-at-a-time reference handler: 1M-row GROUP BY,
 DISTINCT, a 2-key equi-join, EXCEPT, and a 2-key ORDER BY.  Results
 are asserted identical between the engines on every run; rows/sec and speedups land in
 ``BENCH_exec.json`` — the start of the accumulated perf trajectory

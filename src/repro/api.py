@@ -651,8 +651,7 @@ class Database:
 
     Key-driven operators (DISTINCT, GROUP BY, equi-join probing, set
     operations, ORDER BY, recursive-CTE dedup) run on the factorized-key
-    kernels of :mod:`repro.exec.kernels`; inputs a kernel cannot codify
-    fall back to that operator's row-at-a-time body, counted by
+    kernels of :mod:`repro.exec.kernels`, their one body, counted by
     :meth:`kernel_stats`.  ANALYZE and :meth:`save` attach *resting
     encodings* (dictionary, run-length, bit-packing —
     :mod:`repro.storage.encoding`) where they pay off and build the
@@ -1228,12 +1227,9 @@ class Database:
         }
 
     def kernel_stats(self) -> dict:
-        """Cumulative kernel counters: per-operation hit and fallback
-        counts (``hits`` / ``fallbacks`` dicts plus ``hit_total`` /
-        ``fallback_total``).  A fallback means an operator ran its
-        row-at-a-time body because the key columns were not codifiable.
-        ``fallback_reasons`` breaks every op's fallbacks down by cause
-        (uncodifiable type vs kernel-less aggregate vs NaN sort key)."""
+        """Cumulative kernel counters: per-operation hit counts (the
+        ``hits`` dict) and their ``hit_total``.  Every key-driven
+        operator runs its kernel, so a hit is one operator execution."""
         return self.kernel_counters.snapshot()
 
     def parallel_stats(self) -> dict:
@@ -1322,6 +1318,10 @@ class Database:
             encode_columns(version)
             version.build_zone_maps()
             self.stats.analyze(name, version)
+            # the factorizations read above are not kept: a memo pins
+            # codes as long as the column, beside its resting encoding
+            for column in version.columns:
+                column.drop_factorize_memo()
             analyzed.append(name)
         return analyzed
 

@@ -11,7 +11,7 @@ Meta commands:
 * ``\\d <table>`` — describe a table
 * ``\\timing`` — toggle per-statement timing
 * ``\\cache`` — plan-cache / graph-index-cache counters
-* ``\\kernels`` — kernel hit/fallback counters
+* ``\\kernels`` — kernel hit counters
 * ``\\stats [table]`` — optimizer statistics recorded by ``ANALYZE``
 * ``\\storage [table]`` — per-column resting encodings and bytes, plus
   zone-map morsel-skip and factorize counters
@@ -169,15 +169,9 @@ class Shell:
                 self.write(f"{cache_name}: {body}")
         elif name == "\\kernels":
             stats = self.db.kernel_stats()
-            self.write(
-                f"kernels: hits={stats['hit_total']} "
-                f"fallbacks={stats['fallback_total']}"
-            )
-            for op in sorted(set(stats["hits"]) | set(stats["fallbacks"])):
-                self.write(
-                    f"  {op}: hits={stats['hits'].get(op, 0)} "
-                    f"fallbacks={stats['fallbacks'].get(op, 0)}"
-                )
+            self.write(f"kernels: hits={stats['hit_total']}")
+            for op in sorted(stats["hits"]):
+                self.write(f"  {op}: hits={stats['hits'][op]}")
         elif name == "\\stats":
             recorded = self.db.table_stats()
             if args:

@@ -4,7 +4,7 @@ glue."""
 
 from .batch import Batch, ZeroColumnBatch
 from .evaluator import EvalContext, evaluate
-from .kernels import KernelCounters, KernelFallback
+from .kernels import KernelCounters
 from .operators import ExecContext, execute_plan, register_operator
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "execute_plan",
     "register_operator",
     "KernelCounters",
-    "KernelFallback",
 ]

@@ -14,7 +14,8 @@ by mixed-radix arithmetic.  Everything else reduces to integer kernels:
 * DISTINCT / dedup    — first-occurrence-of-id masks (``np.unique``);
 * GROUP BY            — dense group ids + one fold per aggregate over
   row ranges (:class:`AggregateFold`: ``bincount``, ``ufunc.at``), no
-  sort;
+  sort; DISTINCT aggregates fold the first row of each distinct
+  (group, argument) pair (:func:`distinct_arguments`);
 * multi-key equi-join — sort + ``searchsorted`` over shared-dictionary
   codes (generalizing the single-int-key sorted join of the PR-2
   executor to any number of columns and any key type);
@@ -22,24 +23,17 @@ by mixed-radix arithmetic.  Everything else reduces to integer kernels:
 * ORDER BY            — one stable argsort of a null-aware composite
   rank over ordered codes (:func:`composite_sort_rank`).
 
-Key semantics mirror the row-at-a-time paths exactly: NULL keys group
-together (Python ``None == None``) but never match in joins; float NaN
-keys are each their own key (the row paths materialize a fresh Python
-``float`` per row, and ``nan != nan``), so they neither group nor join.
+Key semantics: NULL keys group together but never match in joins;
+float NaN keys are each their own key, so they neither group nor join.
+For *order*, NaN is greater than every number and less than NULL
+(PostgreSQL's rule): ascending ORDER BY puts numbers, then NaN, then
+NULL; MAX over a group holding a NaN is NaN, and MIN ignores NaN unless
+the group holds nothing else.
 
-Every kernel raises :class:`KernelFallback` instead of guessing when a
-column cannot be codified (unhashable nested-table payloads, untyped
-parameter columns in mixed-type positions); the executor then runs the
-original row-at-a-time path and counts the fallback, *by reason* —
-:data:`REASON_UNCODIFIABLE` (the key/value type has no code space),
-:data:`REASON_NO_KERNEL` (the operation itself has no kernel, e.g.
-DISTINCT aggregates) or :data:`REASON_NAN_ORDER` (NaN keys have no
-total order, only the row comparator reproduces the oracle) — so a
-parallel-vs-serial perf regression can be traced to the fallback class
-that caused it.  The test tree's ``reference_exec.row_at_a_time()``
-makes every kernel entry point the executor calls raise
-:class:`KernelFallback`, so those same row paths are the correctness
-oracle of the kernel fuzz tests and the ``BENCH_exec.json`` baselines.
+Every key-driven operator has this one body.  The test tree's
+``reference_exec.row_at_a_time()`` installs independent row-at-a-time
+handlers for those operators, which are the correctness oracle of the
+kernel fuzz tests and the ``BENCH_exec.json`` baselines.
 
 Morsel-driven parallelism: every kernel accepts an optional ``par``
 (:class:`~repro.exec.parallel.ParallelContext`) and, for inputs large
@@ -54,13 +48,13 @@ count; a ``None``/inactive ``par`` takes exactly the PR-4 serial code —
 which is why ``Database(exec_workers=1)`` stays the oracle for the
 workers-equivalence suite.
 
-Known (documented) deviations from the Python paths, both confined to
-degenerate territory: integer SUM accumulates in ``int64`` (Python ints
-are unbounded), and equi-joins comparing huge integers (>2^53) against
-DOUBLE keys go through float promotion.  Float SUM/AVG add each group's
-values in row order, and MIN/MAX keep the first of equal values, so
-both equal the row path bit for bit however a memory budget splits
-the rows into ranges.
+Known (documented) deviations from the row-at-a-time reference, both
+confined to degenerate territory: integer SUM accumulates in ``int64``
+(Python ints are unbounded), and equi-joins comparing huge integers
+(>2^53) against DOUBLE keys go through float promotion.  Float SUM/AVG
+add each group's values in row order, and MIN/MAX keep the first of
+equal values, so both equal the reference bit for bit however a memory
+budget splits the rows into ranges.
 """
 
 from __future__ import annotations
@@ -70,71 +64,33 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..storage import Column, DataType, promote
+from ..errors import ExecutionError, TypeError_
+from ..storage import Column, DataType, comparable, promote
 from ..storage.encoding import DictEncoding, factorize_counters
 from . import parallel as mp
 from .parallel import ParallelContext
 
-#: Fallback reasons (the profile-report breakdown categories).
-REASON_UNCODIFIABLE = "uncodifiable"
-REASON_NO_KERNEL = "no-kernel"
-REASON_NAN_ORDER = "nan-order"
-
-
-class KernelFallback(Exception):
-    """A kernel cannot handle these columns; run the row-at-a-time path.
-
-    ``reason`` classifies the cause for the per-reason fallback counters
-    (:data:`REASON_UNCODIFIABLE` / :data:`REASON_NO_KERNEL` /
-    :data:`REASON_NAN_ORDER`).
-    """
-
-    def __init__(self, message: str, reason: str = REASON_UNCODIFIABLE):
-        super().__init__(message)
-        self.reason = reason
-
 
 class KernelCounters:
-    """Database-wide hit/fallback counters per kernel operation.
+    """Database-wide hit counters per kernel operation.
 
     Shared by every statement of one :class:`~repro.api.Database` (like
     the plan-cache counters); rendered by the profiler report and the
-    shell's ``\\kernels`` command.  Fallbacks are additionally broken
-    down by :class:`KernelFallback` reason, so a regression report can
-    distinguish "uncodifiable key type" from "kernel-less aggregate"
-    from "NaN sort key".  Increments are coarse — one per operator
-    execution, never per row — so a lock keeps them exact.
+    shell's ``\\kernels`` command.  Increments are coarse — one per
+    operator execution, never per row — so a lock keeps them exact.
     """
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
         self.hits: dict[str, int] = {}
-        self.fallbacks: dict[str, int] = {}
-        self.fallback_reasons: dict[str, dict[str, int]] = {}
 
     def hit(self, op: str) -> None:
         with self._mutex:
             self.hits[op] = self.hits.get(op, 0) + 1
 
-    def fallback(self, op: str, reason: Optional[str] = None) -> None:
-        with self._mutex:
-            self.fallbacks[op] = self.fallbacks.get(op, 0) + 1
-            key = reason or REASON_UNCODIFIABLE
-            per_op = self.fallback_reasons.setdefault(op, {})
-            per_op[key] = per_op.get(key, 0) + 1
-
     def snapshot(self) -> dict:
         with self._mutex:
-            return {
-                "hits": dict(self.hits),
-                "fallbacks": dict(self.fallbacks),
-                "fallback_reasons": {
-                    op: dict(reasons)
-                    for op, reasons in self.fallback_reasons.items()
-                },
-                "hit_total": sum(self.hits.values()),
-                "fallback_total": sum(self.fallbacks.values()),
-            }
+            return {"hits": dict(self.hits), "hit_total": sum(self.hits.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +113,6 @@ def _use_par(par: Optional[ParallelContext], n_rows: int, op: str) -> bool:
     return False
 
 
-def _factorize(
-    column: Column,
-    *,
-    nan_distinct: bool = True,
-    par: Optional[ParallelContext] = None,
-):
-    try:
-        return column.factorize(nan_distinct=nan_distinct, runner=par)
-    except TypeError as exc:
-        raise KernelFallback(
-            f"cannot factorize key column: {exc}", REASON_UNCODIFIABLE
-        ) from None
-
-
 def _codify(
     columns: Sequence[Column],
     n_rows: int,
@@ -185,20 +127,18 @@ def _codify(
     if not columns:
         return np.zeros(n_rows, dtype=np.int64), 1
     use_par = _use_par(par, n_rows, "codify")
-    codes, radix, _ = _factorize(columns[0], nan_distinct=nan_distinct, par=par)
+    codes, radix, _ = columns[0].factorize(nan_distinct=nan_distinct, runner=par)
     ids = codes
     for column in columns[1:]:
-        codes, cardinality, _ = _factorize(
-            column, nan_distinct=nan_distinct, par=par
+        codes, cardinality, _ = column.factorize(
+            nan_distinct=nan_distinct, runner=par
         )
         if radix > _MAX_RADIX // cardinality:
             # dictionary overflow: densify the intermediate ids back to
             # a compact code space before the next radix multiply
             ids, radix = _densify(ids, par, "codify")
             if radix > _MAX_RADIX // cardinality:  # pragma: no cover - 2^62 keys
-                raise KernelFallback(
-                    "key space exceeds int64 after densify", REASON_UNCODIFIABLE
-                )
+                raise ExecutionError("key space exceeds int64 after densify")
         if use_par:
             combined = np.empty(n_rows, dtype=np.int64)
             local_codes = codes
@@ -362,34 +302,39 @@ def distinct_mask(
 # ---------------------------------------------------------------------------
 # shared dictionaries across two inputs (setops, dedup-against, joins)
 # ---------------------------------------------------------------------------
+def has_value(column: Column) -> bool:
+    """Whether ``column`` holds at least one non-NULL value."""
+    mask = column.mask
+    return len(column) > 0 and (mask is None or not bool(mask.all()))
+
+
 def _aligned_pair(left: Column, right: Column) -> tuple[Column, Column]:
     """Cast a cross-input key-column pair onto one physical representation
-    so a shared dictionary can encode both sides consistently."""
+    so a shared dictionary can encode both sides consistently.
+
+    Comparable types meet at their common supertype.  Otherwise a side
+    without a single non-NULL value — an all-NULL parameter column,
+    whose type is a guess — becomes NULLs of the other side's type: it
+    matches nothing in a join and stays NULL = NULL in set operations.
+    An untyped side pairs with a typed one of the same physical dtype.
+    Any other pair raises the error ``=`` raises."""
     if left.type == right.type:
         return left, right
     if left.type is None or right.type is None:
-        # untyped (parameter-derived) columns: only a dtype-identical
-        # pairing is safely comparable without the SQL promotion rules;
-        # relabel the untyped side so Column.concat accepts the pair
-        if left.data.dtype == right.data.dtype and left.data.dtype != np.dtype(
-            object
-        ):
+        if left.data.dtype == right.data.dtype != np.dtype(object):
+            # parameter-derived columns carry no type: relabel the
+            # untyped side so Column.concat accepts the pair
             if left.type is None:
-                left = Column(right.type, left.data, left.mask)
-            else:
-                right = Column(left.type, right.data, right.mask)
-            return left, right
-        raise KernelFallback(
-            "untyped key column in mixed-type position", REASON_UNCODIFIABLE
-        )
-    try:
+                return Column(right.type, left.data, left.mask), right
+            return left, Column(left.type, right.data, right.mask)
+    elif comparable(left.type, right.type):
         target = promote(left.type, right.type)
-    except Exception:
-        raise KernelFallback(
-            f"no common key type for {left.type} and {right.type}",
-            REASON_UNCODIFIABLE,
-        ) from None
-    return left.cast(target), right.cast(target)
+        return left.cast(target), right.cast(target)
+    if right.type is not None and not has_value(left):
+        return Column.nulls(right.type, len(left)), right
+    if left.type is not None and not has_value(right):
+        return left, Column.nulls(left.type, len(right))
+    raise TypeError_(f"cannot compare {left.type} with {right.type}")
 
 
 def _shared_dictionary(
@@ -490,8 +435,7 @@ class _KeyLookup:
     (:func:`_shared_dictionary`) the codes are the stored ones;
     otherwise the pair is aligned (:func:`_aligned_pair`) and the
     dictionary is the build side's sorted distinct values, searched
-    with ``searchsorted``.  Values that do not sort raise
-    :class:`KernelFallback`.
+    with ``searchsorted``.
     """
 
     def __init__(self, build: Column, probe: Column):
@@ -516,14 +460,9 @@ class _KeyLookup:
             self._present = np.zeros(len(enc_b.uniques) + 1, dtype=np.bool_)
             self._present[codes] = True
             return codes
-        try:
-            self._uniques, inverse = np.unique(
-                self._build.data[rows], return_inverse=True
-            )
-        except TypeError as exc:
-            raise KernelFallback(
-                f"cannot order key column: {exc}", REASON_UNCODIFIABLE
-            ) from None
+        self._uniques, inverse = np.unique(
+            self._build.data[rows], return_inverse=True
+        )
         self.cardinality = max(len(self._uniques), 1)
         return inverse.reshape(-1).astype(np.int64, copy=False)
 
@@ -568,8 +507,7 @@ class JoinKeyDictionary:
     compare their stored codes, and a multi-column key combines its
     columns' codes mixed-radix, densified over the build keys after
     every column (so probe keys whose prefix no build key has drop out
-    early).  Raises :class:`KernelFallback` when a key column cannot be
-    codified.
+    early).
     """
 
     def __init__(
@@ -589,9 +527,7 @@ class JoinKeyDictionary:
         for lookup in self._lookups[1:]:
             codes = lookup.fit(self.build_rows)
             if radix > _MAX_RADIX // lookup.cardinality:  # pragma: no cover
-                raise KernelFallback(
-                    "key space exceeds int64", REASON_UNCODIFIABLE
-                )
+                raise ExecutionError("join key space exceeds int64")
             prefixes, inverse = np.unique(
                 ids * lookup.cardinality + codes, return_inverse=True
             )
@@ -911,40 +847,13 @@ def ordered_sort_codes(
     par: Optional[ParallelContext] = None,
 ) -> tuple[np.ndarray, int]:
     """Value-ordered int64 codes (and their cardinality) for one ORDER BY
-    key: NULLs coded last; descending keys flip their codes, which turns
-    NULLS LAST ascending into NULLS FIRST descending — exactly the
-    row-at-a-time comparator.  Raises :class:`KernelFallback` for NaN
-    float keys (no total order; only the row path reproduces Python's
-    input-order-dependent result) and unorderable object keys.
+    key.  ``factorize(nan_distinct=False)`` codes the numbers in value
+    order, then one shared code for NaN, then NULL, so ascending order
+    is numbers, NaN, NULL: NaN is greater than every number (as in
+    PostgreSQL) and NULLS LAST.  Descending keys flip their codes, which
+    gives NULL, NaN, then the numbers descending — NULLS FIRST.
     """
-    # resting-encoded columns are NaN-free by construction (ANALYZE
-    # never adopts an encoding over NaN floats), so the probe — which
-    # would decode the whole column just to inspect it — only touches
-    # plain storage
-    if column.encoding is None and column.data.dtype.kind == "f":
-        nan = np.isnan(column.data)
-        if column.mask is not None:
-            nan &= ~column.mask
-        if nan.any():
-            raise KernelFallback(
-                "NaN sort keys have no total order", REASON_NAN_ORDER
-            )
-    codes, cardinality, uniques = _factorize(column, nan_distinct=False, par=par)
-    # non-object codes are value-ordered by construction; object
-    # codes are only ordered when factorize_objects could sort the
-    # distinct payloads.  A resting encoding with uniques=None is the
-    # integer-pack fast path — never object payloads — so only plain
-    # columns need the dtype probe (which would otherwise decode the
-    # whole column)
-    if (
-        uniques is None
-        and cardinality > 1
-        and column.encoding is None
-        and column.data.dtype == np.dtype(object)
-    ):
-        raise KernelFallback(
-            "sort key values are not orderable", REASON_UNCODIFIABLE
-        )
+    codes, cardinality, _ = column.factorize(nan_distinct=False, runner=par)
     if not ascending:
         codes = (cardinality - 1) - codes
     return codes, cardinality
@@ -986,7 +895,7 @@ def sort_order(
     """Stable sort permutation for multi-key ORDER BY: the stable argsort
     of :func:`composite_sort_rank`, morsel-parallel under ``par`` for
     both the codification and the sort.  Stability across fully-tied
-    rows matches the row path's multi-pass stable sort."""
+    rows matches a multi-pass stable sort."""
     return _stable_argsort(composite_sort_rank(keys, n_rows, par), par, "sort")
 
 
@@ -1001,36 +910,26 @@ class AggregateFold:
     as a column of ``n_groups``.  The executor feeds the whole input as
     one range, ``SPILL_CHUNK_ROWS``-row ranges under a memory budget, or
     each filtered morsel with every id 0 (a streamed global aggregate);
-    the answer does not depend on the split.
+    the answer does not depend on the split.  A DISTINCT aggregate is
+    fed only the rows :func:`distinct_arguments` keeps.
 
     Accumulators start at their identity (0 for sums, the type's far
     end for MIN/MAX) and fold through ``ufunc.at``, which visits the
     rows in order: float SUM/AVG add each group's values left to right,
-    as the row path's sequential ``sum`` does, so totals are bit-
-    identical to it however the rows are split.  COUNT is ``bincount``
-    (morsel-parallel under ``par``; integer addition is exact).  MIN/MAX
-    keep the first of equal values, as Python's ``min``/``max`` do; for
-    floats that shows only on ``0.0`` against ``-0.0``, so a zero result
-    takes the sign of its group's first zero.  Strings reduce ordered
-    codes within a range and merge across ranges by comparison.  Groups
-    with no non-NULL input are NULL (COUNT excepted).
-
-    Raises :class:`KernelFallback` for DISTINCT aggregates, functions
-    without a kernel, NaN MIN/MAX arguments (only the row path's
-    unordered comparisons reproduce Python there) and untyped or
-    unorderable arguments; the executor then computes that aggregate
-    per group in Python.
+    so totals are bit-identical to a sequential sum however the rows
+    are split.  COUNT is ``bincount`` (morsel-parallel under ``par``;
+    integer addition is exact).  MIN/MAX keep the first of equal values,
+    as Python's ``min``/``max`` do; for floats that shows only on
+    ``0.0`` against ``-0.0``, so a zero result takes the sign of its
+    group's first zero.  NaN is greater than every number: MAX folds
+    with ``np.maximum``, which propagates it, and float MIN with
+    ``np.fmin`` from a NaN identity, which skips NaN unless the group
+    holds nothing else.  Strings reduce ordered codes within a range and
+    merge across ranges by comparison.  Groups with no non-NULL input
+    are NULL (COUNT excepted).
     """
 
-    def __init__(self, func: str, distinct: bool, n_groups: int):
-        if distinct:
-            raise KernelFallback(
-                "no kernel for DISTINCT aggregates", REASON_NO_KERNEL
-            )
-        if func not in ("count_star", "count", "sum", "min", "max", "avg"):
-            raise KernelFallback(
-                f"no kernel for aggregate {func!r}", REASON_NO_KERNEL
-            )
+    def __init__(self, func: str, n_groups: int):
         self.func = func
         self.counts = np.zeros(n_groups, dtype=np.int64)
         self.type: Optional[DataType] = None
@@ -1047,10 +946,6 @@ class AggregateFold:
         """Fold one range: ``arg`` holds its rows (None for COUNT(*)) and
         ``ids`` their group ids."""
         func, n_groups = self.func, len(self.counts)
-        if arg is None and func != "count_star":
-            raise KernelFallback(
-                f"no kernel for aggregate {func!r}", REASON_NO_KERNEL
-            )
         valid = None if arg is None or arg.mask is None else ~arg.mask
         vids = ids if valid is None else ids[valid]
         if n_groups == 1:  # a global aggregate or a streamed morsel
@@ -1068,10 +963,6 @@ class AggregateFold:
         self.counts += counts
 
     def _fold_numbers(self, arg: Column, vids, valid) -> None:
-        if arg.type is None:
-            raise KernelFallback(
-                "untyped aggregate argument", REASON_UNCODIFIABLE
-            )
         vals = arg.data if valid is None else arg.data[valid]
         if self.func in ("sum", "avg"):
             # float64 for DOUBLE, int64 otherwise (Python ints are
@@ -1079,22 +970,19 @@ class AggregateFold:
             if self.acc is None:
                 kind = np.float64 if vals.dtype.kind == "f" else np.int64
                 self.acc = np.zeros(len(self.counts), dtype=kind)
-            np.add.at(self.acc, vids, vals.astype(self.acc.dtype, copy=False))
+            with np.errstate(invalid="ignore"):  # inf + -inf is NaN
+                np.add.at(self.acc, vids, vals.astype(self.acc.dtype, copy=False))
             return
-        floats = vals.dtype.kind == "f"
-        if floats and np.isnan(vals).any():
-            raise KernelFallback(
-                "NaN aggregate values have no total order", REASON_NAN_ORDER
-            )
         if self.acc is None:
             self.acc = np.full(
                 len(self.counts),
                 _fold_identity(self.func, vals.dtype),
                 dtype=vals.dtype,
             )
-        ufunc = np.minimum if self.func == "min" else np.maximum
-        ufunc.at(self.acc, vids, vals)
-        zeros = np.flatnonzero(vals == 0) if floats else ()
+        ufunc = np.fmin if self.func == "min" else np.maximum
+        with np.errstate(invalid="ignore"):  # NaN arguments are expected
+            ufunc.at(self.acc, vids, vals)
+        zeros = np.flatnonzero(vals == 0) if vals.dtype.kind == "f" else ()
         if len(zeros):
             if self._zero_sign is None:
                 self._zero_sign = np.zeros(len(self.counts), dtype=np.int8)
@@ -1108,15 +996,10 @@ class AggregateFold:
         """MIN/MAX over strings: the range's ordered codes reduce per
         group, then merge into the running values by comparison."""
         if self.func not in ("min", "max"):
-            raise KernelFallback(
-                f"no kernel for {self.func!r} over object values",
-                REASON_NO_KERNEL,
-            )
-        codes, cardinality, uniques = _factorize(arg, par=par)
-        if uniques is None:
-            raise KernelFallback(
-                "aggregate values are not orderable", REASON_UNCODIFIABLE
-            )
+            # the binder rejects non-numeric SUM/AVG; a parameter is
+            # typed only by its value
+            raise TypeError_(f"{self.func.upper()} requires a numeric argument")
+        codes, cardinality, uniques = arg.factorize(runner=par)
         is_min = self.func == "min"
         best = np.full(len(self.counts), cardinality if is_min else -1)
         ufunc = np.minimum if is_min else np.maximum
@@ -1154,9 +1037,10 @@ class AggregateFold:
 
 
 def _fold_identity(func: str, dtype: np.dtype):
-    """The MIN (MAX) identity of ``dtype``: its largest (smallest) value."""
+    """The MIN (MAX) identity of ``dtype``: its largest (smallest)
+    value; for floats, NaN for MIN — ``np.fmin`` passes over it."""
     if dtype.kind == "f":
-        low, high = -np.inf, np.inf
+        low, high = -np.inf, np.nan
     elif dtype.kind == "b":
         low, high = False, True
     else:
@@ -1164,9 +1048,18 @@ def _fold_identity(func: str, dtype: np.dtype):
     return high if func == "min" else low
 
 
+def distinct_arguments(
+    arg: Column, ids: np.ndarray, par: Optional[ParallelContext] = None
+) -> np.ndarray:
+    """Keep-mask of the first row of each distinct (group id, argument)
+    pair — the rows a DISTINCT aggregate folds.  Argument values compare
+    as keys do: NULLs equal (and then skipped by the fold), each NaN
+    distinct, ``0.0`` equal to ``-0.0``."""
+    return distinct_mask([Column(DataType.BIGINT, ids), arg], len(ids), par)
+
+
 def grouped_aggregate(
     func: str,
-    distinct: bool,
     arg: Optional[Column],
     ids: np.ndarray,
     n_groups: int,
@@ -1174,15 +1067,6 @@ def grouped_aggregate(
 ) -> Column:
     """One aggregate over dense group ids, as a column of ``n_groups``:
     an :class:`AggregateFold` fed all rows as one range."""
-    fold = AggregateFold(func, distinct, n_groups)
+    fold = AggregateFold(func, n_groups)
     fold.add(arg, ids, par)
     return fold.result()
-
-
-def group_row_lists(ids: np.ndarray, n_groups: int) -> list[np.ndarray]:
-    """Row indices per group (group-id order) — the bridge that lets
-    unsupported aggregates run per group in Python while grouping itself
-    stays vectorized."""
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=n_groups)
-    return np.split(order, np.cumsum(counts)[:-1])

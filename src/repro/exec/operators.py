@@ -11,25 +11,21 @@ arrives with its equi-key pairs and build side already chosen,
 :class:`~repro.plan.physical.PCrossJoin` carry the guarded fallback
 paths.
 
-Every key-driven operator (DISTINCT, GROUP BY, equi-join probing, set
-operations, ORDER BY, recursive-CTE dedup) runs through the kernels of
-:mod:`repro.exec.kernels` — factorized int64 key codes instead of
-per-row Python tuples.  Large inputs additionally run those kernels
-morsel-parallel on the database's shared worker pool
+Every key-driven operator (DISTINCT, GROUP BY and its aggregates,
+equi-join probing, set operations, ORDER BY, recursive-CTE dedup) has
+one body: the kernels of :mod:`repro.exec.kernels` — factorized int64
+key codes instead of per-row Python tuples.  Large inputs additionally
+run those kernels morsel-parallel on the database's shared worker pool
 (:mod:`repro.exec.parallel`, ``exec_workers``), with results
 bit-identical to the serial kernels; join/sort payload gathers are
-spread column-per-task over the same pool.  Each operator keeps one
-row-at-a-time body underneath, reached only when its kernel raises
-:class:`~repro.exec.kernels.KernelFallback` (keys that cannot be
-codified, NaN sort keys, DISTINCT aggregates): Python hash tables over
-row keys for grouping, distinct, set operations and joins, a stable
-multi-pass merge with SQL null ordering (NULLS LAST ascending, NULLS
-FIRST descending) for sorting.  Kernel hits and fallbacks are counted
-per operation on the database's
-:class:`~repro.exec.kernels.KernelCounters` and surfaced by profiler
-reports and ``Database.kernel_stats()``.  The test tree's
-``reference_exec.row_at_a_time()`` forces every kernel to decline, so
-these fallback bodies double as the differential oracle.
+spread column-per-task over the same pool.  Kernel hits are counted per
+operation on the database's :class:`~repro.exec.kernels.KernelCounters`
+and surfaced by profiler reports and ``Database.kernel_stats()``.  The
+row-at-a-time oracle lives in the test tree: ``reference_exec``'s
+``row_at_a_time()`` installs its own handlers for these operators
+through :func:`register_operator`.  Recursive-CTE dedup still switches
+to an incremental row-key set once deltas run thin
+(:data:`DEDUP_DELTA_FRACTION`): a cost choice, not a fallback.
 
 Graph select / graph join are delegated to :mod:`repro.exec.graph_ops`.
 
@@ -41,8 +37,6 @@ join; the graph join's pair grid lives in graph_ops) is capped by
 
 from __future__ import annotations
 
-import functools
-import operator
 from typing import Optional
 
 import numpy as np
@@ -67,7 +61,6 @@ from ..storage.zonemap import ZONE_ROWS, ZonePredicate, select_zone_spans
 from . import kernels
 from .batch import Batch, ZeroColumnBatch
 from .evaluator import EvalContext, evaluate, strings_as_dates
-from .kernels import KernelFallback
 
 #: Hard cap on materialized cross products, to fail fast instead of
 #: exhausting memory (the MonetDB prototype shares the failure mode).
@@ -135,10 +128,6 @@ class ExecContext:
     def kernel_hit(self, op: str) -> None:
         if self.kernel_counters is not None:
             self.kernel_counters.hit(op)
-
-    def kernel_fallback(self, op: str, exc: Optional[Exception] = None) -> None:
-        if self.kernel_counters is not None:
-            self.kernel_counters.fallback(op, getattr(exc, "reason", None))
 
     def run(self, plan: pp.PhysicalNode) -> Batch:
         return execute_plan(plan, self)
@@ -468,13 +457,9 @@ def _take_columns(
 
 
 def _distinct_batch(batch: Batch, ctx: ExecContext) -> Batch:
-    try:
-        keep = kernels.distinct_mask(batch.columns, batch.num_rows, ctx.parallel)
-        ctx.kernel_hit("distinct")
-        return batch.filter(keep)
-    except KernelFallback as exc:
-        ctx.kernel_fallback("distinct", exc)
-    return _dedup_batch(batch, set())
+    keep = kernels.distinct_mask(batch.columns, batch.num_rows, ctx.parallel)
+    ctx.kernel_hit("distinct")
+    return batch.filter(keep)
 
 
 def _exec_distinct(plan: pp.PDistinct, ctx: ExecContext) -> Batch:
@@ -484,23 +469,17 @@ def _exec_distinct(plan: pp.PDistinct, ctx: ExecContext) -> Batch:
 def _exec_sort(plan: pp.PSort, ctx: ExecContext) -> Batch:
     batch = execute_plan(plan.input, ctx)
     keys = [(ctx.eval(key.expr, batch), key.ascending) for key in plan.keys]
-    try:
-        if (
-            keys
-            and ctx.accountant.active
-            and ctx.spill_manager is not None
-            and batch.num_rows > SPILL_CHUNK_ROWS
-            and ctx.accountant.decide(
-                "sort", estimate_batch_bytes(batch.columns)
-            )
-        ):
-            order = _external_sort_order(keys, batch.num_rows, ctx, plan.limit)
-        else:
-            order = kernels.sort_order(keys, batch.num_rows, ctx.parallel)
-        ctx.kernel_hit("sort")
-    except KernelFallback as exc:
-        ctx.kernel_fallback("sort", exc)
-        order = _row_sort_order(keys, batch.num_rows)
+    if (
+        keys
+        and ctx.accountant.active
+        and ctx.spill_manager is not None
+        and batch.num_rows > SPILL_CHUNK_ROWS
+        and ctx.accountant.decide("sort", estimate_batch_bytes(batch.columns))
+    ):
+        order = _external_sort_order(keys, batch.num_rows, ctx, plan.limit)
+    else:
+        order = kernels.sort_order(keys, batch.num_rows, ctx.parallel)
+    ctx.kernel_hit("sort")
     if plan.limit is not None:
         # top-k: the PLimit above slices [offset, offset+limit), which
         # is a prefix of this truncated permutation — identical rows,
@@ -509,25 +488,6 @@ def _exec_sort(plan: pp.PSort, ctx: ExecContext) -> Batch:
     if not batch.columns:
         return batch.take(order)
     return Batch(batch.schema, _take_columns(batch.columns, order, ctx))
-
-
-def _row_sort_order(keys, n: int) -> np.ndarray:
-    """Stable multi-pass sort permutation, least-significant key first,
-    with Python's comparator (the fallback for keys the kernel cannot
-    order: NaN, uncodifiable values)."""
-    order = np.arange(n, dtype=np.int64)
-    for column, ascending in reversed(keys):
-        materialized = column.to_pylist()  # one bulk conversion per key
-        values = [materialized[int(i)] for i in order]
-
-        def sort_key(pos: int) -> tuple:
-            value = values[pos]
-            # NULLS LAST ascending; reversing makes them FIRST descending
-            return (1, 0) if value is None else (0, value)
-
-        positions = sorted(range(len(order)), key=sort_key, reverse=not ascending)
-        order = order[np.asarray(positions, dtype=np.int64)]
-    return order
 
 
 def _external_sort_order(
@@ -626,6 +586,12 @@ def _external_sort_order(
 # aggregation
 # ---------------------------------------------------------------------------
 def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
+    """GROUP BY over factorized group ids: keys come from each group's
+    first row, and each aggregate folds the rows over the ids in one
+    range ``[0, n)`` — under a memory budget, in ``SPILL_CHUNK_ROWS``-row
+    ranges whose arguments are decoded one range at a time.  A DISTINCT
+    aggregate folds only the first row of each distinct (group,
+    argument) pair.  The answer does not depend on the split."""
     if plan.streamable and ctx.accountant.active:
         streamed = _streamed_aggregate(plan, ctx)
         if streamed is not None:
@@ -636,29 +602,27 @@ def _exec_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> Batch:
     arg_columns = [
         ctx.eval(a.arg, batch) if a.arg is not None else None for a in plan.aggs
     ]
-    try:
-        return _kernel_aggregate(plan, key_columns, arg_columns, n, ctx)
-    except KernelFallback as exc:
-        ctx.kernel_fallback("group_by", exc)
-    groups: dict[tuple, list[int]] = {}
-    if key_columns:
-        key_lists = [col.to_pylist() for col in key_columns]
-        for i, key in enumerate(zip(*key_lists)):
-            groups.setdefault(key, []).append(i)
-    else:
-        groups[()] = list(range(n))  # global aggregate: one group, even empty
-    out_keys: list[list] = [[] for _ in key_columns]
-    out_aggs: list[list] = [[] for _ in plan.aggs]
-    for key, rows in groups.items():
-        for j, value in enumerate(key):
-            out_keys[j].append(value)
-        for j, (spec, arg_col) in enumerate(zip(plan.aggs, arg_columns)):
-            out_aggs[j].append(_compute_agg(spec, arg_col, rows))
-    columns: list[Column] = []
-    for col_def, values in zip(plan.schema, out_keys + out_aggs):
-        type_ = col_def.type or _infer_output_type(values)
-        columns.append(Column.from_values(type_, values))
-    return Batch(plan.schema, columns)
+    ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
+    ctx.kernel_hit("group_by")
+    folds = [kernels.AggregateFold(spec.func, n_groups) for spec in plan.aggs]
+    keeps = [
+        kernels.distinct_arguments(arg, ids, ctx.parallel) if spec.distinct else None
+        for spec, arg in zip(plan.aggs, arg_columns)
+    ]
+    step = SPILL_CHUNK_ROWS if ctx.accountant.active else max(n, 1)
+    for ms in range(0, max(n, 1), step):
+        me = min(ms + step, n)
+        for fold, arg, keep in zip(folds, arg_columns, keeps):
+            range_ids = ids[ms:me]
+            if arg is not None and me - ms < n:
+                arg = arg.slice_morsel(ms, me)
+            if keep is not None:
+                arg, range_ids = arg.filter(keep[ms:me]), range_ids[keep[ms:me]]
+            fold.add(arg, range_ids, ctx.parallel)
+    if step < n:
+        ctx.accountant.note_stream(-(-n // step))
+    out_columns = _take_columns(key_columns, first_rows, ctx)
+    return _aggregate_batch(plan, out_columns + [f.result() for f in folds])
 
 
 def _aggregate_batch(plan: pp.PAggregate, out_columns: list[Column]) -> Batch:
@@ -671,57 +635,6 @@ def _aggregate_batch(plan: pp.PAggregate, out_columns: list[Column]) -> Batch:
     return Batch(plan.schema, columns)
 
 
-def _kernel_aggregate(
-    plan: pp.PAggregate,
-    key_columns: list[Column],
-    arg_columns: list[Optional[Column]],
-    n: int,
-    ctx: ExecContext,
-) -> Batch:
-    """GROUP BY over factorized group ids: keys come from each group's
-    first row, and each aggregate folds the rows over the ids in one
-    range ``[0, n)`` — under a memory budget, in ``SPILL_CHUNK_ROWS``-row
-    ranges whose arguments are decoded one range at a time.  The answer
-    does not depend on the split.  An aggregate without a kernel runs
-    per group in Python over its whole argument column."""
-    ids, n_groups, first_rows = kernels.group_ids(key_columns, n, ctx.parallel)
-    ctx.kernel_hit("group_by")
-    folds: list = []  # None where the aggregate has no kernel
-    for spec in plan.aggs:
-        try:
-            folds.append(kernels.AggregateFold(spec.func, spec.distinct, n_groups))
-        except KernelFallback as exc:
-            ctx.kernel_fallback("aggregate", exc)
-            folds.append(None)
-    step = SPILL_CHUNK_ROWS if ctx.accountant.active else max(n, 1)
-    for ms in range(0, max(n, 1), step):
-        me = min(ms + step, n)
-        for j, (fold, arg) in enumerate(zip(folds, arg_columns)):
-            if fold is None:
-                continue
-            if arg is not None and me - ms < n:
-                arg = arg.slice_morsel(ms, me)
-            try:
-                fold.add(arg, ids[ms:me], ctx.parallel)
-            except KernelFallback as exc:
-                ctx.kernel_fallback("aggregate", exc)
-                folds[j] = None
-    if step < n:
-        ctx.accountant.note_stream(-(-n // step))
-    out_columns = _take_columns(key_columns, first_rows, ctx)
-    group_rows = None  # lazily materialized for non-kernel aggregates
-    for spec, arg_col, fold in zip(plan.aggs, arg_columns, folds):
-        if fold is not None:
-            out_columns.append(fold.result())
-            continue
-        if group_rows is None:
-            group_rows = kernels.group_row_lists(ids, n_groups)
-        values = [_compute_agg(spec, arg_col, rows) for rows in group_rows]
-        type_ = plan.schema[len(out_columns)].type or _infer_output_type(values)
-        out_columns.append(Column.from_values(type_, values))
-    return _aggregate_batch(plan, out_columns)
-
-
 def _streamed_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> "Batch | None":
     """Fused scan→filter→aggregate over one morsel at a time.
 
@@ -730,9 +643,8 @@ def _streamed_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> "Batch | None"
     over a base scan.  Each filtered morsel folds into the same
     :class:`kernels.AggregateFold` the materialized path uses, with
     every row in group 0, so the single output row is bit-identical to
-    it.  Returns None (and the caller materializes) whenever a fold
-    falls back — NaN ordering for float MIN/MAX, unorderable values —
-    or no morsel was read."""
+    it.  Returns None (and the caller materializes) when the input is
+    one morsel or no morsel was read."""
     chain = _stream_chain(plan.input)
     if chain is None:
         return None
@@ -748,56 +660,22 @@ def _streamed_aggregate(plan: pp.PAggregate, ctx: ExecContext) -> "Batch | None"
     if spans is None:
         spans = [(0, n)]
     morsels = 0
-    try:
-        folds = [kernels.AggregateFold(a.func, a.distinct, 1) for a in plan.aggs]
-        for start, stop in spans:
-            for ms in range(start, stop, SPILL_CHUNK_ROWS):
-                me = min(ms + SPILL_CHUNK_ROWS, stop)
-                morsel = Batch(
-                    scan.schema, [c.slice_morsel(ms, me) for c in columns]
-                )
-                morsel = _filter_morsel(filters, morsel, ctx)
-                morsels += 1
-                ids = np.zeros(morsel.num_rows, dtype=np.int64)
-                for spec, fold in zip(plan.aggs, folds):
-                    arg = None if spec.arg is None else ctx.eval(spec.arg, morsel)
-                    fold.add(arg, ids)
-    except KernelFallback:
-        return None
+    folds = [kernels.AggregateFold(a.func, 1) for a in plan.aggs]
+    for start, stop in spans:
+        for ms in range(start, stop, SPILL_CHUNK_ROWS):
+            me = min(ms + SPILL_CHUNK_ROWS, stop)
+            morsel = Batch(scan.schema, [c.slice_morsel(ms, me) for c in columns])
+            morsel = _filter_morsel(filters, morsel, ctx)
+            morsels += 1
+            ids = np.zeros(morsel.num_rows, dtype=np.int64)
+            for spec, fold in zip(plan.aggs, folds):
+                arg = None if spec.arg is None else ctx.eval(spec.arg, morsel)
+                fold.add(arg, ids)
     if not morsels:
         return None
     ctx.accountant.note_stream(morsels)
     ctx.kernel_hit("group_by")
     return _aggregate_batch(plan, [fold.result() for fold in folds])
-
-
-def _compute_agg(spec: lp.AggSpec, arg_col: Optional[Column], rows: list[int]):
-    if spec.func == "count_star":
-        return len(rows)
-    values = [arg_col.value(i) for i in rows]
-    values = [v for v in values if v is not None]
-    if spec.distinct:
-        values = list(dict.fromkeys(values))
-    if spec.func == "count":
-        return len(values)
-    if not values:
-        return None
-    if spec.func == "sum":
-        return _sequential_sum(values)
-    if spec.func == "min":
-        return min(values)
-    if spec.func == "max":
-        return max(values)
-    if spec.func == "avg":
-        return float(_sequential_sum(values)) / len(values)
-    raise ExecutionError(f"unknown aggregate {spec.func!r}")
-
-
-def _sequential_sum(values: list):
-    """Left to right from int 0, as ``sum()`` did before Python 3.12
-    compensated float sums: the kernels' ``bincount`` adds in this
-    order, so the two paths agree bit for bit on every version."""
-    return functools.reduce(operator.add, values, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +713,6 @@ def _exec_hash_join(plan: pp.PHashJoin, ctx: ExecContext) -> Batch:
     else:
         left = execute_plan(plan.left, ctx)
         right = execute_plan(plan.right, ctx)
-    indices = None
     if (
         plan.pairs
         and ctx.accountant.active
@@ -847,9 +724,7 @@ def _exec_hash_join(plan: pp.PHashJoin, ctx: ExecContext) -> Batch:
             + estimate_batch_bytes(right.columns),
         )
     ):
-        indices = _spilled_hash_join(plan, left, right, ctx)
-    if indices is not None:
-        li, ri = indices
+        li, ri = _spilled_hash_join(plan, left, right, ctx)
     elif plan.build_left:
         # build the hash table on the (estimated) smaller left side, then
         # restore the probe-side output order so results are identical to
@@ -940,7 +815,7 @@ def _exec_join_inputs_zoned(plan: pp.PHashJoin, ctx: ExecContext):
 
 def _spilled_hash_join(
     plan: pp.PHashJoin, left: Batch, right: Batch, ctx: ExecContext
-) -> "tuple[np.ndarray, np.ndarray] | None":
+) -> tuple[np.ndarray, np.ndarray]:
     """Equi-join with both inputs' (row, key-code) pairs radix-
     partitioned into spill files, joined one partition at a time.
 
@@ -953,9 +828,7 @@ def _spilled_hash_join(
     matching pair falls in exactly one partition and the union over
     partitions is exactly the in-memory pair set; the final lexsort
     restores probe order (ascending left row, ascending right row
-    within), the unique order every in-memory path emits.  Returns
-    None when the keys cannot be codified — the caller then runs the
-    unchanged in-memory paths."""
+    within), the unique order every in-memory path emits."""
     left_keys, right_keys = _join_keys(plan.pairs, left, right, ctx)
     n_left, n_right = left.num_rows, right.num_rows
     est = estimate_batch_bytes(left.columns) + estimate_batch_bytes(
@@ -975,30 +848,24 @@ def _spilled_hash_join(
     out_li, out_ri = [], []
     running = 0
     try:
-        try:
-            keys = kernels.JoinKeyDictionary(build_keys, probe_keys)
-            for ms in range(0, len(keys.build_rows), SPILL_CHUNK_ROWS):
-                rows = keys.build_rows[ms:ms + SPILL_CHUNK_ROWS]
-                codes = keys.build_ids[ms:ms + SPILL_CHUNK_ROWS]
-                build_sink.add(
+        keys = kernels.JoinKeyDictionary(build_keys, probe_keys)
+        for ms in range(0, len(keys.build_rows), SPILL_CHUNK_ROWS):
+            rows = keys.build_rows[ms:ms + SPILL_CHUNK_ROWS]
+            codes = keys.build_ids[ms:ms + SPILL_CHUNK_ROWS]
+            build_sink.add(
+                codes % parts,
+                [Column(DataType.BIGINT, rows), Column(DataType.BIGINT, codes)],
+            )
+        for ms in range(0, n_probe, SPILL_CHUNK_ROWS):
+            rows, codes = keys.probe(ms, min(ms + SPILL_CHUNK_ROWS, n_probe))
+            if len(rows):
+                probe_sink.add(
                     codes % parts,
                     [
-                        Column(DataType.BIGINT, rows),
+                        Column(DataType.BIGINT, rows + ms),
                         Column(DataType.BIGINT, codes),
                     ],
                 )
-            for ms in range(0, n_probe, SPILL_CHUNK_ROWS):
-                rows, codes = keys.probe(ms, min(ms + SPILL_CHUNK_ROWS, n_probe))
-                if len(rows):
-                    probe_sink.add(
-                        codes % parts,
-                        [
-                            Column(DataType.BIGINT, rows + ms),
-                            Column(DataType.BIGINT, codes),
-                        ],
-                    )
-        except KernelFallback:
-            return None
         # the codes now live in the spill partitions; drop the dictionary
         # and key columns before the per-partition joins allocate
         del keys, left_keys, right_keys, build_keys, probe_keys
@@ -1100,35 +967,11 @@ def _join_keys(pairs, left: Batch, right: Batch, ctx: ExecContext):
 
 def _hash_join_indices(left: Batch, right: Batch, pairs, ctx: ExecContext):
     left_keys, right_keys = _join_keys(pairs, left, right, ctx)
-    try:
-        result = kernels.join_indices(
-            left_keys,
-            right_keys,
-            guard=_guard_degenerate_join,
-            par=ctx.parallel,
-        )
-        ctx.kernel_hit("join")
-        return result
-    except KernelFallback as exc:
-        ctx.kernel_fallback("join", exc)
-    table: dict[tuple, list[int]] = {}
-    right_tuples = list(zip(*(col.to_pylist() for col in right_keys)))
-    for j, key in enumerate(right_tuples):
-        if any(v is None for v in key):
-            continue
-        table.setdefault(key, []).append(j)
-    li: list[int] = []
-    ri: list[int] = []
-    left_tuples = list(zip(*(col.to_pylist() for col in left_keys)))
-    for i, key in enumerate(left_tuples):
-        if any(v is None for v in key):
-            continue
-        for j in table.get(key, ()):
-            li.append(i)
-            ri.append(j)
-        if len(li) > MAX_CROSS_ROWS:
-            _guard_degenerate_join(len(li), len(left_tuples), len(right_tuples))
-    return np.asarray(li, dtype=np.int64), np.asarray(ri, dtype=np.int64)
+    result = kernels.join_indices(
+        left_keys, right_keys, guard=_guard_degenerate_join, par=ctx.parallel
+    )
+    ctx.kernel_hit("join")
+    return result
 
 
 def _check_join_key_types(left: Column, right: Column) -> None:
@@ -1143,13 +986,8 @@ def _check_join_key_types(left: Column, right: Column) -> None:
         return
     if {lt, rt} == {DataType.DATE, DataType.VARCHAR}:
         return
-    if _has_value(left) and _has_value(right):
+    if kernels.has_value(left) and kernels.has_value(right):
         raise TypeError_(f"cannot compare {lt} with {rt}")
-
-
-def _has_value(column: Column) -> bool:
-    mask = column.mask
-    return len(column) > 0 and (mask is None or not bool(mask.all()))
 
 
 def _add_unmatched_left(plan, left: Batch, joined: Batch, li):
@@ -1191,29 +1029,15 @@ def _exec_setop(plan: pp.PSetOp, ctx: ExecContext) -> Batch:
             # host parameters are typed only now: values with no common
             # type raise the error UNION's concatenation raises
             promote(a.type, b.type)
-    try:
-        keep = kernels.setop_mask(
-            left.columns,
-            left.num_rows,
-            right.columns,
-            right.num_rows,
-            keep_members=plan.op == "intersect",
-            par=ctx.parallel,
-        )
-        ctx.kernel_hit("setop")
-        return left.filter(keep)
-    except KernelFallback as exc:
-        ctx.kernel_fallback("setop", exc)
-    right_keys = set(_batch_rows(right))
-    keep = np.zeros(left.num_rows, dtype=np.bool_)
-    seen: set = set()
-    for i, key in enumerate(_batch_rows(left)):
-        if key in seen:
-            continue
-        member = key in right_keys
-        if (plan.op == "intersect" and member) or (plan.op == "except" and not member):
-            keep[i] = True
-            seen.add(key)
+    keep = kernels.setop_mask(
+        left.columns,
+        left.num_rows,
+        right.columns,
+        right.num_rows,
+        keep_members=plan.op == "intersect",
+        par=ctx.parallel,
+    )
+    ctx.kernel_hit("setop")
     return left.filter(keep)
 
 
@@ -1255,25 +1079,17 @@ def _exec_materialize(plan: pp.PMaterialize, ctx: ExecContext) -> Batch:
 
 def _exec_recursive(plan: pp.PRecursive, ctx: ExecContext) -> Batch:
     accumulated = _coerce_batch(execute_plan(plan.base, ctx), plan.schema)
+    # UNION dedup: each delta is checked against the accumulated batch
+    # by codified ids, until deltas run thin — then the incremental
+    # row-key set ``seen`` takes over for the rest of the recursion
     seen: Optional[set] = None
-    # kernel dedup carries no row-key set across iterations: each
-    # delta is checked against the accumulated batch by codified ids.
-    # On the first uncodifiable batch we build the seen-set from the
-    # accumulated rows and continue row-at-a-time.
-    use_kernels = not plan.union_all
-    if use_kernels:
-        try:
-            accumulated = accumulated.filter(
-                kernels.distinct_mask(
-                    accumulated.columns, accumulated.num_rows, ctx.parallel
-                )
+    if not plan.union_all:
+        accumulated = accumulated.filter(
+            kernels.distinct_mask(
+                accumulated.columns, accumulated.num_rows, ctx.parallel
             )
-            ctx.kernel_hit("dedup")
-        except KernelFallback as exc:
-            ctx.kernel_fallback("dedup", exc)
-            use_kernels = False
-            seen = set()
-            accumulated = _dedup_batch(accumulated, seen)
+        )
+        ctx.kernel_hit("dedup")
     delta = accumulated
     steps = 0
     previous = ctx.cte_tables.get(plan.cte_name)
@@ -1291,33 +1107,27 @@ def _exec_recursive(plan: pp.PRecursive, ctx: ExecContext) -> Batch:
             if plan.union_all:
                 delta = produced
             else:
-                if use_kernels and (
+                if seen is None and (
                     accumulated.num_rows >= 1024
                     and produced.num_rows * DEDUP_DELTA_FRACTION
                     < accumulated.num_rows
                 ):
                     # thin deltas: re-codifying the whole accumulated
                     # batch every step no longer pays — build the
-                    # incremental seen-set once and stay row-at-a-time
-                    use_kernels = False
+                    # incremental seen-set once and keep it
                     seen = set(_batch_rows(accumulated))
-                if use_kernels:
-                    try:
-                        delta = produced.filter(
-                            kernels.new_rows_mask(
-                                accumulated.columns,
-                                accumulated.num_rows,
-                                produced.columns,
-                                produced.num_rows,
-                                ctx.parallel,
-                            )
+                if seen is None:
+                    delta = produced.filter(
+                        kernels.new_rows_mask(
+                            accumulated.columns,
+                            accumulated.num_rows,
+                            produced.columns,
+                            produced.num_rows,
+                            ctx.parallel,
                         )
-                        ctx.kernel_hit("dedup")
-                    except KernelFallback as exc:
-                        ctx.kernel_fallback("dedup", exc)
-                        use_kernels = False
-                        seen = set(_batch_rows(accumulated))
-                if not use_kernels:
+                    )
+                    ctx.kernel_hit("dedup")
+                else:
                     delta = _dedup_batch(produced, seen)
             if delta.num_rows:
                 accumulated = Batch(

@@ -47,17 +47,6 @@ def _per_op(counts: dict) -> str:
     return f" ({body})"
 
 
-def _per_reason(reasons: dict) -> str:
-    """`` (sort:nan-order=1 group_by:uncodifiable=2)`` — fallbacks broken
-    down by operation *and* cause, so a parallel-vs-serial regression is
-    attributable to the fallback class that produced it."""
-    if not reasons:
-        return ""
-    parts = []
-    for op in sorted(reasons):
-        for reason in sorted(reasons[op]):
-            parts.append(f"{op}:{reason}={reasons[op][reason]}")
-    return f" ({' '.join(parts)})"
 
 
 @dataclass
@@ -84,7 +73,7 @@ class Profiler:
         #: from the plan cache, and the cache counters to report.
         self.plan_cache_hit: bool | None = None
         self.cache_stats: dict | None = None
-        #: Vectorized-kernel hit/fallback counters (cumulative, like the
+        #: Vectorized-kernel hit counters (cumulative, like the
         #: cache counters) — set by Database.profile().
         self.kernel_stats: dict | None = None
         #: Morsel-parallel execution counters (worker pool config,
@@ -147,9 +136,7 @@ class Profiler:
             lines.append(
                 "vectorized kernels: "
                 f"hits={self.kernel_stats.get('hit_total', 0)}"
-                f"{_per_op(self.kernel_stats.get('hits', {}))} "
-                f"fallbacks={self.kernel_stats.get('fallback_total', 0)}"
-                f"{_per_reason(self.kernel_stats.get('fallback_reasons', {}))}"
+                f"{_per_op(self.kernel_stats.get('hits', {}))}"
             )
         if self.parallel_stats is not None:
             stats = self.parallel_stats

@@ -193,8 +193,11 @@ def _write_image(
         version = snapshot.table_version(name)
         # make encoded storage the resting format of the image: any
         # column ANALYZE has not visited yet gets its encoding (and zone
-        # maps) here, at write time
-        encode_columns(version)
+        # maps) here, at write time.  A version ANALYZE has read keeps
+        # its verdicts: re-choosing would re-factorize its plain columns
+        analyzed = db.stats.get(name)
+        if analyzed is None or analyzed.version != version.version_id:
+            encode_columns(version)
         version.build_zone_maps()
         tables_meta[name] = {
             "columns": [[c.name, c.type.value] for c in version.schema],

@@ -439,10 +439,10 @@ class Column:
           first, then sort only the K distinct values) for object
           payloads;
         * float NaN slots come next — one fresh code per slot when
-          ``nan_distinct`` (matching the Python-tuple identity semantics
-          of the row-at-a-time operators, where every materialized NaN is
-          its own key), or one shared code when ordering is all that
-          matters;
+          ``nan_distinct`` (every NaN is its own key, as every
+          materialized Python NaN is in a tuple-keyed dict), or one
+          shared code when ordering is all that matters — after every
+          number, so NaN sorts as the greatest value;
         * the NULL code is always last, which makes ascending code order
           exactly SQL's NULLS LAST.
 
@@ -453,8 +453,8 @@ class Column:
         still valid grouping/join keys, but unusable for ordering
         kernels (non-object codes are value-ordered regardless of
         ``uniques``).  Raises ``TypeError`` for payloads that are
-        neither orderable nor hashable (nested tables); callers treat
-        that as "no kernel".
+        neither orderable nor hashable (nested tables, which the binder
+        keeps out of every key position).
 
         The method is pure and re-entrant: concurrent calls (kernels on
         the shared worker pool) are safe.  Results are memoized on the
@@ -493,6 +493,11 @@ class Column:
                 memo = self._fact_memo = {}
             memo[key] = result
         return result
+
+    def drop_factorize_memo(self) -> None:
+        """Forget the memoized factorizations; the next
+        :meth:`factorize` computes (and memoizes) afresh."""
+        self._fact_memo = None
 
     def _factorize_impl(
         self, nan_distinct: bool, runner

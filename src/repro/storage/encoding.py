@@ -5,8 +5,8 @@ An :class:`Encoding` is an alternate, usually smaller, physical
 representation of one immutable :class:`~repro.storage.column.Column`.
 Encodings are *resting* formats: attaching one never changes the
 column's logical values — ``column.data`` / ``column.mask`` decode
-transparently (and cache), so every kernel and row-path fallback keeps
-working unchanged — but the vectorized kernels get two shortcuts:
+transparently (and cache), so every operator keeps working unchanged
+— but the vectorized kernels get two shortcuts:
 
 * :meth:`Encoding.factorize` hands :meth:`Column.factorize` its codes
   without re-encoding (the dictionary case is a plain ``astype``), so

@@ -68,7 +68,9 @@ class TableStats:
 def _analyze_column(column, type_: DataType) -> ColumnStats:
     """One column's statistics, read off its ``factorize()`` result —
     the dictionary ANALYZE's encoding choice has just built (and
-    memoized), or a resting encoding's own codes."""
+    memoized), or a resting encoding's own codes.  Nothing here decodes
+    a resting encoding: dense-span integer codes give min and max by
+    decoding only the two rows that hold them."""
     null_mask = column.null_mask()
     null_count = int(null_mask.sum())
     if null_count == len(column):
@@ -92,17 +94,24 @@ def _analyze_column(column, type_: DataType) -> ColumnStats:
         # insertion-ordered codes of unorderable objects; NULL's code is
         # the last one
         counts = np.bincount(codes)
-        distinct = int(np.count_nonzero(counts[: cardinality - (null_count > 0)]))
+        present = np.flatnonzero(counts[: cardinality - (null_count > 0)])
+        distinct = len(present)
         if ranged:
-            values = column.data[~null_mask] if null_count else column.data
-            min_value = values.min().item()
-            max_value = values.max().item()
+            # value-ordered codes: the lowest and highest present codes
+            # mark rows holding the minimum and the maximum
+            min_value = _value_at(column, int(np.argmax(codes == present[0])))
+            max_value = _value_at(column, int(np.argmax(codes == present[-1])))
     return ColumnStats(
         null_count=null_count,
         distinct=distinct,
         min_value=min_value,
         max_value=max_value,
     )
+
+
+def _value_at(column, row: int):
+    """The value at ``row``, decoding only the zone that holds it."""
+    return column.slice_morsel(row, row + 1).value(0)
 
 
 class StatsManager:

@@ -111,12 +111,12 @@ def test_sequential_and_pairwise_sums_differ(columns):
 
 def _aggregate(func, column, ids, n_groups, workers=1):
     if workers == 1:
-        return kernels.grouped_aggregate(func, False, column, ids, n_groups)
+        return kernels.grouped_aggregate(func, column, ids, n_groups)
     # a pool that morselizes even toy inputs
     pool = ExecPool(workers, morsel_rows=3, min_rows=0)
     try:
         return kernels.grouped_aggregate(
-            func, False, column, ids, n_groups, pool.context()
+            func, column, ids, n_groups, pool.context()
         )
     finally:
         pool.shutdown()

@@ -1,13 +1,13 @@
-"""Kernel layer: unit tests + the kernel-vs-fallback oracle.
+"""Kernel layer: unit tests + the kernel-vs-reference oracle.
 
 The unit half exercises :meth:`repro.storage.Column.factorize` and the
 :mod:`repro.exec.kernels` primitives directly on the edge cases the SQL
 surface makes hard to pin down (all-NULL keys, empty inputs, NaN key
-semantics, >2-column keys, unorderable payloads).  The oracle half runs
+semantics, >2-column keys, untyped columns).  The oracle half runs
 every query on two databases holding identical data — one with the
 kernels, one run under ``reference_exec.row_at_a_time()`` so every
-operator takes its row-at-a-time fallback body — and requires identical
-results, mirroring ``test_optimizer_equivalence``.
+key-driven operator runs its row-at-a-time reference handler — and
+requires identical results, mirroring ``test_optimizer_equivalence``.
 """
 
 import datetime
@@ -15,11 +15,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, ReproError
 from repro.errors import BindError, TypeError_
 from repro.exec import kernels
-from repro.exec.kernels import KernelFallback
 from repro.storage import Column, DataType
 from reference_exec import reference_rows, row_at_a_time
 from test_fuzz import random_graph_query, random_query
@@ -157,21 +158,17 @@ class TestSortOrder:
         order = kernels.sort_order([(column, True)], 4)
         assert order.tolist() == [2, 0, 1, 3]
 
-    def test_unorderable_key_falls_back(self):
-        data = np.empty(2, dtype=object)
-        data[0], data[1] = (1,), "x"
-        with pytest.raises(KernelFallback):
-            kernels.sort_order([(Column(DataType.VARCHAR, data), True)], 2)
-
-    def test_nan_sort_key_falls_back(self):
-        # Python's sorted() has no total order for NaN; its (stable,
-        # input-dependent) result is the oracle — only the row path
-        # reproduces it, so the kernel must decline
+    def test_nan_sorts_after_numbers_before_null(self):
+        # NaN is greater than every number (PostgreSQL's rule), and NULL
+        # stays last ascending / first descending
+        nan = float("nan")
         column = Column.from_values(
-            DataType.DOUBLE, [1.0, float("nan"), 0.5]
+            DataType.DOUBLE, [3.0, nan, 1.0, None, -0.0, nan, 2.0]
         )
-        with pytest.raises(KernelFallback):
-            kernels.sort_order([(column, True)], 3)
+        asc = kernels.sort_order([(column, True)], 7)
+        assert asc.tolist() == [4, 2, 6, 0, 1, 5, 3]
+        desc = kernels.sort_order([(column, False)], 7)
+        assert desc.tolist() == [3, 1, 5, 0, 6, 2, 4]
 
     def test_rank_densifies_past_2_62(self):
         # four keys of ~49k distinct values each: the mixed-radix product
@@ -238,8 +235,8 @@ class TestJoinIndices:
         typed = Column.from_values(DataType.BIGINT, [2, 3, 4])
         keep = kernels.setop_mask([untyped], 3, [typed], 3, keep_members=True)
         assert keep.tolist() == [False, True, True]
-        with pytest.raises(KernelFallback):
-            # object vs primitive dtypes stay a fallback
+        with pytest.raises(TypeError_):
+            # object vs primitive dtypes: the error ``=`` raises
             kernels.setop_mask(
                 [Column(None, np.array([1], dtype=np.int64))],
                 1,
@@ -253,6 +250,19 @@ class TestJoinIndices:
         right = [Column.from_values(DataType.DOUBLE, [2.0, 2.5, 3.0])]
         li, ri = kernels.join_indices(left, right)
         assert list(zip(li.tolist(), ri.tolist())) == [(1, 0), (2, 2)]
+
+    def test_all_null_key_of_another_type(self):
+        # an all-NULL column (a NULL parameter, typed VARCHAR by guess)
+        # reads as NULLs of the other side's type: it joins nothing and
+        # stays NULL = NULL in set operations
+        nulls = Column.nulls(DataType.VARCHAR, 2)
+        ints = Column.from_values(DataType.BIGINT, [1, None, 2])
+        li, ri = kernels.join_indices([nulls], [ints])
+        assert len(li) == len(ri) == 0
+        keep = kernels.setop_mask([nulls], 2, [ints], 3, keep_members=True)
+        assert keep.tolist() == [True, False]
+        keep = kernels.setop_mask([ints], 3, [nulls], 2, keep_members=False)
+        assert keep.tolist() == [True, False, True]
 
 
 def _dictionary_pairs(build, probe, chunk=3):
@@ -318,20 +328,12 @@ class TestJoinKeyDictionary:
         probe = [Column(None, np.array([3, 1, 4], dtype=np.int64))]
         build = [Column.from_values(DataType.BIGINT, [4, 3])]
         assert _dictionary_pairs(build, probe) == [(0, 1), (2, 0)]
-        with pytest.raises(KernelFallback):
-            kernels.JoinKeyDictionary(
+        with pytest.raises(TypeError_):
+            # object vs primitive dtypes: the error ``=`` raises, at
+            # the first probe slice that holds a value
+            _dictionary_pairs(
                 [Column.from_values(DataType.VARCHAR, ["x"])],
                 [Column(None, np.array([1], dtype=np.int64))],
-            )
-
-    def test_unorderable_keys_fall_back(self):
-        # the spilled join then runs the in-memory join instead
-        data = np.empty(3, dtype=object)
-        data[:] = ["x", (1, 2), "y"]
-        with pytest.raises(KernelFallback):
-            kernels.JoinKeyDictionary(
-                [Column(DataType.VARCHAR, data)],
-                [Column.from_values(DataType.VARCHAR, ["x"])],
             )
 
     def test_empty_build_side_matches_nothing(self):
@@ -343,7 +345,7 @@ class TestJoinKeyDictionary:
 
 
 # ---------------------------------------------------------------------------
-# engine-level oracle: kernels vs their row-at-a-time fallbacks
+# engine-level oracle: kernels vs the row-at-a-time reference
 # ---------------------------------------------------------------------------
 SCHEMA = """
     CREATE TABLE t1 (a INT, b VARCHAR, c DOUBLE);
@@ -554,18 +556,21 @@ class TestEngineEquivalence:
             assert_equivalent(
                 engines, "SELECT x.v, y.v FROM fk x JOIN fk y ON x.k = y.k"
             )
-            # NaN sort keys: the kernel declines, both engines run the
-            # identical row comparator — bit-identical output required
+            # NaN sort keys order after every number, before NULL
             assert_equivalent(
                 engines, "SELECT v FROM fk ORDER BY k", ordered=True
             )
+            assert engines[0].execute(
+                "SELECT v FROM fk ORDER BY k"
+            ).rows() == [(1,), (2,), (4,), (3,)]
         finally:
             for db in engines:
                 db.execute("DROP TABLE fk")
 
     def test_nan_aggregate_values_fall_back(self, engines):
-        # np.minimum/maximum propagate NaN; Python min()/max() treat it
-        # as un-ordered — the kernel must decline so both engines agree
+        # NaN is the greatest value: MAX is NaN once a group holds one,
+        # MIN skips it unless the group holds nothing else (no longer a
+        # fallback: the fold and the reference apply the rule apart)
         for db in engines:
             db.execute("CREATE TABLE na (k INT, v DOUBLE)")
             db.execute(
@@ -573,8 +578,10 @@ class TestEngineEquivalence:
                 (float("nan"), float("nan")),
             )
         try:
-            assert_equivalent(
-                engines, "SELECT k, min(v), max(v), count(v) FROM na GROUP BY k"
+            sql = "SELECT k, min(v), max(v), count(v) FROM na GROUP BY k"
+            assert_equivalent(engines, sql)
+            assert repr(engines[0].execute(sql).rows()) == repr(
+                [(1, 1.0, float("nan"), 3), (2, float("nan"), float("nan"), 1)]
             )
         finally:
             for db in engines:
@@ -643,11 +650,10 @@ class TestCountersAndKnobs:
         db.executescript(
             "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (1), (2);"
         )
-        db.execute("SELECT count(DISTINCT a) FROM t")
-        stats = db.kernel_stats()
-        # grouping itself is a hit; the DISTINCT aggregate falls back
-        assert stats["hits"].get("group_by", 0) == 1
-        assert stats["fallbacks"].get("aggregate", 0) == 1
+        assert db.execute("SELECT count(DISTINCT a) FROM t").rows() == [(2,)]
+        # the DISTINCT aggregate folds on the kernel: one group_by hit
+        # and no fallback to count
+        assert db.kernel_stats() == {"hits": {"group_by": 1}, "hit_total": 1}
 
     def test_shell_kernels_command(self):
         import io
@@ -661,15 +667,15 @@ class TestCountersAndKnobs:
         shell.feed_line("SELECT DISTINCT a FROM t;")
         shell.feed_line("\\kernels")
         text = out.getvalue()
-        assert "kernels: hits=1 fallbacks=0" in text
+        assert "kernels: hits=1\n" in text
         assert "distinct" in text
 
 
 # ---------------------------------------------------------------------------
-# fallback counts: kernels never slide into the row paths unnoticed
+# kernel counts: every key-driven operator runs its kernel
 # ---------------------------------------------------------------------------
-#: Operators whose row-at-a-time body only a fallback reaches.
-FALLBACK_OPS = ("distinct", "group_by", "join", "setop", "dedup")
+#: The key-driven operators, as the kernel counters name them.
+KEY_OPS = ("distinct", "group_by", "join", "setop", "dedup", "sort")
 
 #: One statement per operator, so the corpus reaches each of them.
 OPERATOR_SHAPES = (
@@ -698,20 +704,22 @@ class TestFallbackCounts:
         db.executescript(SCHEMA)
         _run_corpus(db)
         stats = db.kernel_stats()
-        fallbacks = {op: stats["fallbacks"].get(op, 0) for op in FALLBACK_OPS}
-        assert fallbacks == dict.fromkeys(FALLBACK_OPS, 0), stats
-        for op in FALLBACK_OPS:
+        # hits are all there is to count: no operator has a second body
+        assert set(stats) == {"hits", "hit_total"}, stats
+        for op in KEY_OPS:
             assert stats["hits"].get(op, 0) >= 1, (op, stats)
 
     def test_row_at_a_time_reference_runs_only_fallbacks(self):
+        # the reference's handlers replace every key-driven operator:
+        # not one kernel runs under it
         db = Database()
         db.executescript(SCHEMA)
         with row_at_a_time():
             _run_corpus(db)
-        stats = db.kernel_stats()
-        assert stats["hit_total"] == 0, stats
-        for op in FALLBACK_OPS + ("sort",):
-            assert stats["fallbacks"].get(op, 0) >= 1, (op, stats)
+        assert db.kernel_stats()["hit_total"] == 0, db.kernel_stats()
+        _run_corpus(db)
+        for op in KEY_OPS:
+            assert db.kernel_stats()["hits"].get(op, 0) >= 1, op
 
 
 # ---------------------------------------------------------------------------
@@ -766,3 +774,145 @@ class TestRandomizedParity:
                 expected = sorted(expected, key=sort_key, reverse=not ascending)
             # boolean False < True matches the comparator; verify per key
             assert order.tolist() == expected, keys
+
+
+# ---------------------------------------------------------------------------
+# NaN order and DISTINCT aggregates: one kernel body, the reference apart
+# ---------------------------------------------------------------------------
+NAN = float("nan")
+
+
+def _order_key(value) -> tuple:
+    """A value compared as SQL compares it: NaN equals NaN, 0.0 equals
+    -0.0.  Tie order and a zero's sign legitimately follow row order."""
+    if value is None:
+        return ("null",)
+    if value != value:
+        return ("nan",)
+    return ("value", value)
+
+
+class TestNanOrder:
+    def test_order_by_puts_nan_after_numbers_before_null(self):
+        db = Database()
+        try:
+            db.execute("CREATE TABLE t (x DOUBLE)")
+            db.insert_rows("t", [(3.0,), (NAN,), (1.0,), (2.0,), (None,)])
+            cases = {
+                "SELECT x FROM t ORDER BY x": [1.0, 2.0, 3.0, NAN, None],
+                "SELECT x FROM t ORDER BY x DESC": [None, NAN, 3.0, 2.0, 1.0],
+                "SELECT x FROM t ORDER BY x LIMIT 2": [1.0, 2.0],
+                "SELECT x FROM t ORDER BY x DESC LIMIT 2": [None, NAN],
+                "SELECT x FROM t ORDER BY x LIMIT 2 OFFSET 2": [3.0, NAN],
+            }
+            for sql, expected in cases.items():
+                rows = db.execute(sql).rows()
+                assert repr(rows) == repr([(v,) for v in expected]), sql
+                assert repr(reference_rows(db, sql)) == repr(rows), sql
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_external_sort_orders_nan(self, descending):
+        from repro.storage.spill import SPILL_CHUNK_ROWS
+
+        cycle = [3.0, NAN, 1.0, 2.0, None]
+        n = 2 * SPILL_CHUNK_ROWS + len(cycle)
+        rows = [(i, cycle[i % len(cycle)]) for i in range(n)]
+        by_value = {_order_key(v): [] for v in cycle}
+        for i, v in rows:
+            by_value[_order_key(v)].append((i, v))
+        ranked = [(1.0,), (2.0,), (3.0,), (NAN,), (None,)]
+        if descending:
+            ranked.reverse()
+        expected = [row for (v,) in ranked for row in by_value[_order_key(v)]]
+        direction = "DESC" if descending else ""
+        sql = f"SELECT i, x FROM t ORDER BY x {direction}, i"
+        for budget in (None, 1 << 20):
+            db = Database(memory_budget=budget)
+            try:
+                db.execute("CREATE TABLE t (i BIGINT, x DOUBLE)")
+                db.insert_rows("t", rows)
+                assert repr(db.execute(sql).rows()) == repr(expected), budget
+                top = db.execute(sql + " LIMIT 2").rows()
+                assert repr(top) == repr(expected[:2]), budget
+                if budget is not None:
+                    assert db.memory_stats()["sort_runs"] > 0
+            finally:
+                db.close()
+
+    def test_distinct_aggregates_under_a_budget(self):
+        from repro.storage.spill import SPILL_CHUNK_ROWS
+
+        values = [0.5, NAN, -0.0, 0.0, None, 1e16, 1.0, 0.5, float("inf")]
+        n = 2 * SPILL_CHUNK_ROWS + 11
+        rows = [(i % 3, values[i % len(values)] if i % 7 else i * 0.25)
+                for i in range(n)]
+        sql = (
+            "SELECT k, count(DISTINCT x), sum(DISTINCT x), avg(DISTINCT x), "
+            "min(DISTINCT x), max(DISTINCT x) FROM t GROUP BY k ORDER BY k"
+        )
+        answers = []
+        for budget in (None, 1 << 20):
+            db = Database(memory_budget=budget)
+            try:
+                db.execute("CREATE TABLE t (k BIGINT, x DOUBLE)")
+                db.insert_rows("t", rows)
+                for query in (sql, sql.replace(" GROUP BY k ORDER BY k", "")
+                              .replace("k, count", "count")):
+                    got = db.execute(query).rows()
+                    assert repr(got) == repr(reference_rows(db, query)), query
+                    answers.append(repr(got))
+                # both statements folded on the kernel, nothing else ran
+                assert db.kernel_stats() == {
+                    "hits": {"group_by": 2, "sort": 1}, "hit_total": 3
+                }
+            finally:
+                db.close()
+        assert answers[:2] == answers[2:]
+
+
+#: NaN, NULL, both zeros, both infinities and three exact binary
+#: fractions: every sum of distinct values is exact, so a permutation can
+#: change neither a total nor a comparison
+_DOUBLES = st.sampled_from(
+    [NAN, None, 0.0, -0.0, float("inf"), float("-inf"), 1.5, -2.25, 3.0]
+)
+_PERMUTATION_QUERIES = (
+    "SELECT x FROM p ORDER BY x",
+    "SELECT x FROM p ORDER BY x DESC",
+    "SELECT k, min(x), max(x), count(DISTINCT x), sum(DISTINCT x) "
+    "FROM p GROUP BY k ORDER BY k",
+    "SELECT min(x), max(x), count(DISTINCT x), sum(DISTINCT x), "
+    "avg(DISTINCT x) FROM p",
+)
+
+
+@pytest.fixture(scope="module")
+def permutation_db():
+    db = Database()
+    db.execute("CREATE TABLE p (k BIGINT, x DOUBLE)")
+    yield db
+    db.close()
+
+
+def _answers(db, rows) -> list:
+    db.execute("DELETE FROM p")
+    if rows:
+        db.insert_rows("p", rows)
+    answers = []
+    for sql in _PERMUTATION_QUERIES:
+        got = db.execute(sql).rows()
+        assert repr(got) == repr(reference_rows(db, sql)), (sql, rows)
+        answers.append([tuple(map(_order_key, row)) for row in got])
+    return answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 2), _DOUBLES), max_size=14),
+    data=st.data(),
+)
+def test_nan_order_is_independent_of_row_order(permutation_db, rows, data):
+    permuted = data.draw(st.permutations(rows))
+    assert _answers(permutation_db, rows) == _answers(permutation_db, permuted)

@@ -226,8 +226,6 @@ class TestSpillEquivalence:
         assert directory is None or os.listdir(directory) == []
 
     def test_external_sort_runs(self, budgeted, oracle):
-        # no float key here: NaN ordering falls back to the row path,
-        # which never reaches the external sort
         sql = "SELECT k, v FROM fact ORDER BY v, k LIMIT 500"
         before = budgeted.memory_stats()["sort_runs"]
         assert_equivalent(budgeted, oracle, sql)
@@ -241,6 +239,7 @@ class TestSpillEquivalence:
             )
 
     def test_nan_order_falls_back_identically(self, budgeted, oracle):
+        # NaN keys sort after every number in the external sort too
         assert_equivalent(
             budgeted, oracle,
             "SELECT k, f, v FROM fact ORDER BY f, k, v LIMIT 200",

@@ -249,10 +249,8 @@ class TestDictionaryMerge:
         mask = rng.random(n) < 0.2
         arg = Column(DataType.DOUBLE, rng.random(n), mask.copy())
         for func in ("count_star", "count", "sum", "min", "max", "avg"):
-            serial = kernels.grouped_aggregate(func, False, arg, ids, 7)
-            parallel = kernels.grouped_aggregate(
-                func, False, arg, ids, 7, par
-            )
+            serial = kernels.grouped_aggregate(func, arg, ids, 7)
+            parallel = kernels.grouped_aggregate(func, arg, ids, 7, par)
             # bit-identical, incl. float SUM/AVG (serial row-order sums)
             assert serial.data.tolist() == parallel.data.tolist(), func
             assert (serial.mask is None) == (parallel.mask is None)

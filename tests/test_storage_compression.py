@@ -379,3 +379,65 @@ class TestZoneSkipEndToEnd:
         ]:
             _assert_same(db_c, db_p, sql)
         assert db_c.storage_stats()["morsels_skipped"] > stats["morsels_skipped"]
+
+
+def _memo_bytes(db, table) -> dict:
+    version = db.table(table).current()
+    return {
+        c.name: sum(
+            codes.nbytes + (uniques.nbytes if uniques is not None else 0)
+            for codes, _, uniques in (column._fact_memo or {}).values()
+        )
+        for c, column in zip(version.schema, version.columns)
+    }
+
+
+class TestAnalyzeFootprint:
+    """ANALYZE keeps statistics and resting encodings, nothing more."""
+
+    def test_analyze_leaves_no_factorize_memo(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(29)
+        db = Database()
+        db.execute("CREATE TABLE t (id BIGINT, grp VARCHAR, v DOUBLE)")
+        db.appender("t").append(
+            {
+                "id": np.arange(n),
+                "grp": np.array([f"g{i % 50}" for i in range(n)], dtype=object),
+                "v": rng.random(n),
+            }
+        )
+        db.analyze()
+        kinds = {k: v[0] for k, v in db.table("t").current().resting_info().items()}
+        assert kinds["id"] == "pack" and kinds["grp"] == "dict"
+        assert _memo_bytes(db, "t") == {"id": 0, "grp": 0, "v": 0}
+        stats = db.table_stats()["t"].columns
+        db.save(str(tmp_path / "img"))
+        db.close()
+        loaded = Database.load(str(tmp_path / "img"))
+        try:
+            loaded.analyze()
+            assert _memo_bytes(loaded, "t") == {"id": 0, "grp": 0, "v": 0}
+            assert loaded.table_stats()["t"].columns == stats
+        finally:
+            loaded.close()
+
+    def test_analyze_on_a_loaded_image_decodes_no_packed_column(self, tmp_path):
+        rng = np.random.default_rng(7)
+        db = Database()
+        db.execute("CREATE TABLE t (k BIGINT)")
+        db.appender("t").append({"k": rng.integers(-1000, 400_000, 400_000)})
+        db.analyze()
+        stats = db.table_stats()["t"].columns["k"]
+        db.save(str(tmp_path / "img"))
+        db.close()
+        loaded = Database.load(str(tmp_path / "img"))
+        try:
+            column = loaded.table("t").current().columns[0]
+            assert column.encoding.kind == "pack" and column._data is None
+            loaded.analyze()
+            assert column._data is None  # min/max came from two rows
+            assert loaded.table_stats()["t"].columns["k"] == stats
+            assert (stats.min_value, stats.max_value) == (-998, 399998)
+        finally:
+            loaded.close()
