@@ -17,6 +17,14 @@ bit-parallel bidirectional traversal.
 bidirectional search per pair at 1–256 pairs and writes the table to
 ``BENCH_lanes.json`` (``REPRO_BENCH_LANES_OUT`` names the path); it is
 the evidence for :data:`~repro.graph.LANE_MIN_PAIRS`.
+
+Weighted single-target groups on an indexed library meet in the middle
+too (:func:`~repro.graph.bidirectional_dijkstra`).
+:func:`test_weighted_forward_against_bidirectional` times forward
+against bidirectional Δ-stepping pair by pair on the bench graph with
+Q14's integer weights, asserts equal costs and adds the table to
+``BENCH_lanes.json`` under ``weighted``.  Tier-1 asserts no speed floor
+on it.
 """
 
 import json
@@ -33,7 +41,9 @@ from repro.graph import (
     LANE_WIDTH,
     GraphLibrary,
     bfs,
+    bidirectional_dijkstra,
     bidirectional_distance,
+    dijkstra,
     lane_distances,
 )
 
@@ -43,6 +53,30 @@ LANES_OUT = bench_out_path("REPRO_BENCH_LANES_OUT", "BENCH_lanes.json")
 BATCH_SIZES = (1, 2, 4, 8, 16, 64, 256)
 #: timed batches per size; each point is the median
 BATCH_REPEATS = 7
+#: weighted pairs timed, each the median of BATCH_REPEATS runs per search
+WEIGHTED_PAIRS = 16
+#: what the tests of this module have measured, written out after each
+REPORT: dict = {}
+
+
+def _write_report(library, **tables) -> None:
+    REPORT.update(tables)
+    report = {
+        "benchmark": "lanes_vs_per_pair",
+        "graph": {
+            "vertices": int(library.csr.num_vertices),
+            "edges": int(library.csr.num_edges),
+        },
+        "cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "repeats": BATCH_REPEATS,
+        "lane_min_pairs": LANE_MIN_PAIRS,
+        **REPORT,
+    }
+    LANES_OUT.write_text(json.dumps(report, indent=2) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -145,22 +179,7 @@ def test_lanes_against_per_pair_search(prepared, networks, capsys):
                 "speedup": round(pairs_ms / lanes_ms, 2),
             }
         )
-    report = {
-        "benchmark": "lanes_vs_per_pair",
-        "graph": {
-            "vertices": int(library.csr.num_vertices),
-            "edges": int(library.csr.num_edges),
-        },
-        "cpus": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count(),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "repeats": BATCH_REPEATS,
-        "lane_min_pairs": LANE_MIN_PAIRS,
-        "rows": rows,
-    }
-    LANES_OUT.write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(library, rows=rows)
     with capsys.disabled():
         table = ", ".join(
             f"{r['pairs']}: {r['lanes_ms']} / {r['per_pair_ms']}" for r in rows
@@ -168,3 +187,51 @@ def test_lanes_against_per_pair_search(prepared, networks, capsys):
         print(f"\nlanes vs per-pair (median ms): {table}")
     # four words of lanes against 256 searches: a several-fold margin
     assert rows[-1]["lanes_ms"] < rows[-1]["per_pair_ms"]
+
+
+def test_weighted_forward_against_bidirectional(networks, capsys):
+    network = networks[max(SCALE_FACTORS)]
+    src, dst, _, weights = network.directed_edges()
+    # Q14's integer costs (CAST(weight * 10 AS bigint)): exact sums, so
+    # the two searches must agree to the unit.  With DOUBLE weights two
+    # paths may tie to within rounding and the searches sum different ones
+    library = GraphLibrary(src, dst).with_weights(np.rint(weights * 10).astype(np.int64))
+    backward = library.reverse  # built once, like a graph index's
+    rng = np.random.default_rng(47)
+    ids = library.domain.encode(rng.choice(network.person_ids, size=2 * WEIGHTED_PAIRS))
+    rows = []
+    for source, target in zip(ids[0::2].tolist(), ids[1::2].tolist()):
+        forward_s, meeting_s = [], []
+        for repeat in range(BATCH_REPEATS):
+            runs = {
+                "forward": lambda: dijkstra(
+                    library.csr, source, np.asarray([target])
+                ).cost(target),
+                "bidirectional": lambda: bidirectional_dijkstra(
+                    library.csr, backward, source, target
+                )[0],
+            }
+            # alternate which search runs first, so neither always runs warm
+            order = sorted(runs, reverse=repeat % 2 == 1)
+            timed = {name: _timed(runs[name]) for name in order}
+            assert timed["forward"][1] == timed["bidirectional"][1]
+            forward_s.append(timed["forward"][0])
+            meeting_s.append(timed["bidirectional"][0])
+        forward_ms = statistics.median(forward_s) * 1e3
+        meeting_ms = statistics.median(meeting_s) * 1e3
+        rows.append(
+            {
+                "cost": timed["forward"][1],
+                "forward_ms": round(forward_ms, 3),
+                "bidirectional_ms": round(meeting_ms, 3),
+                "speedup": round(forward_ms / meeting_ms, 2),
+            }
+        )
+    _write_report(library, weighted=rows)
+    with capsys.disabled():
+        speedups = sorted(row["speedup"] for row in rows)
+        print(
+            f"\nweighted forward vs bidirectional Δ-stepping, {len(rows)} pairs: "
+            f"median speedup {statistics.median(speedups)}x "
+            f"(range {speedups[0]}–{speedups[-1]}x)"
+        )

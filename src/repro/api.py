@@ -49,6 +49,7 @@ morsel-pool tasks, see :meth:`repro.graph.GraphLibrary.solve_encoded`.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future
 from contextlib import nullcontext
@@ -130,6 +131,17 @@ _CACHEABLE_PREFIXES = ("SELECT", "WITH", "VALUES", "INSERT", "(")
 def _cacheable_statement(sql: str) -> bool:
     head = sql.lstrip()[:8].upper()
     return head.startswith(_CACHEABLE_PREFIXES)
+
+
+def _table_write_listener(database_ref: "weakref.ref[Database]"):
+    """A catalog write listener forwarding to the database, if alive."""
+
+    def on_write(table: Table, info: WriteInfo) -> None:
+        database = database_ref()
+        if database is not None:
+            database._on_table_write(table, info)
+
+    return on_write
 
 
 class Result:
@@ -757,7 +769,7 @@ class Database:
         self.plan_cache = PlanCache(
             self.catalog,
             capacity=plan_cache_capacity,
-            stats_marker=lambda name: self.stats.marker(name),
+            stats_marker=self.stats.marker,
         )
         self.kernel_counters = KernelCounters()
         self.storage_counters = StorageCounters()
@@ -822,7 +834,9 @@ class Database:
             )
         # every committed table mutation invalidates both caches and
         # refreshes the recorded statistics row counts
-        self.catalog.add_write_listener(self._on_table_write)
+        # (through a weak reference: the catalog must not keep its
+        # database alive, so a dropped one is freed without the collector)
+        self.catalog.add_write_listener(_table_write_listener(weakref.ref(self)))
 
     def _on_table_write(self, table: Table, info: WriteInfo) -> None:
         self.plan_cache.invalidate_writes(table.name)
@@ -935,7 +949,7 @@ class Database:
                     f"table {name!r} was dropped by a concurrent statement"
                 )
             locks[name] = self.catalog.get(name).lock
-        with LockSet(locks, set(names)):
+        with LockSet(locks):
             for name in names:
                 if not self.catalog.has(name):
                     raise TransactionConflictError(
@@ -1417,15 +1431,15 @@ class Database:
     # statement-scoped locking (writers only — readers pin snapshots)
     # ------------------------------------------------------------------
     def _write_locks(self, tables: set[str]) -> LockSet:
-        """A write :class:`LockSet` over the named tables (writers
-        serialize per table among themselves); tables dropped since
-        analysis are simply skipped — the executor will raise its
-        regular CatalogError."""
+        """A :class:`LockSet` over the named tables (writers serialize
+        per table among themselves); tables dropped since analysis are
+        simply skipped — the executor will raise its regular
+        CatalogError."""
         locks = {}
         for name in {n.lower() for n in tables}:
             if self.catalog.has(name):
                 locks[name] = self.catalog.get(name).lock
-        return LockSet(locks, set(locks))
+        return LockSet(locks)
 
     # ------------------------------------------------------------------
     # the append path

@@ -180,6 +180,8 @@ def _weight_key(expr: bx.BoundExpr, edge_plan: pp.PScan, params: tuple):
         result = key(expr)
     except _Unkeyable:
         return None
+    finally:
+        del key  # it refers to itself: freed without the collector
     try:
         hash(result)
     except TypeError:  # an unhashable parameter value

@@ -16,13 +16,14 @@ kernel (:mod:`~repro.graph.lanes`): a bit-parallel bidirectional BFS
 with one (source, target) pair per bit of a ``uint64`` word, 64 pairs
 per traversal.  Other unweighted source groups with one distinct
 target there run bidirectional BFS over the CSR and its transpose
-instead of a forward BFS.
+instead of a forward BFS, and weighted ones bidirectional Δ-stepping
+over the weighted CSR and a transpose carrying the same weights.
 """
 
 from .bfs import UNREACHED, TraversalResult, bfs, reconstruct_path
 from .bidirectional import bidirectional_distance, reverse_csr
 from .csr import CSRGraph, build_csr, expand_frontier
-from .dijkstra import dijkstra
+from .dijkstra import bidirectional_dijkstra, dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
 from .lanes import LANE_WIDTH, lane_distances
 from .library import (
@@ -47,6 +48,7 @@ __all__ = [
     "build_csr",
     "expand_frontier",
     "dijkstra",
+    "bidirectional_dijkstra",
     "NOT_A_VERTEX",
     "VertexDomain",
     "GraphLibrary",

@@ -70,6 +70,17 @@ def bfs(
     return TraversalResult(source, dist, pred_edge)
 
 
+def pred_chain(graph: CSRGraph, pred_edge: np.ndarray, vertex: int) -> np.ndarray:
+    """The predecessor CSR slots from ``vertex`` back to its search's
+    root, nearest first; empty at the root."""
+    slots: list[int] = []
+    slot = int(pred_edge[vertex])
+    while slot != UNREACHED:
+        slots.append(slot)
+        slot = int(pred_edge[graph.src[slot]])
+    return np.asarray(slots, dtype=np.int64)
+
+
 def reconstruct_path(graph: CSRGraph, result: TraversalResult, target: int) -> np.ndarray:
     """Original edge-table row ids along the path source → target.
 
@@ -78,11 +89,4 @@ def reconstruct_path(graph: CSRGraph, result: TraversalResult, target: int) -> n
     """
     if result.dist[target] == UNREACHED:
         return None
-    rows: list[int] = []
-    vertex = target
-    while vertex != result.source:
-        slot = result.pred_edge[vertex]
-        rows.append(int(graph.edge_rows[slot]))
-        vertex = int(graph.src[slot])
-    rows.reverse()
-    return np.asarray(rows, dtype=np.int64)
+    return graph.edge_rows[pred_chain(graph, result.pred_edge, target)[::-1]]

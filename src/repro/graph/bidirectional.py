@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphRuntimeError
-from .bfs import UNREACHED
+from .bfs import UNREACHED, pred_chain
 from .csr import CSRGraph, build_csr, expand_level
 
 
@@ -113,19 +113,8 @@ def _step(graph, frontier, dist, pred, other_dist, scratch):
 
 def _stitch(forward, backward, pred_f, pred_b, dist_f, dist_b, meet):
     """Join the two half-paths at the meeting vertex."""
-    rows_front: list[int] = []
-    vertex = meet
-    while pred_f[vertex] != UNREACHED:
-        slot = pred_f[vertex]
-        rows_front.append(int(forward.edge_rows[slot]))
-        vertex = int(forward.src[slot])
-    rows_front.reverse()
-    rows_back: list[int] = []
-    vertex = meet
-    while pred_b[vertex] != UNREACHED:
-        slot = pred_b[vertex]
-        rows_back.append(int(backward.edge_rows[slot]))
-        vertex = int(backward.src[slot])
+    front = pred_chain(forward, pred_f, meet)[::-1]
+    back = pred_chain(backward, pred_b, meet)
     distance = int(dist_f[meet] + dist_b[meet])
-    path = np.asarray(rows_front + rows_back, dtype=np.int64)
+    path = np.concatenate((forward.edge_rows[front], backward.edge_rows[back]))
     return distance, path

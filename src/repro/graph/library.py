@@ -33,31 +33,46 @@ from an option:
   the paths, exactly like the prototype ("the library still performs a
   BFS ... discarding the computed shortest paths"):
 
-  - an unweighted group with exactly one distinct target, on an indexed
-    library, runs bidirectional BFS
-    (:func:`~repro.graph.bidirectional.bidirectional_distance`) over the
-    forward CSR and the library's transpose.  On a small-world graph it
-    meets after about deg(s) + deg(t) edges where a forward BFS gathers
-    most of the graph.  Point Q13 is such a group;
-  - any other unweighted group — several targets in a call that asks
-    for paths or has fewer than :data:`LANE_MIN_PAIRS` pairs, or a
-    library built ad hoc for one statement, which would throw the O(E)
-    transpose away — runs one level-synchronous forward BFS
-    (:func:`~repro.graph.bfs.bfs`);
-  - weighted groups run the Δ-stepping kernel
+  - a group with exactly one distinct target, on an indexed library,
+    meets in the middle over the forward CSR and the library's
+    transpose: bidirectional BFS
+    (:func:`~repro.graph.bidirectional.bidirectional_distance`) when
+    unweighted, bidirectional Δ-stepping
+    (:func:`~repro.graph.dijkstra.bidirectional_dijkstra`) when
+    weighted.  On a small-world graph the two balls of radius d/2 hold
+    far fewer edges than the forward ball of radius d.  Point Q13 and
+    Q14 are such groups;
+  - any other group — several targets in a call that asks for paths or
+    has fewer than :data:`LANE_MIN_PAIRS` pairs (weighted calls never
+    run lanes), or a library built ad hoc for one statement, which
+    would throw the O(E) transpose away — runs one forward search:
+    level-synchronous BFS (:func:`~repro.graph.bfs.bfs`) when
+    unweighted, the Δ-stepping kernel
     (:func:`~repro.graph.dijkstra.dijkstra`) for integer and float
-    weights alike, where the paper used Dijkstra with a radix queue.  Δ
-    comes from the graph, not from a parameter, and an equal-cost tie
-    goes to the earliest relaxation round reaching the final cost, then
-    to the smallest CSR slot within that round.
+    weights alike when weighted, where the paper used Dijkstra with a
+    radix queue.  Δ comes from the graph, not from a parameter.
 
-The lane kernel and bidirectional search use the library's transpose,
-built once per indexed library, under a lock and before any work is
-dealt, and kept as long as the library.
+The lane kernel and the bidirectional searches use the library's
+transpose, built once per indexed library, under a lock and before any
+work is dealt, and kept as long as the library.  A weighted view
+(:meth:`GraphLibrary.weighted_view`) shares that transpose's arrays and
+gathers its own weights through ``edge_rows``, once per view.
 
-Costs never depend on the search.  Paths are shortest paths and do not
-depend on the run or the worker count, but a bidirectional path may be
-a different shortest path than forward BFS's smallest-slot tree yields.
+Tie rule.  Within one search, an equal-cost tie goes to the earliest
+relaxation round reaching the final cost, then to the smallest CSR slot
+within that round.  Bidirectional BFS meets at the vertex minimizing
+the total, smallest id on ties.  Bidirectional Δ-stepping meets at the
+edge that first brought μ to its final value, the smallest CSR slot of
+the relaxing side among a round's ties; the path runs along the forward
+tree to that edge and along the backward tree from it.
+
+Costs never depend on the search, except that a DOUBLE cost is the sum
+of its path's weights from the source, so where two paths tie to within
+rounding, forward and bidirectional search may report sums that differ
+in the last place.  Integer costs are exact or a
+:class:`~repro.errors.GraphRuntimeError`.  Paths are shortest paths and
+do not depend on the run or the worker count, but a bidirectional path
+may be a different shortest path than the forward tree yields.
 
 Calls run on the statement's shared exec pool
 (:class:`~repro.exec.parallel.ExecPool`, sized by ``Database(exec_workers=)``)
@@ -84,7 +99,7 @@ from ..errors import GraphRuntimeError
 from .bfs import UNREACHED, bfs, reconstruct_path
 from .bidirectional import bidirectional_distance, reverse_csr
 from .csr import CSRGraph, build_csr, check_weights
-from .dijkstra import dijkstra
+from .dijkstra import bidirectional_dijkstra, dijkstra
 from .domain import NOT_A_VERTEX, VertexDomain
 from .lanes import LANE_WIDTH, lane_distances
 
@@ -114,9 +129,9 @@ class ShortestPathResult:
     int64 array of edge-table row ids, or None when not connected.
 
     The counts say which searches served the call: distinct pairs
-    answered by bidirectional search, distinct pairs answered by the
-    lane kernel, forward traversals (BFS or Δ-stepping) and transposes
-    built.
+    answered by bidirectional search (BFS or Δ-stepping), distinct pairs
+    answered by the lane kernel, forward traversals (BFS or Δ-stepping)
+    and transposes built.
     """
 
     connected: np.ndarray
@@ -126,6 +141,30 @@ class ShortestPathResult:
     lane_pairs: int = 0
     forward_traversals: int = 0
     transpose_builds: int = 0
+
+
+class _Transpose:
+    """A CSR's transpose (:func:`~repro.graph.bidirectional.reverse_csr`),
+    built on first use, once, under a lock.  One library and its
+    weighted views share one."""
+
+    __slots__ = ("forward", "graph", "lock")
+
+    def __init__(self, forward: CSRGraph):
+        self.forward = forward
+        self.graph: CSRGraph | None = None
+        self.lock = threading.Lock()
+
+    def get(self) -> tuple[CSRGraph, bool]:
+        """The transpose and whether this call built it."""
+        graph = self.graph
+        if graph is not None:
+            return graph, False
+        with self.lock:
+            if self.graph is not None:
+                return self.graph, False
+            self.graph = reverse_csr(self.forward)
+            return self.graph, True
 
 
 class GraphLibrary:
@@ -154,19 +193,31 @@ class GraphLibrary:
     ):
         domain, src_ids, dst_ids = VertexDomain.from_edges(src_keys, dst_keys)
         self._adopt(
-            domain, build_csr(src_ids, dst_ids, domain.num_vertices, weights)
+            domain,
+            build_csr(src_ids, dst_ids, domain.num_vertices, weights),
+            edge_weights=None if weights is None else np.asarray(weights),
         )
 
-    def _adopt(self, domain, csr: CSRGraph) -> None:
+    def _adopt(
+        self,
+        domain,
+        csr: CSRGraph,
+        transpose: "_Transpose | None" = None,
+        edge_weights: np.ndarray | None = None,
+    ) -> None:
         self.domain = domain
         self.csr = csr
         self.weighted = csr.weights is not None
         #: True once a graph index holds this library (set by the index
-        #: cache): only then do unweighted calls pay for a transpose
-        #: (lane kernel, bidirectional search), which later statements
-        #: reuse
+        #: cache): only then do single-target groups and the lane kernel
+        #: pay for a transpose, which later statements reuse
         self.indexed = False
-        self._reverse_csr: CSRGraph | None = None
+        #: the unweighted transpose, shared with the weighted views
+        self._shared_transpose = _Transpose(csr) if transpose is None else transpose
+        #: a weighted library's weights in edge order, kept until its
+        #: transpose gathers them through ``edge_rows``
+        self._edge_weights = edge_weights
+        self._weighted_reverse: CSRGraph | None = None
         self._reverse_lock = threading.Lock()
         #: (table version id, {weight key: weighted view}) — the views
         #: of the newest version a statement asked for
@@ -174,10 +225,10 @@ class GraphLibrary:
         self._views_lock = threading.Lock()
 
     @classmethod
-    def from_csr(cls, domain, csr: CSRGraph) -> "GraphLibrary":
+    def from_csr(cls, domain, csr: CSRGraph, **shared) -> "GraphLibrary":
         """A library over an already encoded domain and built CSR."""
         library = cls.__new__(cls)
-        library._adopt(domain, csr)
+        library._adopt(domain, csr, **shared)
         return library
 
     @property
@@ -187,19 +238,35 @@ class GraphLibrary:
         return self._transpose()[0]
 
     def _transpose(self) -> tuple[CSRGraph, bool]:
-        """The transposed CSR and whether this call built it; concurrent
-        statements on one library build it once."""
-        reverse = self._reverse_csr
-        if reverse is not None:
-            return reverse, False
-        with self._reverse_lock:
-            if self._reverse_csr is not None:
-                return self._reverse_csr, False
-            self._reverse_csr = reverse_csr(self.csr)
-            return self._reverse_csr, True
+        """The transposed CSR and whether this call built the unweighted
+        one; concurrent statements on one library build it once.
+
+        A weighted library's transpose shares the unweighted one's
+        arrays and gathers its weights through ``edge_rows``: no second
+        sort."""
+        reverse, built = self._shared_transpose.get()
+        if not self.weighted:
+            return reverse, built
+        weighted = self._weighted_reverse
+        if weighted is None:
+            with self._reverse_lock:
+                weighted = self._weighted_reverse
+                if weighted is None:
+                    weighted = CSRGraph(
+                        num_vertices=reverse.num_vertices,
+                        indptr=reverse.indptr,
+                        dst=reverse.dst,
+                        src=reverse.src,
+                        weights=self._edge_weights[reverse.edge_rows],
+                        edge_rows=reverse.edge_rows,
+                    )
+                    self._weighted_reverse = weighted
+                    self._edge_weights = None
+        return weighted, built
 
     def with_weights(self, weights: np.ndarray) -> "GraphLibrary":
-        """A weighted view sharing this library's domain and CSR order.
+        """A weighted view sharing this library's domain, CSR order and
+        transpose.
 
         ``weights`` holds one value per edge in the order the library was
         built from; it is validated by
@@ -220,6 +287,8 @@ class GraphLibrary:
                 weights=weights[csr.edge_rows],
                 edge_rows=csr.edge_rows,
             ),
+            transpose=self._shared_transpose,
+            edge_weights=weights,
         )
 
     def weighted_view(
@@ -234,7 +303,8 @@ class GraphLibrary:
         for an older version (a pinned snapshot) is built and not kept.
         Builds run under a lock, like the transpose's, so concurrent
         statements build a view once, and a build that raises keeps
-        nothing.
+        nothing.  A view is indexed when this library is, so its
+        single-target groups meet in the middle over its transpose.
         """
         version, views = self._views
         if version == version_id and key in views:
@@ -244,6 +314,7 @@ class GraphLibrary:
             if version == version_id and key in views:
                 return views[key], False
             view = self.with_weights(weights())
+            view.indexed = self.indexed
             if version_id >= version:
                 # a new dict each time: readers may hold the old one
                 views = dict(views) if version == version_id else {}
@@ -338,7 +409,7 @@ class GraphLibrary:
             targets, starts
         )
         backward = None
-        if self.indexed and not self.weighted and single.any():
+        if self.indexed and single.any():
             # built before the shards are dealt, so they share one
             backward, built = self._transpose()
             result.transpose_builds = int(built)
@@ -347,9 +418,10 @@ class GraphLibrary:
         result.bidirectional_pairs = int(single.sum())
         result.forward_traversals = len(groups) - result.bidirectional_pairs
         traverse = dijkstra if self.weighted else bfs
+        meet = bidirectional_dijkstra if self.weighted else bidirectional_distance
 
         def solve_pair(members: np.ndarray) -> None:
-            distance, path = bidirectional_distance(
+            distance, path = meet(
                 self.csr, backward, int(src_ids[members[0]]), int(dst_ids[members[0]])
             )
             if distance is None:

@@ -513,7 +513,10 @@ class Binder:
             # no short cut: a later reference may sit in a subquery
             return any([walk(child, in_subquery) for child in children])
 
-        return walk(cte.query, False)
+        try:
+            return walk(cte.query, False)
+        finally:
+            del walk  # it refers to itself: freed without the collector
 
     def _bind_recursive_cte(self, cte: ast.CommonTableExpr, ctes):
         query = cte.query
@@ -1055,22 +1058,26 @@ class Binder:
 
         exprs: list[bx.BoundExpr] = []
         out_schema: list[lp.PlanColumn] = []
-        for expr_ast, name, precomputed in output_items:
-            if precomputed is not None:
-                raise BindError(
-                    "CHEAPEST SUM cannot be combined with GROUP BY aggregation"
-                )
-            bound = lower(expr_ast)
-            _validate_grouped(bound, group_cols, aggs)
-            exprs.append(bound)
-            out_schema.append(self._fresh_column(name, bound.type))
-        having = None
-        if node.having is not None:
-            # lower HAVING before building the aggregate so any aggregates
-            # it introduces are part of the LAggregate's spec list
-            having = lower(node.having)
-            _require_boolean(having, "HAVING")
-            _validate_grouped(having, group_cols, aggs)
+        try:
+            for expr_ast, name, precomputed in output_items:
+                if precomputed is not None:
+                    raise BindError(
+                        "CHEAPEST SUM cannot be combined with GROUP BY aggregation"
+                    )
+                bound = lower(expr_ast)
+                _validate_grouped(bound, group_cols, aggs)
+                exprs.append(bound)
+                out_schema.append(self._fresh_column(name, bound.type))
+            having = None
+            if node.having is not None:
+                # lower HAVING before building the aggregate so any
+                # aggregates it introduces are part of the LAggregate's
+                # spec list
+                having = lower(node.having)
+                _require_boolean(having, "HAVING")
+                _validate_grouped(having, group_cols, aggs)
+        finally:
+            del lower  # it refers to itself: freed without the collector
         agg_schema = tuple(group_cols) + tuple(a.output for a in aggs)
         result: lp.LogicalNode = lp.LAggregate(
             plan, tuple(group_bound), tuple(aggs), agg_schema

@@ -124,7 +124,10 @@ def map_expr(
             return e
         return e  # literals, params
 
-    return go(expr)
+    try:
+        return go(expr)
+    finally:
+        del go  # it refers to itself: freed without the collector
 
 
 def _has_subquery(expr: bx.BoundExpr) -> bool:
@@ -582,7 +585,10 @@ def reorder_joins(node: lp.LogicalNode, est: Estimator) -> lp.LogicalNode:
             else:
                 leaves.append(reorder_joins(join, est))
 
-        flatten(node)
+        try:
+            flatten(node)
+        finally:
+            del flatten  # it refers to itself: freed without the collector
         if len(leaves) >= MIN_REORDER_RELATIONS:
             return _greedy_join(leaves, conjuncts, est)
         # small region: keep shape, children already reordered
@@ -601,7 +607,10 @@ def _rebuild_region(join: lp.LJoin, leaves):
             return replace(node, left=left, right=right)
         return next(leaves)
 
-    return go(join)
+    try:
+        return go(join)
+    finally:
+        del go  # it refers to itself: freed without the collector
 
 
 def _greedy_join(
@@ -789,7 +798,10 @@ class _Lowering:
                 return replace(node, zone_filters=node.zone_filters + (zone,))
             return replace(node, input=rebuild(node.input))
 
-        return rebuild(child)
+        try:
+            return rebuild(child)
+        finally:
+            del rebuild  # it refers to itself: freed without the collector
 
     def _zone_operand(self, expr):
         """``("lit", v)`` / ``("param", i)`` for a parameter-free scalar

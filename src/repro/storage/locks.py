@@ -1,133 +1,43 @@
-"""Reader/writer locking for concurrent statement execution.
+"""Writer locking for concurrent statement execution.
 
-One :class:`RWLock` guards each base table: any number of readers
-(SELECT, the scan phase of DML, graph-index builds) may hold it
-concurrently, while writers (INSERT/DELETE/UPDATE/TRUNCATE) get
-exclusive access.  The lock is *write-preferring* — once a writer is
-waiting, new readers queue behind it — so heavy read traffic cannot
-starve DML.
-
-The write side is reentrant per thread, and a thread holding the write
-lock may also acquire the read side (it degrades to a no-op); this lets
-``Table`` mutators lock themselves defensively even when the statement
-layer already holds the statement-scoped write lock.
+Readers take no lock: a statement pins immutable table versions (see
+:mod:`repro.storage.table`).  Writers (INSERT/DELETE/UPDATE/TRUNCATE,
+COMMIT installs) serialize per table through the table's reentrant
+``lock`` (a :class:`threading.RLock`), so ``Table`` mutators can lock
+themselves defensively even when the statement layer already holds the
+statement-scoped lock.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-
-
-class RWLock:
-    """A write-preferring readers-writer lock with a reentrant write side."""
-
-    __slots__ = ("_cond", "_readers", "_writer", "_writer_depth", "_writers_waiting")
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer: int | None = None  # owning thread id, if write-held
-        self._writer_depth = 0
-        self._writers_waiting = 0
-
-    # ------------------------------------------------------------------
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                return  # we hold the write lock: reading is already safe
-            while self._writer is not None or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            if self._writer == threading.get_ident():
-                return  # matching no-op for the degraded acquire
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                self._writer_depth += 1
-                return
-            self._writers_waiting += 1
-            try:
-                while self._writer is not None or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = me
-            self._writer_depth = 1
-
-    def release_write(self) -> None:
-        with self._cond:
-            if self._writer != threading.get_ident():
-                raise RuntimeError("release_write by a thread not holding the lock")
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                self._writer = None
-                self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def read_locked(self):
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self):
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
 
 
 class LockSet:
     """Statement-scoped acquisition of many table locks without deadlock.
 
-    Locks are always taken in sorted table-name order; a table appearing
-    in both the read- and write-set is write-locked only.  Use as a
-    context manager around one statement execution.
+    Locks are always taken in sorted table-name order.  Use as a context
+    manager around one statement execution.
     """
 
-    __slots__ = ("_plan",)
+    __slots__ = ("_locks",)
 
-    def __init__(self, tables: dict[str, RWLock], writes: set[str]):
-        # name -> (lock, is_write), ordered by name for a global order
-        self._plan = [
-            (tables[name], name in writes) for name in sorted(tables)
-        ]
+    def __init__(self, tables: dict[str, threading.RLock]):
+        # ordered by name for a global order
+        self._locks = [tables[name] for name in sorted(tables)]
 
     def __enter__(self) -> "LockSet":
         acquired = []
         try:
-            for lock, is_write in self._plan:
-                if is_write:
-                    lock.acquire_write()
-                else:
-                    lock.acquire_read()
-                acquired.append((lock, is_write))
+            for lock in self._locks:
+                lock.acquire()
+                acquired.append(lock)
         except BaseException:
-            for lock, is_write in reversed(acquired):
-                if is_write:
-                    lock.release_write()
-                else:
-                    lock.release_read()
+            for lock in reversed(acquired):
+                lock.release()
             raise
         return self
 
     def __exit__(self, *exc) -> None:
-        for lock, is_write in reversed(self._plan):
-            if is_write:
-                lock.release_write()
-            else:
-                lock.release_read()
+        for lock in reversed(self._locks):
+            lock.release()

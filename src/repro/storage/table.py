@@ -16,9 +16,9 @@ a single reference assignment *before* notifying write listeners, so a
 racing reader that pairs a version id with a column snapshot can only
 err on the stale side (it re-reads), never serve new data under an old
 version.  Writers still serialize per table among themselves through the
-write side of the table's :class:`~repro.storage.locks.RWLock`; the
-statement layer takes it for the whole statement and mutators re-acquire
-the (reentrant) write side defensively for callers that bypass SQL.
+table's reentrant ``lock``; the statement layer takes it for the whole
+statement (:class:`~repro.storage.locks.LockSet`) and mutators
+re-acquire it defensively for callers that bypass SQL.
 
 Transaction buffers hold ``TableVersion`` objects too, with synthetic
 ``version_id`` values drawn from :func:`next_txn_version_id` (all
@@ -36,7 +36,6 @@ from typing import Any, Callable, Iterable, Sequence
 from ..errors import CatalogError, TypeError_
 from .column import Column
 from .ingest import bulk_columns
-from .locks import RWLock
 from .schema import Schema
 
 @dataclass(frozen=True)
@@ -194,9 +193,9 @@ class Table:
             tuple(Column.empty(c.type) for c in schema),
             0,
         )
-        #: Statement-scoped writer lock (see module docstring); the read
-        #: side survives for callers that still want blocking reads.
-        self.lock = RWLock()
+        #: Statement-scoped writer lock (see module docstring); readers
+        #: take none, they pin a version
+        self.lock = threading.RLock()
         self._listeners: list[Callable[["Table", "WriteInfo"], None]] = []
 
     # ------------------------------------------------------------------
@@ -276,7 +275,7 @@ class Table:
         the new edges in without a CSR rebuild.
         """
         count = validate_columns(self.schema, columns)
-        with self.lock.write_locked():
+        with self.lock:
             self._publish(
                 [
                     concat_for_append(old, new)
@@ -287,7 +286,7 @@ class Table:
         return count
 
     def truncate(self) -> None:
-        with self.lock.write_locked():
+        with self.lock:
             self._publish(
                 [Column.empty(c.type) for c in self.schema],
                 WriteInfo("truncate"),
@@ -301,7 +300,7 @@ class Table:
         replacement did pass a :class:`WriteInfo` so listeners can react
         incrementally; without one it counts as an opaque replace."""
         validate_columns(self.schema, columns)
-        with self.lock.write_locked():
+        with self.lock:
             self._publish(list(columns), info)
 
     def to_rows(self) -> list[tuple[Any, ...]]:

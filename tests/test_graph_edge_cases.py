@@ -177,6 +177,34 @@ class TestWeightValidation:
         with pytest.raises(GraphRuntimeError, match="BIGINT"):
             db.execute(query.format(3))
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_meeting_sum_is_exact_or_raises(self, db, indexed):
+        # a bidirectional search joins a forward and a backward half that
+        # each fit BIGINT; on these graphs some joins sum past the range,
+        # and each must be dropped, never wrap below the true cost
+        db.execute("CREATE TABLE e (s INT, d INT, w BIGINT)")
+        db.execute(
+            "INSERT INTO e VALUES (1, 3, 4000000000000000000), "
+            "(1, 4, 3000000000000000000), (5, 1, 4000000000000000000), "
+            "(2, 4, 1), (3, 1, 1), (4, 3, 3000000000000000000), (1, 4, 2)"
+        )
+        db.execute("CREATE TABLE f (s INT, d INT, w BIGINT)")
+        db.execute(
+            "INSERT INTO f VALUES (5, 4, 3000000000000000000), "
+            "(3, 5, 4000000000000000000), (3, 1, 5000000000000000000), "
+            "(4, 2, 5000000000000000000), (1, 4, 2), (2, 5, 5000000000000000000)"
+        )
+        if indexed:
+            db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)")
+            db.execute("CREATE GRAPH INDEX gf ON f EDGE (s, d)")
+        query = "SELECT CHEAPEST SUM(x: w) WHERE ? REACHES ? OVER {} x EDGE (s, d)"
+        assert db.execute(query.format("e"), (5, 3)).scalar() == 7000000000000000002
+        searches = db.cache_stats()["graph_index_cache"]
+        assert searches["bidirectional_pairs"] == int(indexed)
+        # both paths 3->2 sum past the range
+        with pytest.raises(GraphRuntimeError, match="BIGINT"):
+            db.execute(query.format("f"), (3, 2))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("indexed", [False, True])
     def test_infinite_float_weights_raise(self, db, indexed):

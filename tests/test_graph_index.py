@@ -199,8 +199,22 @@ class TestTraversalChoice:
             "transpose_builds": 1,
         }
 
-    def test_weighted_q14_runs_forward(self, db):
+    def test_weighted_q14_is_bidirectional(self, db):
         db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+        cost = db.execute(
+            "SELECT CHEAPEST SUM(e: w) WHERE 1 REACHES 5 OVER edges e EDGE (s, d)"
+        ).scalar()
+        assert cost == 4
+        # the weighted view's transpose gathers its weights over the
+        # base library's transpose, which this statement builds
+        assert traversals(db) == {
+            "bidirectional_pairs": 1,
+            "lane_pairs": 0,
+            "forward_traversals": 0,
+            "transpose_builds": 1,
+        }
+
+    def test_unindexed_weighted_q14_runs_forward(self, db):
         cost = db.execute(
             "SELECT CHEAPEST SUM(e: w) WHERE 1 REACHES 5 OVER edges e EDGE (s, d)"
         ).scalar()
@@ -210,6 +224,26 @@ class TestTraversalChoice:
             "lane_pairs": 0,
             "forward_traversals": 1,
             "transpose_builds": 0,
+        }
+
+    def test_weighted_multi_target_group_runs_forward(self, db):
+        db.execute("CREATE GRAPH INDEX gi ON edges EDGE (s, d)")
+        db.executescript(
+            """
+            CREATE TABLE pairs (a INT, b INT);
+            INSERT INTO pairs VALUES (1, 4), (1, 5), (2, 5);
+            """
+        )
+        rows = db.execute(
+            "SELECT p.a, p.b, CHEAPEST SUM(e: w) FROM pairs p "
+            "WHERE p.a REACHES p.b OVER edges e EDGE (s, d) ORDER BY p.a, p.b"
+        ).rows()
+        assert rows == [(1, 4, 3), (1, 5, 4), (2, 5, 3)]
+        assert traversals(db) == {
+            "bidirectional_pairs": 1,
+            "lane_pairs": 0,
+            "forward_traversals": 1,
+            "transpose_builds": 1,
         }
 
     def test_batch_splits_by_target_count(self, db):
@@ -352,6 +386,23 @@ Q14 = (
 )
 
 
+def q14_edge_cost(weight: float) -> int:
+    """One edge's cost under :data:`Q14`: CAST truncates toward zero."""
+    return int(weight * 10)
+
+
+def check_weighted_path(path, pair, cost, edges, edge_cost=q14_edge_cost):
+    """``path`` is a chain of ``edges`` (rows of the edge table) from
+    ``pair[0]`` to ``pair[1]`` whose edge costs sum to ``cost``: a
+    shortest path when ``cost`` is the shortest distance."""
+    vertex = pair[0]
+    for row in path:
+        assert row in edges and row[0] == vertex
+        vertex = row[1]
+    assert vertex == pair[1]
+    assert sum(edge_cost(row[2]) for row in path) == cost
+
+
 def weight_counts(db):
     stats = db.graph_indices.stats()
     return stats["weight_builds"], stats["weight_hits"]
@@ -360,8 +411,12 @@ def weight_counts(db):
 class WeightedTrio:
     """One weighted graph three ways: indexed with the default overlay,
     indexed with a rebuild after every write (``graph_compact_threshold=1``)
-    and unindexed.  Every statement runs on all three, and every answer —
-    costs and path rows — must agree."""
+    and unindexed.  Every statement runs on all three.  The two indexed
+    databases agree on every answer, costs and path rows alike.  The
+    unindexed one runs forward Δ-stepping where the indexed ones meet in
+    the middle, so it agrees on costs, and every indexed path is a chain
+    of current edges whose costs sum to the answer: it may be another
+    shortest path."""
 
     def __init__(self, edges: int = 600, vertices: int = 80, seed: int = 11):
         import numpy as np
@@ -396,10 +451,11 @@ class WeightedTrio:
         for db in self.dbs:
             db.execute(sql, params)
 
-    def answers(self, sql, pairs, weight_params=()):
-        """The indexed database's rows per pair, checked against both
-        oracles.  ``weight_params`` bind the ``?`` of the weight, which
-        come before the pair's."""
+    def answers(self, sql, pairs, weight_params=(), edge_cost=q14_edge_cost):
+        """The indexed database's ``(cost, path)`` rows per pair, checked
+        against both oracles.  ``weight_params`` bind the ``?`` of the
+        weight, which come before the pair's; ``edge_cost`` computes one
+        edge's cost from its weight, as the statement does."""
         results = [
             [
                 [
@@ -411,7 +467,11 @@ class WeightedTrio:
             for db in self.dbs
         ]
         assert results[1] == results[0]
-        assert results[2] == results[0]
+        assert costs(results[2]) == costs(results[0])
+        edges = set(self.dbs[2].execute("SELECT * FROM knows").rows())
+        for pair, rows in zip(pairs, results[0]):
+            for cost, path in rows:
+                check_weighted_path(path, pair, cost, edges, edge_cost)
         return results[0]
 
     def pairs(self, count: int = 12):
@@ -460,7 +520,11 @@ class TestWeightedViews:
         sql = Q14.replace("weight * 10", "weight * ?")
         pairs = trio.pairs(6)
         tens = costs(trio.answers(sql, pairs, weight_params=(10,)))
-        twenties = costs(trio.answers(sql, pairs, weight_params=(20,)))
+        twenties = costs(
+            trio.answers(
+                sql, pairs, weight_params=(20,), edge_cost=lambda w: int(w * 20)
+            )
+        )
         assert twenties != tens
         assert twenties == [None if c is None else 2 * c for c in tens]
         assert costs(trio.answers(sql, pairs, weight_params=(10,))) == tens
@@ -498,9 +562,13 @@ class TestWeightedViews:
     def test_subquery_weight_is_evaluated_per_statement(self, trio):
         sql = Q14.replace("weight * 10", "weight * 10 * (SELECT max(f) FROM scale)")
         pairs = trio.pairs(6)
-        doubled = costs(trio.answers(sql, pairs))
+        doubled = costs(
+            trio.answers(sql, pairs, edge_cost=lambda w: int(w * 10 * 2.0))
+        )
         trio.execute("UPDATE scale SET f = 4.0")
-        quadrupled = costs(trio.answers(sql, pairs))
+        quadrupled = costs(
+            trio.answers(sql, pairs, edge_cost=lambda w: int(w * 10 * 4.0))
+        )
         assert quadrupled != doubled
         assert weight_counts(trio.indexed) == (0, 0)  # no key for a subquery
 
@@ -591,7 +659,14 @@ class TestConcurrentWeightBuild:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert errors == []
-        assert [answers[i] for i in range(threads)] == [expected] * threads
+        # every session gets the same answers; the unindexed run is
+        # forward Δ-stepping, so its paths may be other shortest paths
+        assert [answers[i] for i in range(threads)] == [answers[0]] * threads
+        assert costs(answers[0]) == costs(expected)
+        edges = set(zip(*(column.tolist() for column in columns)))
+        for pair, rows in zip(pairs, answers[0]):
+            for cost, path in rows:
+                check_weighted_path(path, pair, cost, edges)
         assert weight_counts(db) == (1, threads * len(pairs) - 1)
         db.close()
 

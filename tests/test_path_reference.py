@@ -1,8 +1,9 @@
 """Property-based correctness: BFS / Dijkstra / bidirectional search vs
 a brute-force Bellman-Ford reference on random graphs.
 
-Bidirectional search is checked through SQL on a table with a graph
-index, the only place the engine runs it; the lane kernel is checked
+Bidirectional BFS is checked through SQL on a table with a graph
+index, the only place the engine runs it; bidirectional Δ-stepping on a
+library marked indexed, against forward Δ-stepping; the lane kernel
 against forward BFS pair by pair.  For each random graph the
 suite checks, across algorithms and worker counts:
 
@@ -24,9 +25,12 @@ from repro.exec.parallel import ExecPool
 from repro.graph import (
     LANE_WIDTH,
     NOT_A_VERTEX,
+    PARALLEL_MIN_PAIRS,
     GraphLibrary,
     bfs,
+    bidirectional_dijkstra,
     build_csr,
+    dijkstra,
     lane_distances,
 )
 
@@ -372,6 +376,86 @@ class TestWeightedAgainstReference:
             if reference is not None:
                 assert result.costs[i] == reference
         check_paths(result, edges, sources, dests, costs_are_hops=False)
+
+
+class TestWeightedBidirectional:
+    """An indexed library answers single-target weighted groups by
+    bidirectional Δ-stepping: its costs equal forward Δ-stepping's and
+    Bellman-Ford's, its paths are shortest paths, and neither depends on
+    the worker count."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_indexed_search_matches_forward(self, seed, integral):
+        rng = random.Random(6000 + 2 * seed + integral)
+        n, edges = random_graph(rng, integral=integral)
+        library = build_library(edges, weighted=True)
+        library.indexed = True  # as the graph-index cache marks it
+        # one target per source over ids 0..n+1 (n and n+1 are never
+        # vertices), a self pair, a source with two targets, and every
+        # pair repeated until the call is large enough to be dealt out
+        vertex = edges[0][0]
+        pairs = [(s, rng.randrange(n + 2)) for s in range(n + 2) if s != vertex]
+        pairs += [(vertex, vertex), (edges[0][1], vertex), (edges[0][1], n)]
+        sources = np.asarray([s for s, _ in pairs], dtype=np.int64)
+        dests = np.asarray([d for _, d in pairs], dtype=np.int64)
+        valid = library.encode_endpoints(sources, dests)[2]
+        copies = -(-PARALLEL_MIN_PAIRS // int(valid.sum()))
+        sources, dests = np.tile(sources, copies), np.tile(dests, copies)
+        src_ids, dst_ids, valid = library.encode_endpoints(sources, dests)
+        assert (src_ids == NOT_A_VERTEX).any() and (src_ids == dst_ids)[valid].any()
+        runs = []
+        for workers in (1, 4):
+            pool = ExecPool(workers)
+            runs.append(
+                library.solve_encoded(
+                    src_ids, dst_ids, want_cost=True, want_path=True,
+                    par=pool.context(),
+                )
+            )
+            pool.shutdown(wait=True)
+        first, second = runs
+        assert first.bidirectional_pairs > 0
+        assert np.array_equal(first.connected, second.connected)
+        assert np.array_equal(first.costs, second.costs)
+        for p1, p2 in zip(first.paths, second.paths):
+            assert (p1 is None) == (p2 is None)
+            if p1 is not None:
+                assert np.array_equal(p1, p2)
+        references: dict[int, list] = {}
+        for i in range(len(sources)):
+            if not valid[i]:
+                assert not first.connected[i] and first.costs[i] == -1
+                continue
+            s, d = int(src_ids[i]), int(dst_ids[i])
+            want = dijkstra(library.csr, s, np.asarray([d])).cost(d)
+            assert first.connected[i] == (want is not None)
+            assert first.costs[i] == (-1 if want is None else want)
+            source = int(sources[i])
+            if source not in references:
+                references[source] = bellman_ford(n, edges, source)
+            reference = references[source][int(dests[i])]
+            assert (reference is None) == (want is None)
+            if reference is not None:
+                assert first.costs[i] == pytest.approx(reference, abs=1e-9)
+        check_paths(first, edges, sources, dests, costs_are_hops=False)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_integer_weights_meet_in_the_middle(self, seed):
+        # weights 1..10^6 spread both sides over many buckets
+        rng = random.Random(8000 + seed)
+        n, edges = random_graph(rng, integral=True)
+        edges = [(u, v, rng.randint(1, 10**6)) for u, v, _ in edges]
+        library = build_library(edges, weighted=True)
+        backward = library.reverse
+        for s in range(library.csr.num_vertices):
+            for t in range(library.csr.num_vertices):
+                want = dijkstra(library.csr, s, np.asarray([t])).cost(t)
+                cost, path = bidirectional_dijkstra(library.csr, backward, s, t)
+                assert cost == want
+                assert (path is None) == (want is None)
+                if path is not None:
+                    assert sum(edges[row][2] for row in path.tolist()) == want
 
 
 # ---------------------------------------------------------------------------
